@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -44,11 +45,11 @@ class InputError(ValueError):
 # -- output ---------------------------------------------------------------------
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def _atomic_write_text(path: str, text: str, newline: str | None = None) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".holonorm-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline=newline) as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -77,13 +78,11 @@ def _envelope(config: dict, body: dict) -> dict:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".",
-                               prefix=".holonorm-", suffix=".tmp")
-    with os.fdopen(fd, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write_text(path, buf.getvalue(), newline="")
     print(f"wrote {path}")
 
 

@@ -117,11 +117,6 @@ class ParabolicShift:
         return ParabolicShift(tuple(lam * v for v in self.h), lam * lam * self.dt)
 
 
-def plength_of_steps(steps: Sequence[int], j: int, h_x: Sequence[float], h_t: float) -> float:
-    """Parabolic length of the grid-aligned shift with index offsets (steps, j)."""
-    return math.sqrt(sum((d * h) ** 2 for d, h in zip(steps, h_x))) + math.sqrt(abs(j * h_t))
-
-
 class GridFunction:
     """Immutable samples of a function on the tensor lattice of a box.
 

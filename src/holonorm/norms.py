@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import pairs
-from .grid import GridFunction, MultiIndex
+from .grid import GridFunction, MultiIndex, kth_difference
 from .pairs import DEFAULT_SEED, SupOutcome
 
 
@@ -490,14 +490,8 @@ def witness_value(u: GridFunction, report: NormReport) -> float:
             sep = (a[-1] - b[-1]) * u.h_t
         return abs(float(field_arr[a]) - float(field_arr[b])) / sep ** exponent
     if report.kind == "diff_quotient":
-        base = tuple(w["base"])
-        off = tuple(w["steps"]) + (w["time_step"],)
-        k = w["order"]
-        coeffs = pairs.difference_coeffs(k)
-        u0 = float(u.values[base])
-        s = 0.0
-        for i in range(1, k + 1):
-            s += coeffs[i - 1] * float(u.values[tuple(b + i * o for b, o in zip(base, off))])
-        pl = pairs.plength_steps(off[:-1], off[-1], u.h_x, u.h_t)
-        return abs(u0 - s) / pl ** report.params["l"]
+        steps, j = w["steps"], w["time_step"]
+        diff = kth_difference(u, w["base"], u.shift_from_steps(steps, j), w["order"])
+        pl = pairs.plength_steps(steps, j, u.h_x, u.h_t)
+        return abs(diff) / pl ** report.params["l"]
     raise ValueError(f"no witness re-evaluation for kind {report.kind!r}")

@@ -1,21 +1,35 @@
 """Supremum engines over node pairs and grid-aligned space-time shifts.
 
-Every seminorm here is a maximum of quotients ``|difference| / separation^e``
-over an admissible set.  When the set has at most ``PAIR_LIMIT`` members it is
-enumerated exhaustively; larger sets are covered by every nearest-neighbour
-pair plus ``SAMPLE_TARGET`` seeded draws stratified by separation scale in
-powers of two (rough quotients peak at small separations, smooth ones at box
-scale, so both ends need coverage).
+Every seminorm here is a maximum of quotients ``|k-th difference| / sep^e``
+over an admissible set of offsets ``(d, j)`` (spatial steps, time steps).
+Space pairs, time pairs, joint shifts and the split forms differ only in that
+set and in the separation: Euclidean ``|d h|``, ``j h_t``, or the parabolic
+length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
 
-Shift enumeration ranges over the canonical half-space: positive time offset,
-or zero time offset with the first nonzero spatial component positive.
-Reversing a shift reproduces the same quotient from a translated base node, so
-nothing is lost.
+1. Every nearest-neighbour offset is swept; the best quotient seeds the search.
+2. No k-th difference exceeds ``amp = 2^(k-1) (max w - min w)``, so an offset
+   at separation ``r`` bounds its quotients by ``amp / r^e``, which falls as
+   ``r`` grows.  The offsets whose bound still reaches the seed are the
+   certified work.
+3. If the certified offsets hold at most ``PAIR_LIMIT`` pairs, they are
+   visited nearest first, and the walk stops at the first offset whose bound
+   is below the running best: every offset skipped is certified to lie below
+   it, so the value is exact (mode ``"exhaustive"``).
+4. Otherwise the supremum is sampled: the nearest-neighbour sweep plus
+   ``SAMPLE_TARGET`` seeded draws stratified by separation scale in powers of
+   two (rough quotients peak at small separations, smooth ones at box scale,
+   so both ends need coverage).
+
+Offsets range over the canonical half-space: positive time offset, or zero
+time offset with the first nonzero spatial component positive.  Reversing a
+shift reproduces the same quotient from a translated base node, so nothing is
+lost.  Among tied maxima the witness is the first in enumeration order: time
+offset outermost, then the spatial offsets lexicographically, then the base
+node.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -23,11 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PAIR_LIMIT = 10_000_000
+from .grid import difference_coefficients
+
+PAIR_LIMIT = 100_000_000
 SAMPLE_TARGET = 1_000_000
 DEFAULT_SEED = 1729
 _CHUNK = 262_144
 _MAX_BATCHES = 64
+_TABLE_CHUNK = 262_144  # offsets per chunk of the offset table
+_EPS = np.finfo(float).eps
 
 
 def worker_count() -> int:
@@ -48,10 +66,6 @@ class SupOutcome:
     sample_count: int = 0
 
 
-def difference_coeffs(k: int) -> tuple[float, ...]:
-    return tuple(float((-1) ** (i + 1) * math.comb(k, i)) for i in range(1, k + 1))
-
-
 def plength_steps(d: tuple[int, ...], j: int, h_x: tuple[float, ...], h_t: float) -> float:
     return math.sqrt(sum((di * hi) ** 2 for di, hi in zip(d, h_x))) + math.sqrt(abs(j * h_t))
 
@@ -60,55 +74,31 @@ def euclid_steps(d: tuple[int, ...], h_x: tuple[float, ...]) -> float:
     return math.sqrt(sum((di * hi) ** 2 for di, hi in zip(d, h_x)))
 
 
-# -- admissible-set sizes ------------------------------------------------------
+def _separation(kind: str, d, j: int, h_x, h_t: float) -> float:
+    if kind == "space":
+        return euclid_steps(d, h_x)
+    if kind == "time":
+        return j * h_t
+    return plength_steps(d, j, h_x, h_t)
 
 
-def spatial_pair_count(n_spatial: tuple[int, ...], n_time: int) -> int:
-    m = math.prod(n_spatial)
-    return n_time * (m * (m - 1) // 2)
+def _offset_witness(kind: str, base, d, j, k, h_x, h_t) -> dict:
+    if kind == "kdiff" or k > 1:
+        return {
+            "base": list(base),
+            "steps": list(d),
+            "time_step": int(j),
+            "order": int(k),
+            "plength": plength_steps(d, j, h_x, h_t),
+        }
+    return {
+        "a": [b + o for b, o in zip(base, tuple(d) + (j,))],
+        "b": list(base),
+        "separation": _separation(kind, d, j, h_x, h_t),
+    }
 
 
-def time_pair_count(n_spatial: tuple[int, ...], n_time: int, k: int = 1) -> int:
-    jmax = (n_time - 1) // k
-    return math.prod(n_spatial) * sum(n_time - k * j for j in range(1, jmax + 1))
-
-
-def kdiff_pair_count(steps: tuple[int, ...], t_steps: int, k: int, allow_time: bool) -> int:
-    """Canonical (node, shift) count for k-th differences."""
-
-    def axis_sum(s: int) -> int:
-        m = s // k
-        return (s + 1) + 2 * sum(s + 1 - k * d for d in range(1, m + 1))
-
-    prod_a = math.prod(axis_sum(s) for s in steps)
-    if allow_time and t_steps:
-        m = t_steps // k
-        b_full = (t_steps + 1) + 2 * sum(t_steps + 1 - k * j for j in range(1, m + 1))
-    else:
-        b_full = t_steps + 1
-    nodes = math.prod(s + 1 for s in steps) * (t_steps + 1)
-    return (prod_a * b_full - nodes) // 2
-
-
-# -- canonical offset enumeration ----------------------------------------------
-
-
-def _first_nonzero_positive(d: tuple[int, ...]) -> bool:
-    for v in d:
-        if v:
-            return v > 0
-    return False
-
-
-def canonical_spatial_offsets(limits: tuple[int, ...]):
-    """All spatial offsets with the first nonzero component positive."""
-    for d in itertools.product(*(range(-m, m + 1) for m in limits)):
-        if _first_nonzero_positive(d):
-            yield d
-
-
-def all_spatial_offsets(limits: tuple[int, ...]):
-    yield from itertools.product(*(range(-m, m + 1) for m in limits))
+# -- slabs ----------------------------------------------------------------------------
 
 
 def _base_slices(offset: tuple[int, ...], dims: tuple[int, ...], k: int):
@@ -121,8 +111,6 @@ def _base_slices(offset: tuple[int, ...], dims: tuple[int, ...], k: int):
         else:
             lows.append(-k * d)
             highs.append(n)
-    if any(hi <= lo for lo, hi in zip(lows, highs)):
-        return None
     return lows, highs
 
 
@@ -139,34 +127,178 @@ def _kdiff_slab(arr: np.ndarray, lows, highs, offset, k: int, coeffs) -> np.ndar
     return np.abs(u0 - s)
 
 
+# -- the offset table -------------------------------------------------------------------
+
+
+@dataclass
+class _Problem:
+    """One supremum: the values, the quotient and its admissible offsets.
+
+    Offsets ``(d, j)`` range over ``j`` in ``j_lo..j_hi`` and ``d_a`` in
+    ``-m_a..m_a``; the canonical ones have a positive first nonzero entry of
+    ``(j, d)``, and ``(j, d)`` in lexicographic order is the enumeration
+    order.
+    """
+
+    values: np.ndarray
+    h_x: tuple[float, ...]
+    h_t: float
+    exponent: float
+    k: int
+    kind: str  # "space" | "time" | "kdiff"
+    allow_time: bool
+
+    def __post_init__(self):
+        n_sp, n_t = self.values.shape[:-1], self.values.shape[-1]
+        k = self.k
+        if self.kind == "time":
+            self.limits = (0,) * len(n_sp)
+            self.j_lo, self.j_hi = 1, (n_t - 1) // k
+        else:
+            self.limits = tuple((n - 1) // k for n in n_sp)
+            self.j_lo = 0
+            self.j_hi = (n_t - 1) // k if self.kind == "kdiff" and self.allow_time else 0
+        self.coeffs = difference_coefficients(k)
+        self.amp = self._amplitude()
+
+    def _amplitude(self) -> float:
+        """An upper bound on every computed ``|k-th difference|`` of ``values``.
+
+        The positive and the negative coefficients of a k-th difference each
+        sum to ``2^(k-1)`` in magnitude, so the exact difference is at most
+        ``2^(k-1) (hi - lo)``.  Rounding (unit roundoff ``u = eps / 2``):
+        ``hi - lo`` is computed to within a factor ``1 + u``; the sum
+        ``s = sum_i c_i u_i`` takes at most ``k`` roundings per term, so it is
+        off by at most ``gamma_k sum |c_i u_i| <= 2 k u 2^k W`` with
+        ``W = max |w|``; ``u0 - s`` adds a factor ``1 + u``.  This gives the
+        absolute term below and a relative ``2u``.  The quotient ``m / D``
+        with the scalar denominator ``D`` is compared with ``amp / D'`` where
+        ``D'`` is the table's vectorised ``sep^e``: each of the separations
+        is within ``(N + 4) u`` of the exact one, so ``D / D'`` is within
+        ``2 (e (N + 4) + 2) u``; the two divisions and a one-ulp
+        non-monotonicity of ``pow`` add ``4u``.  The factor below is twice
+        the sum of these relative terms.
+        """
+        v = self.values
+        hi, lo = float(v.max()), float(v.min())
+        w = max(abs(hi), abs(lo))
+        k, n = self.k, v.ndim - 1
+        margin = 1.0 + 2.0 * (self.exponent * (n + 4) + 5) * _EPS
+        return (2.0 ** (k - 1) * (hi - lo) + 2.0 ** k * k * _EPS * w) * margin
+
+    # -- one offset ---------------------------------------------------------------
+
+    def evaluate(self, off: tuple[int, ...]):
+        """(quotient, where: flat argmax, slab shape, base lows, pairs) of one
+        offset's slab."""
+        lows, highs = _base_slices(off, self.values.shape, self.k)
+        arr = _kdiff_slab(self.values, lows, highs, off, self.k, self.coeffs)
+        at = int(arr.argmax())
+        denom = _separation(self.kind, off[:-1], off[-1], self.h_x, self.h_t) ** self.exponent
+        return float(arr.flat[at]) / denom, (at, arr.shape, lows), arr.size
+
+    def witness(self, off: tuple[int, ...], where) -> dict:
+        at, shape, lows = where
+        base = tuple(int(a + lo) for a, lo in zip(np.unravel_index(at, shape), lows))
+        return _offset_witness(self.kind, base, off[:-1], off[-1], self.k, self.h_x, self.h_t)
+
+    def nearest_offsets(self) -> list[tuple[int, ...]]:
+        """Unit offsets along each spatial axis, then along time."""
+        n = len(self.limits)
+        out = [tuple(int(i == a) for i in range(n)) + (0,)
+               for a, m in enumerate(self.limits) if m >= 1]
+        if self.j_lo <= 1 <= self.j_hi:
+            out.append((0,) * n + (1,))
+        return out
+
+    # -- the table ----------------------------------------------------------------
+
+    def certified(self, floor: float, limit: int | None):
+        """Offsets whose quotient bound reaches ``floor``, as arrays
+        (offsets, bounds) sorted by separation with ties in enumeration order;
+        ``None`` once their pairs exceed ``limit``.
+
+        Only offsets within the separation ``r`` where the bound, raised by
+        a relative 1e-12 that dwarfs its rounding, meets ``floor`` are
+        enumerated (an axis component alone is at most the separation), in
+        chunks of ``_TABLE_CHUNK``, time offset outermost.
+        """
+        limits, j_hi = self.limits, self.j_hi
+        if floor > 0.0 and self.exponent > 0.0:
+            with np.errstate(over="ignore"):
+                r = float(np.float64(self.amp * (1.0 + 1e-12) / floor) ** (1.0 / self.exponent))
+            limits = tuple(int(min(m, r / h + 1.0)) for m, h in zip(limits, self.h_x))
+            if j_hi > 0:
+                reach = r * r if self.kind == "kdiff" else r
+                j_hi = int(min(j_hi, reach / self.h_t + 1.0))
+        box = (j_hi - self.j_lo + 1,) + tuple(2 * m + 1 for m in limits)
+        total = math.prod(box)
+        dims = np.asarray(self.values.shape, dtype=np.int64)
+        h = np.asarray(self.h_x)
+        parts, pairs = [], 0
+        for start in range(0, total, _TABLE_CHUNK):
+            idx = np.unravel_index(np.arange(start, min(start + _TABLE_CHUNK, total)), box)
+            lead = np.stack([idx[0] + self.j_lo]
+                            + [i - m for i, m in zip(idx[1:], limits)], axis=1)  # (j, d)
+            first = lead[np.arange(len(lead)), np.argmax(lead != 0, axis=1)]
+            off = np.roll(lead, -1, axis=1)  # (d, j)
+            if self.kind == "time":
+                sep = off[:, -1] * self.h_t
+            else:
+                sep = np.sqrt(np.sum((off[:, :-1] * h) ** 2, axis=1))
+                if self.kind == "kdiff":
+                    sep = sep + np.sqrt(off[:, -1] * self.h_t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bound = self.amp / sep ** self.exponent
+            keep = (first > 0) & (bound >= floor)
+            pairs += int(np.prod(dims - self.k * np.abs(off[keep]), axis=1).sum())
+            if limit is not None and pairs > limit:
+                return None
+            parts.append((off[keep], sep[keep], bound[keep]))
+        off, sep, bound = (np.concatenate(p) for p in zip(*parts))
+        perm = np.argsort(sep, kind="stable")
+        return off[perm], bound[perm]
+
+
+class _Best:
+    """Running maximum; ties go to the earliest offset in enumeration order."""
+
+    def __init__(self):
+        self.q, self.key, self.off, self.where = -math.inf, (), None, None
+
+    def offer(self, q: float, off: tuple[int, ...], where):
+        key = off[-1:] + off[:-1]
+        if q > self.q or (q == self.q and key < self.key):
+            self.q, self.key, self.off, self.where = q, key, off, where
+
+
+def _sup(prob: _Problem, seed: int | None, limit: int | None, empty: str) -> SupOutcome:
+    """Pruned exact supremum, or the sampled one when the certified work
+    exceeds ``limit`` (``None``: always exact)."""
+    nearest = [(off, *prob.evaluate(off)) for off in prob.nearest_offsets()]
+    if not nearest:
+        raise ValueError(empty)
+    examined = sum(n for *_, n in nearest)
+    best = _Best()
+    for off, q, where, _ in nearest:
+        best.offer(q, off, where)
+    table = prob.certified(best.q, limit)
+    if table is None:
+        return _sampled_sup(prob, seed, nearest, examined)
+    seen = {off for off, *_ in nearest}
+    for row, bound in zip(*table):
+        if bound < best.q:
+            break
+        off = tuple(int(v) for v in row)
+        if off in seen:
+            continue
+        q, where, n = prob.evaluate(off)
+        examined += n
+        best.offer(q, off, where)
+    return SupOutcome(best.q, prob.witness(best.off, best.where), examined, "exhaustive", None)
+
+
 # -- exhaustive engines ---------------------------------------------------------
-
-
-def _slab_update(best, arr: np.ndarray, denom: float, make_witness):
-    m = float(arr.max())
-    q = m / denom
-    if q > best[0]:
-        at = np.unravel_index(int(arr.argmax()), arr.shape)
-        best[0] = q
-        best[1] = make_witness(at)
-    return arr.size
-
-
-def _offset_witness(kind: str, base, d, j, k, h_x, h_t) -> dict:
-    if kind == "kdiff" or k > 1:
-        return {
-            "base": list(base),
-            "steps": list(d),
-            "time_step": int(j),
-            "order": int(k),
-            "plength": plength_steps(d, j, h_x, h_t),
-        }
-    sep = euclid_steps(d, h_x) if kind == "space" else j * h_t
-    return {
-        "a": [b + o for b, o in zip(base, tuple(d) + (j,))],
-        "b": list(base),
-        "separation": sep,
-    }
 
 
 def pair_quotient_sup_exhaustive(
@@ -179,47 +311,14 @@ def pair_quotient_sup_exhaustive(
 ) -> SupOutcome:
     """Max of the k-th difference quotient over same-time ("space") or
     same-place ("time") displacements."""
-    n_sp = w.shape[:-1]
-    coeffs = difference_coeffs(k)
-    best: list = [-math.inf, None]
-    examined = 0
-    if axes == "space":
-        for d in canonical_spatial_offsets(tuple((n - 1) // k for n in n_sp)):
-            if not any(d):
-                continue
-            off = d + (0,)
-            ls = _base_slices(off, w.shape, k)
-            if ls is None:
-                continue
-            lows, highs = ls
-            arr = _kdiff_slab(w, lows, highs, off, k, coeffs)
-            denom = euclid_steps(d, h_x) ** exponent
+    prob = _Problem(w, h_x, h_t, exponent, k, axes, axes == "time")
+    return _sup(prob, None, None, f"no admissible displacement of order {k} along {axes} on "
+                                  f"grid {tuple(n - 1 for n in w.shape)}")
 
-            def witness(at, d=d, lows=lows):
-                base = tuple(int(a + lo) for a, lo in zip(at, lows))
-                return _offset_witness("space", base, d, 0, k, h_x, h_t)
 
-            examined += _slab_update(best, arr, denom, witness)
-    else:
-        n_t = w.shape[-1]
-        zero = (0,) * len(n_sp)
-        for j in range(1, (n_t - 1) // k + 1):
-            off = zero + (j,)
-            lows, highs = [0] * len(n_sp) + [0], list(n_sp) + [n_t - k * j]
-            arr = _kdiff_slab(w, lows, highs, off, k, coeffs)
-            denom = (j * h_t) ** exponent
-
-            def witness(at, j=j):
-                base = tuple(int(v) for v in at)
-                return _offset_witness("time", base, zero, j, k, h_x, h_t)
-
-            examined += _slab_update(best, arr, denom, witness)
-    if best[1] is None:
-        raise ValueError(
-            f"no admissible displacement of order {k} along {axes} on grid "
-            f"{tuple(n - 1 for n in w.shape)}"
-        )
-    return SupOutcome(best[0], best[1], examined, "exhaustive", None)
+def _kdiff_empty(values: np.ndarray, k: int) -> str:
+    return (f"no admissible shift for order-{k} differences: some axis needs at least {k} "
+            f"steps (grid has {tuple(n - 1 for n in values.shape)})")
 
 
 def kdiff_quotient_sup_exhaustive(
@@ -230,43 +329,15 @@ def kdiff_quotient_sup_exhaustive(
     k: int,
     allow_time: bool,
 ) -> SupOutcome:
-    n_sp = values.shape[:-1]
-    n_t = values.shape[-1]
-    coeffs = difference_coeffs(k)
-    limits = tuple((n - 1) // k for n in n_sp)
-    jmax = (n_t - 1) // k if allow_time else 0
-    best: list = [-math.inf, None]
-    examined = 0
-    for j in range(jmax + 1):
-        spatial = canonical_spatial_offsets(limits) if j == 0 else all_spatial_offsets(limits)
-        for d in spatial:
-            if j == 0 and not any(d):
-                continue
-            ls = _base_slices(d + (j,), values.shape, k)
-            if ls is None:
-                continue
-            lows, highs = ls
-            arr = _kdiff_slab(values, lows, highs, d + (j,), k, coeffs)
-            denom = plength_steps(d, j, h_x, h_t) ** exponent
-
-            def witness(at, d=d, j=j, lows=lows):
-                base = tuple(int(a + lo) for a, lo in zip(at, lows))
-                return _offset_witness("kdiff", base, d, j, k, h_x, h_t)
-
-            examined += _slab_update(best, arr, denom, witness)
-    if best[1] is None:
-        raise ValueError(
-            f"no admissible shift for order-{k} differences: some axis needs "
-            f"at least {k} steps (grid has {tuple(n - 1 for n in values.shape)})"
-        )
-    return SupOutcome(best[0], best[1], examined, "exhaustive", None)
+    prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time)
+    return _sup(prob, None, None, _kdiff_empty(values, k))
 
 
 # -- sampled engine ---------------------------------------------------------------
 
 
 def _row_quotients(values, bases, steps, k, denoms) -> np.ndarray:
-    coeffs = difference_coeffs(k)
+    coeffs = difference_coefficients(k)
     dims = values.ndim
     u0 = values[tuple(bases[:, a] for a in range(dims))]
     s = coeffs[0] * values[tuple(bases[:, a] + steps[:, a] for a in range(dims))]
@@ -321,24 +392,21 @@ def _bucket_count(ratio: float) -> int:
     return max(1, math.ceil(math.log2(ratio))) if ratio > 1.0 else 1
 
 
-def _sampled_sup(
-    values: np.ndarray,
-    h_x: tuple[float, ...],
-    h_t: float,
-    exponent: float,
-    k: int,
-    kind: str,  # "space" | "time" | "kdiff"
-    allow_time: bool,
-    seed: int,
-) -> SupOutcome:
+def _sampled_sup(prob: _Problem, seed: int, nearest: list, examined: int) -> SupOutcome:
+    """The nearest-neighbour sweep (already evaluated, folded in its own
+    order) plus stratified seeded draws."""
+    values, h_x, h_t, exponent, k = prob.values, prob.h_x, prob.h_t, prob.exponent, prob.k
+    kind, allow_time = prob.kind, prob.allow_time
     n_sp = values.shape[:-1]
     n_t = values.shape[-1]
     n_dim = len(n_sp)
     steps_sp = tuple(n - 1 for n in n_sp)
     t_steps = n_t - 1
     best: list = [-math.inf, None]
-    examined = 0
     h_arr = np.asarray(h_x)
+    for off, q, where, _ in nearest:
+        if q > best[0]:
+            best[0], best[1] = q, prob.witness(off, where)
 
     def row_denoms(steps_rows: np.ndarray) -> np.ndarray:
         sp = steps_rows[:, :n_dim].astype(float) * h_arr
@@ -348,35 +416,6 @@ def _sampled_sup(
         elif kind == "time":
             sep = np.abs(steps_rows[:, -1].astype(float) * h_t)
         return sep ** exponent
-
-    # Every nearest-neighbour displacement, swept exhaustively.
-    nn: list[tuple[tuple[int, ...], int]] = []
-    if kind != "time":
-        for a in range(n_dim):
-            if k <= steps_sp[a]:
-                nn.append((tuple(1 if i == a else 0 for i in range(n_dim)), 0))
-    if kind != "space" and allow_time and k <= t_steps:
-        nn.append(((0,) * n_dim, 1))
-    coeffs = difference_coeffs(k)
-    for d, j in nn:
-        off = d + (j,)
-        ls = _base_slices(off, values.shape, k)
-        if ls is None:
-            continue
-        lows, highs = ls
-        arr = _kdiff_slab(values, lows, highs, off, k, coeffs)
-        if kind == "kdiff":
-            denom = plength_steps(d, j, h_x, h_t) ** exponent
-        elif kind == "time":
-            denom = (j * h_t) ** exponent
-        else:
-            denom = euclid_steps(d, h_x) ** exponent
-
-        def witness(at, d=d, j=j, lows=lows):
-            base = tuple(int(a + lo) for a, lo in zip(at, lows))
-            return _offset_witness(kind, base, d, j, k, h_x, h_t)
-
-        examined += _slab_update(best, arr, denom, witness)
 
     # Stratified seeded draws.
     rng = np.random.default_rng(seed)
@@ -459,16 +498,11 @@ def pair_quotient_sup(
     seed: int = DEFAULT_SEED,
 ) -> SupOutcome:
     """First-difference quotient supremum over space or time pairs."""
-    n_sp, n_t = w.shape[:-1], w.shape[-1]
-    if axes == "space":
-        count = spatial_pair_count(n_sp, n_t)
-    else:
-        count = time_pair_count(n_sp, n_t)
-        if count == 0:
-            raise ValueError("time-pair seminorm needs at least two time levels")
-    if count <= PAIR_LIMIT:
-        return pair_quotient_sup_exhaustive(w, h_x, h_t, exponent, axes)
-    return _sampled_sup(w, h_x, h_t, exponent, 1, axes, n_t > 1, seed)
+    prob = _Problem(w, h_x, h_t, exponent, 1, axes, axes == "time")
+    empty = ("time-pair seminorm needs at least two time levels" if axes == "time" else
+             f"no admissible displacement of order 1 along space on grid "
+             f"{tuple(n - 1 for n in w.shape)}")
+    return _sup(prob, seed, PAIR_LIMIT, empty)
 
 
 def kdiff_quotient_sup(
@@ -481,17 +515,8 @@ def kdiff_quotient_sup(
     seed: int = DEFAULT_SEED,
 ) -> SupOutcome:
     """Joint space-time k-th difference quotient supremum."""
-    n_sp = tuple(n - 1 for n in values.shape[:-1])
-    t_steps = values.shape[-1] - 1
-    count = kdiff_pair_count(n_sp, t_steps, k, allow_time)
-    if count == 0:
-        raise ValueError(
-            f"no admissible shift for order-{k} differences: some axis needs "
-            f"at least {k} steps (grid has {n_sp} x {t_steps})"
-        )
-    if count <= PAIR_LIMIT:
-        return kdiff_quotient_sup_exhaustive(values, h_x, h_t, exponent, k, allow_time)
-    return _sampled_sup(values, h_x, h_t, exponent, k, "kdiff", allow_time, seed)
+    prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time)
+    return _sup(prob, seed, PAIR_LIMIT, _kdiff_empty(values, k))
 
 
 def kdiff_time_quotient_sup(
@@ -503,12 +528,6 @@ def kdiff_time_quotient_sup(
     seed: int = DEFAULT_SEED,
 ) -> SupOutcome:
     """Pure-time k-th difference quotient supremum (split-form time part)."""
-    n_sp, n_t = values.shape[:-1], values.shape[-1]
-    count = time_pair_count(n_sp, n_t, k)
-    if count == 0:
-        raise ValueError(
-            f"no admissible pure-time shift of order {k}: need at least {k} time steps"
-        )
-    if count <= PAIR_LIMIT:
-        return pair_quotient_sup_exhaustive(values, h_x, h_t, exponent, "time", k)
-    return _sampled_sup(values, h_x, h_t, exponent, k, "time", True, seed)
+    prob = _Problem(values, h_x, h_t, exponent, k, "time", True)
+    return _sup(prob, seed, PAIR_LIMIT,
+                f"no admissible pure-time shift of order {k}: need at least {k} time steps")

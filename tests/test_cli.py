@@ -94,6 +94,20 @@ class TestCheckCommand:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "resolution,ratio"
         assert len(lines) == 4
+        assert csv_path.read_bytes().startswith(b"resolution,ratio\r\n16,")
+
+    def test_failed_csv_write_leaves_no_temp_file(self, capsys, tmp_path):
+        # an existing directory cannot be replaced by the CSV file
+        csv_dir = tmp_path / "taken"
+        csv_dir.mkdir()
+        code, _, err = run_cli(
+            ["check", "--variant", "2.3.1", "--dim", "1", "--l2", "1.5", "--p", "2",
+             "--expr", "sin(2*pi*x1)*exp(-t)", "--T", "1", "--sweep", "8,16",
+             "--csv-out", str(csv_dir)], capsys)
+        assert code == 2
+        assert "error:" in err
+        assert list(tmp_path.glob(".holonorm-*")) == []
+        assert list(csv_dir.iterdir()) == []
 
     def test_invalid_parameters_exit_2(self, capsys):
         code, _, err = run_cli(
