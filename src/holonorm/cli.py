@@ -284,9 +284,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _constant_probe(spec: InterpSpec, result: SearchResult) -> dict:
     """Always evaluate the constant function as a reference candidate."""
     res = result.resolution
-    domain = Domain(tuple(res["domain"]["lower"]), tuple(res["domain"]["upper"]),
-                    res["domain"]["T"])
-    u = build_candidate("1", spec, domain, res["resolution"], res["time_resolution"])
+    u = build_candidate("1", spec, result.domain, res["resolution"], res["time_resolution"])
     report = check(spec, u, seed=res.get("check_seed", DEFAULT_SEED))
     return {"expression": "1", "status": report.status, "ratio": report.ratio}
 

@@ -117,6 +117,40 @@ class ParabolicShift:
         return ParabolicShift(tuple(lam * v for v in self.h), lam * lam * self.dt)
 
 
+def _lattice_shape(domain: Domain, spatial_steps: Sequence[int], time_steps: int):
+    """Validated ``(spatial_steps, time_steps, values shape)`` of a lattice on
+    ``domain``; rejects shapes above the ``MAX_VALUES`` cap."""
+    spatial_steps = tuple(int(s) for s in spatial_steps)
+    time_steps = int(time_steps)
+    if len(spatial_steps) != domain.N:
+        raise ValueError(
+            f"got {len(spatial_steps)} step counts for a {domain.N}-dimensional box"
+        )
+    if any(s < 1 for s in spatial_steps):
+        raise ValueError(f"spatial step counts must be positive, got {spatial_steps}")
+    if domain.is_elliptic:
+        if time_steps != 0:
+            raise ValueError("time_steps must be 0 when the time horizon is 0")
+    elif time_steps < 1:
+        raise ValueError("a positive time horizon needs time_steps >= 1")
+    shape = tuple(s + 1 for s in spatial_steps) + (time_steps + 1,)
+    n_total = math.prod(shape)
+    if n_total > MAX_VALUES:
+        raise GridSizeError(
+            f"grid with {n_total} values exceeds the dense-storage cap of {MAX_VALUES}"
+        )
+    return spatial_steps, time_steps, shape
+
+
+def _lattice_axes(domain: Domain, spatial_steps: tuple[int, ...], time_steps: int):
+    """Node coordinates per spatial axis, and the time levels."""
+    axes = tuple(
+        np.linspace(domain.space_lower[i], domain.space_upper[i], spatial_steps[i] + 1)
+        for i in range(domain.N)
+    )
+    return axes, np.linspace(0.0, domain.time_horizon, time_steps + 1)
+
+
 class GridFunction:
     """Immutable samples of a function on the tensor lattice of a box.
 
@@ -128,26 +162,7 @@ class GridFunction:
     __slots__ = ("domain", "spatial_steps", "time_steps", "values", "_axes", "_taxis")
 
     def __init__(self, domain: Domain, spatial_steps: Sequence[int], time_steps: int, values):
-        spatial_steps = tuple(int(s) for s in spatial_steps)
-        time_steps = int(time_steps)
-        if len(spatial_steps) != domain.N:
-            raise ValueError(
-                f"got {len(spatial_steps)} step counts for a {domain.N}-dimensional box"
-            )
-        if any(s < 1 for s in spatial_steps):
-            raise ValueError(f"spatial step counts must be positive, got {spatial_steps}")
-        if domain.is_elliptic:
-            if time_steps != 0:
-                raise ValueError("time_steps must be 0 when the time horizon is 0")
-        elif time_steps < 1:
-            raise ValueError("a positive time horizon needs time_steps >= 1")
-
-        shape = tuple(s + 1 for s in spatial_steps) + (time_steps + 1,)
-        n_total = math.prod(shape)
-        if n_total > MAX_VALUES:
-            raise GridSizeError(
-                f"grid with {n_total} values exceeds the dense-storage cap of {MAX_VALUES}"
-            )
+        spatial_steps, time_steps, shape = _lattice_shape(domain, spatial_steps, time_steps)
         vals = np.ascontiguousarray(values, dtype=float)
         if vals.shape != shape:
             raise ValueError(f"values shape {vals.shape} does not match grid shape {shape}")
@@ -160,11 +175,7 @@ class GridFunction:
         self.spatial_steps = spatial_steps
         self.time_steps = time_steps
         self.values = vals
-        self._axes = tuple(
-            np.linspace(domain.space_lower[i], domain.space_upper[i], spatial_steps[i] + 1)
-            for i in range(domain.N)
-        )
-        self._taxis = np.linspace(0.0, domain.time_horizon, time_steps + 1)
+        self._axes, self._taxis = _lattice_axes(domain, spatial_steps, time_steps)
 
     # -- geometry ----------------------------------------------------------
 
@@ -273,22 +284,13 @@ def make_grid_function(
 
     ``f`` is first offered coordinate arrays (vectorized evaluation); if that
     fails or produces the wrong shape, it is called node by node with floats.
-    Non-finite samples are rejected with the offending node named.
+    Non-finite samples are rejected with the offending node named.  The
+    lattice is validated before ``f`` is called.
     """
     if isinstance(spatial_steps, int):
         spatial_steps = (spatial_steps,) * domain.N
-    spatial_steps = tuple(int(s) for s in spatial_steps)
-    time_steps = int(time_steps)
-    shape = tuple(s + 1 for s in spatial_steps) + (time_steps + 1,)
-    if math.prod(shape) > MAX_VALUES:
-        raise GridSizeError(
-            f"grid with {math.prod(shape)} values exceeds the dense-storage cap of {MAX_VALUES}"
-        )
-    axes = [
-        np.linspace(domain.space_lower[i], domain.space_upper[i], spatial_steps[i] + 1)
-        for i in range(domain.N)
-    ]
-    taxis = np.linspace(0.0, domain.time_horizon, time_steps + 1)
+    spatial_steps, time_steps, shape = _lattice_shape(domain, spatial_steps, time_steps)
+    axes, taxis = _lattice_axes(domain, spatial_steps, time_steps)
 
     vals = None
     try:

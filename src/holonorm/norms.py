@@ -207,35 +207,40 @@ def _weighted_power_sum(values: np.ndarray, p: float, axes_n: Sequence[int]) -> 
     return float(np.sum(w))
 
 
-def lp_norm(u: GridFunction, p: float) -> NormReport:
-    """Tensor-trapezoidal ``(integral of |u|^p)^(1/p)`` over the box (and over
-    time as well when the time horizon is positive)."""
+def _lebesgue_exponent(p) -> float:
     p = float(p)
     if not p > 1.0:
         raise ValueError(f"Lebesgue exponent must satisfy p > 1, got {p}")
+    return p
+
+
+def _slice_lp(u: GridFunction, j: int, p: float) -> float:
+    """Tensor-trapezoidal spatial Lp norm of time level ``j``."""
+    s = _weighted_power_sum(u.values[..., j], p, u.n_spatial)
+    return (math.prod(u.h_x) * s) ** (1.0 / p)
+
+
+def lp_norm(u: GridFunction, p: float) -> NormReport:
+    """Tensor-trapezoidal ``(integral of |u|^p)^(1/p)`` over the box (and over
+    time as well when the time horizon is positive)."""
+    p = _lebesgue_exponent(p)
     if u.is_elliptic:
-        cell = math.prod(u.h_x)
-        s = _weighted_power_sum(u.values[..., 0], p, u.n_spatial)
+        value = _slice_lp(u, 0, p)
     else:
-        cell = math.prod(u.h_x) * u.h_t
         s = _weighted_power_sum(u.values, p, u.n_spatial + (u.n_time,))
-    value = (cell * s) ** (1.0 / p)
+        value = (math.prod(u.h_x) * u.h_t * s) ** (1.0 / p)
     info = SamplingInfo("exhaustive", None, u.values.size)
     return NormReport("lp", value, p, u.values.size, info, None, {"p": p})
 
 
 def sup_t_lp_norm(u: GridFunction, p: float) -> NormReport:
     """Maximum over time levels of the spatial Lp norm of the slice."""
-    p = float(p)
-    if not p > 1.0:
-        raise ValueError(f"Lebesgue exponent must satisfy p > 1, got {p}")
+    p = _lebesgue_exponent(p)
     if u.is_elliptic:
         raise ValueError("sup-in-time norm needs a positive time horizon")
-    cell = math.prod(u.h_x)
     best, best_j = -math.inf, 0
     for j in range(u.n_time):
-        s = _weighted_power_sum(u.values[..., j], p, u.n_spatial)
-        v = (cell * s) ** (1.0 / p)
+        v = _slice_lp(u, j, p)
         if v > best:
             best, best_j = v, j
     witness = {"time_level": best_j, "t": float(u.time_coords()[best_j])}
@@ -258,11 +263,7 @@ def holder_seminorm_space(
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"spatial Hoelder exponent must lie in (0,1), got {alpha}")
-    beta = tuple(beta.beta if isinstance(beta, MultiIndex) else (beta or (0,) * u.N))
-    w = derivative_field(u, beta, l_t)
-    out = pairs.pair_quotient_sup(w, u.h_x, u.h_t, alpha, "space", seed)
-    params = {"alpha": alpha, "beta": list(beta), "l_t": l_t}
-    return _report_from_outcome("holder_space", out, alpha, params)
+    return _pair_seminorm(u, "space", "alpha", alpha, beta, l_t, seed)
 
 
 def holder_seminorm_time(
@@ -278,11 +279,17 @@ def holder_seminorm_time(
         raise ValueError(f"temporal Hoelder exponent must lie in (0,1], got {exponent}")
     if u.is_elliptic:
         raise ValueError("time seminorm needs a positive time horizon")
+    return _pair_seminorm(u, "time", "exponent", exponent, beta, l_t, seed)
+
+
+def _pair_seminorm(u: GridFunction, axes: str, name: str, exponent: float, beta, l_t: int,
+                   seed: int) -> NormReport:
+    """Pair supremum of the requested derivative field along ``axes``."""
     beta = tuple(beta.beta if isinstance(beta, MultiIndex) else (beta or (0,) * u.N))
     w = derivative_field(u, beta, l_t)
-    out = pairs.pair_quotient_sup(w, u.h_x, u.h_t, exponent, "time", seed)
-    params = {"exponent": exponent, "beta": list(beta), "l_t": l_t}
-    return _report_from_outcome("holder_time", out, exponent, params)
+    out = pairs.pair_quotient_sup(w, u.h_x, u.h_t, exponent, axes, seed)
+    params = {name: exponent, "beta": list(beta), "l_t": l_t}
+    return _report_from_outcome(f"holder_{axes}", out, exponent, params)
 
 
 # -- full Hoelder norms ----------------------------------------------------------------
@@ -307,14 +314,46 @@ def _lower_order_terms(u: GridFunction, m: int, parabolic: bool):
 
 
 def _seminorm_band(m: int, n_dim: int, parabolic: bool):
-    """(beta, l_t) with 0 <= m - |beta| - 2 l_t <= 1."""
-    lt_range = range(m // 2 + 1) if parabolic else (0,)
-    for l_t in lt_range:
-        for r in range(max(0, m - 2 * l_t - 1), m - 2 * l_t + 1):
-            if r < 0:
-                continue
+    """(beta, l_t) of the quotient seminorms: ``0 <= m - |beta| - 2 l_t <= 1``
+    on space-time grids, ``|beta| = m`` on purely spatial ones."""
+    for l_t in (range(m // 2 + 1) if parabolic else (0,)):
+        top = m - 2 * l_t
+        for r in range(max(0, top - 1) if parabolic else top, top + 1):
             for beta in multiindices(n_dim, r):
                 yield beta, l_t
+
+
+def _seminorm_terms(u: GridFunction, idx: HoelderIndex, parabolic: bool, seed: int):
+    """Space quotient seminorms over the band, each followed on space-time grids
+    by its time seminorm: (space sum, time sum, per-term breakdown, pairs
+    examined, the engine modes that ran)."""
+    m, alpha = idx.m, idx.alpha
+    space_sum, time_sum = 0.0, 0.0
+    breakdown: dict[str, float] = {}
+    examined = 0
+    modes = set()
+    for beta, l_t in _seminorm_band(m, u.N, parabolic):
+        rep = holder_seminorm_space(u, alpha, beta, l_t, seed)
+        space_sum += rep.value
+        breakdown[f"<{_beta_label(beta, l_t)} u>_x^({alpha})"] = rep.value
+        parts = [rep]
+        if parabolic:
+            t_exp = (m - sum(beta) - 2 * l_t + alpha) / 2.0
+            rep_t = holder_seminorm_time(u, t_exp, beta, l_t, seed)
+            time_sum += rep_t.value
+            breakdown[f"<{_beta_label(beta, l_t)} u>_t^({t_exp})"] = rep_t.value
+            parts.append(rep_t)
+        examined += sum(r.pairs_examined for r in parts)
+        modes.update(r.sampling.mode for r in parts)
+    return space_sum, time_sum, breakdown, examined, modes
+
+
+def _sampling_of(modes, seed: int, count: int) -> SamplingInfo:
+    """Sampling info of a composite whose parts ran in ``modes``: sampled,
+    under ``seed``, when any part was."""
+    if "sampled" in modes:
+        return SamplingInfo("sampled", seed, count)
+    return SamplingInfo("exhaustive", None, count)
 
 
 def parabolic_seminorm_parts(u: GridFunction, l, seed: int = DEFAULT_SEED):
@@ -324,25 +363,31 @@ def parabolic_seminorm_parts(u: GridFunction, l, seed: int = DEFAULT_SEED):
     _require_fractional(idx, "parabolic seminorm")
     if u.is_elliptic:
         raise ValueError("parabolic seminorm needs a positive time horizon")
-    m, alpha = idx.m, idx.alpha
-    space_sum, time_sum = 0.0, 0.0
-    breakdown: dict[str, float] = {}
-    examined = 0
-    any_sampled = False
-    for beta, l_t in _seminorm_band(m, u.N, True):
-        rep = holder_seminorm_space(u, alpha, beta, l_t, seed)
-        space_sum += rep.value
-        breakdown[f"<{_beta_label(beta, l_t)} u>_x^({alpha})"] = rep.value
-        examined += rep.pairs_examined
-        any_sampled |= rep.sampling.mode == "sampled"
+    space_sum, time_sum, breakdown, examined, modes = _seminorm_terms(u, idx, True, seed)
+    return space_sum, time_sum, breakdown, examined, "sampled" in modes
 
-        t_exp = (m - sum(beta) - 2 * l_t + alpha) / 2.0
-        rep_t = holder_seminorm_time(u, t_exp, beta, l_t, seed)
-        time_sum += rep_t.value
-        breakdown[f"<{_beta_label(beta, l_t)} u>_t^({t_exp})"] = rep_t.value
-        examined += rep_t.pairs_examined
-        any_sampled |= rep_t.sampling.mode == "sampled"
-    return space_sum, time_sum, breakdown, examined, any_sampled
+
+def holder_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
+    """The Hoelder norm of index ``l`` appropriate to the grid.
+
+    The derivative maxima ``|Dt^l_t Dx^beta u|`` with ``|beta| + 2 l_t <= m``
+    (``l_t = 0`` on purely spatial grids), plus, for a noninteger index, the
+    quotient seminorms of exponent ``alpha`` over the band of
+    :func:`_seminorm_band`.  Integer indices (including 0) give the plain sum
+    of derivative maxima.
+    """
+    idx = _as_index(l)
+    parabolic = not u.is_elliptic
+    lower, count = _lower_order_terms(u, idx.m, parabolic)
+    if idx.is_integer:
+        space_sum, time_sum, terms, examined, modes = 0.0, 0.0, {}, 0, ()
+    else:
+        space_sum, time_sum, terms, examined, modes = _seminorm_terms(u, idx, parabolic, seed)
+    value = math.fsum(lower.values()) + space_sum + time_sum
+    examined += count
+    return NormReport("parabolic" if parabolic else "elliptic", value, idx.l, examined,
+                      _sampling_of(modes, seed, examined), None, {"l": idx.l},
+                      {**lower, **terms})
 
 
 def parabolic_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
@@ -353,14 +398,7 @@ def parabolic_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
     if u.is_elliptic:
         raise ValueError("parabolic norm needs a positive time horizon; "
                          "use elliptic_norm for purely spatial grids")
-    lower, count = _lower_order_terms(u, idx.m, parabolic=True)
-    space_sum, time_sum, breakdown, examined, sampled = parabolic_seminorm_parts(u, idx, seed)
-    breakdown = {**lower, **breakdown}
-    value = math.fsum(lower.values()) + space_sum + time_sum
-    info = SamplingInfo("sampled" if sampled else "exhaustive", seed if sampled else None,
-                        examined + count)
-    return NormReport("parabolic", value, idx.l, examined + count, info, None,
-                      {"l": idx.l}, breakdown)
+    return holder_norm(u, idx, seed)
 
 
 def elliptic_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
@@ -371,37 +409,7 @@ def elliptic_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
     if not u.is_elliptic:
         raise ValueError("elliptic norm is defined on purely spatial grids (time horizon 0); "
                          "use parabolic_norm instead")
-    lower, count = _lower_order_terms(u, idx.m, parabolic=False)
-    breakdown = dict(lower)
-    examined = count
-    sem_sum = 0.0
-    sampled = False
-    for beta in multiindices(u.N, idx.m):
-        rep = holder_seminorm_space(u, idx.alpha, beta, 0, seed)
-        sem_sum += rep.value
-        breakdown[f"<{_beta_label(beta, 0)} u>_x^({idx.alpha})"] = rep.value
-        examined += rep.pairs_examined
-        sampled |= rep.sampling.mode == "sampled"
-    value = math.fsum(lower.values()) + sem_sum
-    info = SamplingInfo("sampled" if sampled else "exhaustive", seed if sampled else None,
-                        examined)
-    return NormReport("elliptic", value, idx.l, examined, info, None, {"l": idx.l}, breakdown)
-
-
-def holder_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
-    """The Hoelder norm of index ``l`` appropriate to the grid.
-
-    Integer indices (including 0) give the plain sum of derivative maxima
-    without a seminorm part; noninteger indices give the full norm.
-    """
-    idx = _as_index(l)
-    if not idx.is_integer:
-        return parabolic_norm(u, idx, seed) if not u.is_elliptic else elliptic_norm(u, idx, seed)
-    lower, count = _lower_order_terms(u, idx.m, parabolic=not u.is_elliptic)
-    value = math.fsum(lower.values())
-    info = SamplingInfo("exhaustive", None, count)
-    kind = "parabolic" if not u.is_elliptic else "elliptic"
-    return NormReport(kind, value, idx.l, count, info, None, {"l": idx.l}, dict(lower))
+    return holder_norm(u, idx, seed)
 
 
 # -- difference-quotient seminorms --------------------------------------------------------
@@ -446,13 +454,9 @@ def diff_quotient_seminorm(
         u.values, u.h_x, u.h_t, idx.l / 2.0, spec.l_t, seed=seed
     )
     value = out_x.value + out_t.value
-    sampled = "sampled" in (out_x.mode, out_t.mode)
-    info = SamplingInfo(
-        "sampled" if sampled else "exhaustive",
-        seed if sampled else None,
-        out_x.sample_count + out_t.sample_count if sampled
-        else out_x.examined + out_t.examined,
-    )
+    modes = (out_x.mode, out_t.mode)
+    info = _sampling_of(modes, seed, out_x.sample_count + out_t.sample_count
+                        if "sampled" in modes else out_x.examined + out_t.examined)
     return NormReport(
         "diff_quotient_split",
         value,
@@ -476,9 +480,7 @@ def witness_value(u: GridFunction, report: NormReport) -> float:
     if report.kind == "sup":
         return float(abs(u.values[tuple(w["node"])]))
     if report.kind == "sup_t_lp":
-        cell = math.prod(u.h_x)
-        s = _weighted_power_sum(u.values[..., w["time_level"]], report.params["p"], u.n_spatial)
-        return (cell * s) ** (1.0 / report.params["p"])
+        return _slice_lp(u, w["time_level"], report.params["p"])
     if report.kind in ("holder_space", "holder_time"):
         field_arr = derivative_field(u, report.params["beta"], report.params["l_t"])
         a, b = tuple(w["a"]), tuple(w["b"])

@@ -18,7 +18,9 @@ length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
 4. Otherwise the supremum is sampled: the nearest-neighbour sweep plus
    ``SAMPLE_TARGET`` seeded draws stratified by separation scale in powers of
    two (rough quotients peak at small separations, smooth ones at box scale,
-   so both ends need coverage).
+   so both ends need coverage).  Each draw is a (base node, offset) row,
+   measured with the table's separations and reported with the same witness;
+   rows are folded in order, so the seed alone fixes the result.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -31,8 +33,6 @@ node.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +46,6 @@ _CHUNK = 262_144
 _MAX_BATCHES = 64
 _TABLE_CHUNK = 262_144  # offsets per chunk of the offset table
 _EPS = np.finfo(float).eps
-
-
-def worker_count() -> int:
-    raw = os.environ.get("HOLONORM_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -186,6 +178,15 @@ class _Problem:
         margin = 1.0 + 2.0 * (self.exponent * (n + 4) + 5) * _EPS
         return (2.0 ** (k - 1) * (hi - lo) + 2.0 ** k * k * _EPS * w) * margin
 
+    def separations(self, off: np.ndarray) -> np.ndarray:
+        """Separations of offset rows ``(d, j)`` with ``j >= 0``."""
+        if self.kind == "time":
+            return off[:, -1] * self.h_t
+        sep = np.sqrt(np.sum((off[:, :-1] * np.asarray(self.h_x)) ** 2, axis=1))
+        if self.kind == "kdiff":
+            sep = sep + np.sqrt(off[:, -1] * self.h_t)
+        return sep
+
     # -- one offset ---------------------------------------------------------------
 
     def evaluate(self, off: tuple[int, ...]):
@@ -234,7 +235,6 @@ class _Problem:
         box = (j_hi - self.j_lo + 1,) + tuple(2 * m + 1 for m in limits)
         total = math.prod(box)
         dims = np.asarray(self.values.shape, dtype=np.int64)
-        h = np.asarray(self.h_x)
         parts, pairs = [], 0
         for start in range(0, total, _TABLE_CHUNK):
             idx = np.unravel_index(np.arange(start, min(start + _TABLE_CHUNK, total)), box)
@@ -242,12 +242,7 @@ class _Problem:
                             + [i - m for i, m in zip(idx[1:], limits)], axis=1)  # (j, d)
             first = lead[np.arange(len(lead)), np.argmax(lead != 0, axis=1)]
             off = np.roll(lead, -1, axis=1)  # (d, j)
-            if self.kind == "time":
-                sep = off[:, -1] * self.h_t
-            else:
-                sep = np.sqrt(np.sum((off[:, :-1] * h) ** 2, axis=1))
-                if self.kind == "kdiff":
-                    sep = sep + np.sqrt(off[:, -1] * self.h_t)
+            sep = self.separations(off)
             with np.errstate(divide="ignore", invalid="ignore"):
                 bound = self.amp / sep ** self.exponent
             keep = (first > 0) & (bound >= floor)
@@ -336,41 +331,31 @@ def kdiff_quotient_sup_exhaustive(
 # -- sampled engine ---------------------------------------------------------------
 
 
-def _row_quotients(values, bases, steps, k, denoms) -> np.ndarray:
-    coeffs = difference_coefficients(k)
+def _row_quotients(prob: _Problem, bases, steps) -> np.ndarray:
+    values, coeffs = prob.values, prob.coeffs
     dims = values.ndim
     u0 = values[tuple(bases[:, a] for a in range(dims))]
     s = coeffs[0] * values[tuple(bases[:, a] + steps[:, a] for a in range(dims))]
-    for i in range(2, k + 1):
+    for i in range(2, prob.k + 1):
         s += coeffs[i - 1] * values[tuple(bases[:, a] + i * steps[:, a] for a in range(dims))]
-    return np.abs(u0 - s) / denoms
+    return np.abs(u0 - s) / prob.separations(steps) ** prob.exponent
 
 
-def _rows_update(best, values, bases, steps, k, denoms, make_witness) -> int:
-    """Fold row quotients into the running best.  Rows are processed in fixed
-    chunks (threaded when HOLONORM_THREADS > 1); chunk boundaries do not
-    depend on the worker count, so neither does the result."""
-    n = len(denoms)
-    if n == 0:
-        return 0
-    chunks = [(lo, min(lo + _CHUNK, n)) for lo in range(0, n, _CHUNK)]
-
-    def eval_chunk(bounds):
-        lo, hi = bounds
-        q = _row_quotients(values, bases[lo:hi], steps[lo:hi], k, denoms[lo:hi])
+def _rows_update(prob: _Problem, best: list, bases, steps) -> int:
+    """Fold the quotients of sampled rows (base node, offset) into ``best``,
+    a ``[value, witness]`` pair.  Rows go in chunks of ``_CHUNK``, which
+    bounds the temporaries, in order; a later row replaces the best only
+    with a strictly larger quotient."""
+    for lo in range(0, len(bases), _CHUNK):
+        b, st = bases[lo:lo + _CHUNK], steps[lo:lo + _CHUNK]
+        q = _row_quotients(prob, b, st)
         at = int(q.argmax())
-        return float(q[at]), lo + at
-
-    if worker_count() > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(eval_chunk, chunks))
-    else:
-        results = [eval_chunk(c) for c in chunks]
-    for value, row in results:
-        if value > best[0]:
-            best[0] = value
-            best[1] = make_witness(row)
-    return n
+        if q[at] > best[0]:
+            base, off = (tuple(int(v) for v in r[at]) for r in (b, st))
+            best[0] = float(q[at])
+            best[1] = _offset_witness(prob.kind, base, off[:-1], off[-1], prob.k, prob.h_x,
+                                      prob.h_t)
+    return len(bases)
 
 
 def _unit_directions(rng: np.random.Generator, count: int, n_dim: int) -> np.ndarray:
@@ -395,7 +380,7 @@ def _bucket_count(ratio: float) -> int:
 def _sampled_sup(prob: _Problem, seed: int, nearest: list, examined: int) -> SupOutcome:
     """The nearest-neighbour sweep (already evaluated, folded in its own
     order) plus stratified seeded draws."""
-    values, h_x, h_t, exponent, k = prob.values, prob.h_x, prob.h_t, prob.exponent, prob.k
+    values, h_x, h_t, k = prob.values, prob.h_x, prob.h_t, prob.k
     kind, allow_time = prob.kind, prob.allow_time
     n_sp = values.shape[:-1]
     n_t = values.shape[-1]
@@ -408,15 +393,6 @@ def _sampled_sup(prob: _Problem, seed: int, nearest: list, examined: int) -> Sup
         if q > best[0]:
             best[0], best[1] = q, prob.witness(off, where)
 
-    def row_denoms(steps_rows: np.ndarray) -> np.ndarray:
-        sp = steps_rows[:, :n_dim].astype(float) * h_arr
-        sep = np.sqrt(np.sum(sp * sp, axis=1))
-        if kind == "kdiff":
-            sep = sep + np.sqrt(np.abs(steps_rows[:, -1].astype(float) * h_t))
-        elif kind == "time":
-            sep = np.abs(steps_rows[:, -1].astype(float) * h_t)
-        return sep ** exponent
-
     # Stratified seeded draws.
     rng = np.random.default_rng(seed)
     if kind == "time":
@@ -428,15 +404,6 @@ def _sampled_sup(prob: _Problem, seed: int, nearest: list, examined: int) -> Sup
             lmin = min(lmin, math.sqrt(h_t))
             lmax = lmax + math.sqrt(t_steps * h_t)
         n_buckets = _bucket_count(lmax / lmin)
-
-    def make_witness_factory(bases, steps_rows):
-        def make(row: int) -> dict:
-            base = tuple(int(v) for v in bases[row])
-            d = tuple(int(v) for v in steps_rows[row][:n_dim])
-            j = int(steps_rows[row][-1])
-            return _offset_witness(kind, base, d, j, k, h_x, h_t)
-
-        return make
 
     drawn = 0
     batches = 0
@@ -476,10 +443,7 @@ def _sampled_sup(prob: _Problem, seed: int, nearest: list, examined: int) -> Sup
         bases, steps_rows = bases[valid], steps_rows[valid]
         if len(bases) > want:
             bases, steps_rows = bases[:want], steps_rows[:want]
-        denoms = row_denoms(steps_rows)
-        n_done = _rows_update(
-            best, values, bases, steps_rows, k, denoms, make_witness_factory(bases, steps_rows)
-        )
+        n_done = _rows_update(prob, best, bases, steps_rows)
         drawn += n_done
         examined += n_done
 

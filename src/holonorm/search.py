@@ -139,6 +139,12 @@ class SearchResult:
     family_kind: str
     resolution: dict = field(default_factory=dict)
 
+    @property
+    def domain(self) -> Domain:
+        """The box the ratios were checked on, as recorded in ``resolution``."""
+        box = self.resolution["domain"]
+        return Domain(tuple(box["lower"]), tuple(box["upper"]), box["T"])
+
     def to_json_dict(self) -> dict:
         return {
             "best_ratio": self.best_ratio,
@@ -286,9 +292,7 @@ def refine_search(
         )
     spec = start.spec
     res = start.resolution
-    domain = Domain(
-        tuple(res["domain"]["lower"]), tuple(res["domain"]["upper"]), res["domain"]["T"]
-    )
+    domain = start.domain
     resolution = res["resolution"]
     time_resolution = res["time_resolution"]
     check_seed = res.get("check_seed", DEFAULT_SEED)

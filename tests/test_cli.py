@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import holonorm
 from holonorm import __version__
 from holonorm.cli import main
 
@@ -212,8 +214,11 @@ class TestConfigFile:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child imports the package under test, wherever pytest found it.
+        src = os.path.dirname(os.path.dirname(holonorm.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "holonorm.cli", "--version"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert __version__ in proc.stdout

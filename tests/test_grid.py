@@ -73,6 +73,26 @@ class TestMakeGridFunction:
             make_grid_function(Domain((0.0, 0.0), (1.0, 1.0), 1.0),
                                (10_000, 10_000), 10, lambda x, t: 0.0)
 
+    @pytest.mark.parametrize("domain, steps, tsteps", [
+        (Domain((0.0, 0.0), (1.0, 1.0)), (4,), 0),
+        (Domain((0.0, 0.0), (1.0, 1.0)), (40, 40, 40), 0),
+        (Domain((0.0, 0.0), (1.0, 1.0)), (0, 4), 0),
+        (Domain((0.0, 0.0), (1.0, 1.0)), (4, 4), 3),
+        (Domain((0.0,), (1.0,), 1.0), 4, 0),
+        (Domain((0.0, 0.0), (1.0, 1.0), 1.0), (10_000, 10_000), 10),
+    ], ids=["too-short", "too-long", "zero-step", "time-steps-at-T0", "no-time-steps-at-T1",
+            "size-cap"])
+    def test_invalid_lattice_rejected_before_sampling(self, domain, steps, tsteps):
+        calls = []
+
+        def f(x, t):
+            calls.append((x, t))
+            return 0.0
+
+        with pytest.raises(ValueError):
+            make_grid_function(domain, steps, tsteps, f)
+        assert calls == []
+
     def test_endpoints_exact(self):
         u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 48, 48, lambda x, t: x[0])
         assert u.axis_coords(0)[-1] == 1.0

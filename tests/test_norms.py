@@ -10,6 +10,7 @@ from holonorm import (
     DiffSeminormSpec,
     Domain,
     GridFunction,
+    SamplingInfo,
     StencilError,
     coarsen,
     diff_quotient_seminorm,
@@ -209,6 +210,87 @@ class TestFullNorms:
         assert rep.value == 1.0
         rep1 = holder_norm(sample(lambda x, t: x[0]), 1.0)
         assert rep1.value == pytest.approx(2.0, rel=1e-12)
+
+
+class TestNormAssembly:
+    """Breakdown labels in order, each term against the loop oracles, and the
+    totals of composite Hoelder norms."""
+
+    @staticmethod
+    def _max_term(u, beta, l_t):
+        return oracles.sup_abs_loops(oracles.derivative_field_loops(u, beta, l_t))
+
+    @staticmethod
+    def _assert_terms(rep, expected):
+        assert list(rep.breakdown) == [label for label, _ in expected]
+        for label, value in expected:
+            assert rep.breakdown[label] == pytest.approx(value, rel=1e-12, abs=1e-15), label
+
+    def test_elliptic_2d_three_halves(self):
+        rng = np.random.default_rng(41)
+        u = GridFunction(Domain((0.0, 0.0), (1.0, 2.0)), (6, 5), 0, rng.uniform(-1, 1, (7, 6, 1)))
+        rep = elliptic_norm(u, 1.5)
+        lower = [(f"max |dt^0 dx^{b} u|", self._max_term(u, b, 0))
+                 for b in ((0, 0), (1, 0), (0, 1))]
+        sem = [(f"<dt^0 dx^{b} u>_x^(0.5)", oracles.holder_space_sup_loops(
+            oracles.derivative_field_loops(u, b, 0), u.h_x, 0.5)) for b in ((1, 0), (0, 1))]
+        self._assert_terms(rep, lower + sem)
+        values = list(rep.breakdown.values())
+        assert rep.value == math.fsum(values[:3]) + sum(values[3:])
+        examined = 3 * u.values.size + sum(
+            holder_seminorm_space(u, 0.5, b).pairs_examined for b in ((1, 0), (0, 1)))
+        assert rep.pairs_examined == examined
+        assert rep.sampling == SamplingInfo("exhaustive", None, examined)
+        assert (rep.kind, rep.index, rep.params) == ("elliptic", 1.5, {"l": 1.5})
+
+    def test_parabolic_1d_five_halves(self):
+        # m = 2: the band holds |beta| = 1, 2 at l_t = 0 and |beta| = 0 at l_t = 1.
+        u = _random_parabolic(42, steps=8, tsteps=7)
+        rep = parabolic_norm(u, 2.5)
+        lower = [(f"max |dt^{lt} dx^{b} u|", self._max_term(u, b, lt))
+                 for b, lt in (((0,), 0), ((1,), 0), ((2,), 0), ((0,), 1))]
+        band = (((1,), 0, 0.75), ((2,), 0, 0.25), ((0,), 1, 0.25))
+        sem = []
+        for b, lt, t_exp in band:
+            w = oracles.derivative_field_loops(u, b, lt)
+            sem.append((f"<dt^{lt} dx^{b} u>_x^(0.5)",
+                        oracles.holder_space_sup_loops(w, u.h_x, 0.5)))
+            sem.append((f"<dt^{lt} dx^{b} u>_t^({t_exp})",
+                        oracles.holder_time_sup_loops(w, u.h_t, t_exp)))
+        self._assert_terms(rep, lower + sem)
+        values = list(rep.breakdown.values())
+        assert rep.value == math.fsum(values[:4]) + sum(values[4::2]) + sum(values[5::2])
+        examined = 4 * u.values.size + sum(
+            holder_seminorm_space(u, 0.5, b, lt).pairs_examined
+            + holder_seminorm_time(u, t_exp, b, lt).pairs_examined for b, lt, t_exp in band)
+        assert rep.pairs_examined == examined
+        assert rep.sampling == SamplingInfo("exhaustive", None, examined)
+        assert (rep.kind, rep.index, rep.params) == ("parabolic", 2.5, {"l": 2.5})
+
+    def test_integer_index_has_no_seminorm_terms(self):
+        u = _random_parabolic(43, steps=8, tsteps=7)
+        rep = holder_norm(u, 2)
+        lower = [(f"max |dt^{lt} dx^{b} u|", self._max_term(u, b, lt))
+                 for b, lt in (((0,), 0), ((1,), 0), ((2,), 0), ((0,), 1))]
+        self._assert_terms(rep, lower)
+        assert rep.value == math.fsum(rep.breakdown.values())
+        assert rep.pairs_examined == 4 * u.values.size
+        assert rep.sampling == SamplingInfo("exhaustive", None, 4 * u.values.size)
+        assert (rep.kind, rep.index, rep.witness) == ("parabolic", 2.0, None)
+
+    def test_sampled_term_marks_the_norm_sampled(self, monkeypatch):
+        import holonorm.pairs as pairs_mod
+        rng = np.random.default_rng(44)
+        u = GridFunction(Domain((0.0,), (1.0,)), (12,), 0, rng.uniform(-1, 1, (13, 1)))
+        monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
+        rep = holder_norm(u, 0.5, seed=7)
+        term = holder_seminorm_space(u, 0.5, seed=7)
+        assert list(rep.breakdown) == ["max |dt^0 dx^(0,) u|", "<dt^0 dx^(0,) u>_x^(0.5)"]
+        assert rep.breakdown["<dt^0 dx^(0,) u>_x^(0.5)"] == term.value
+        assert term.sampling.mode == "sampled"
+        examined = u.values.size + term.pairs_examined
+        assert rep.pairs_examined == examined
+        assert rep.sampling == SamplingInfo("sampled", 7, examined)
 
 
 class TestDiffQuotient:
@@ -486,17 +568,6 @@ class TestSampledMode:
         rep = diff_quotient_seminorm(u, 1.5, seed=6)
         assert rep.sampling.mode == "sampled"
         assert witness_value(u, rep) == pytest.approx(rep.value, rel=1e-12)
-
-    def test_worker_count_env_does_not_change_results(self, monkeypatch):
-        import holonorm.pairs as pairs_mod
-        u = self._force_sampled()
-        monkeypatch.delenv("HOLONORM_THREADS", raising=False)
-        base = diff_quotient_seminorm(u, 1.5, seed=8)
-        monkeypatch.setenv("HOLONORM_THREADS", "4")
-        assert pairs_mod.worker_count() == 4
-        threaded = diff_quotient_seminorm(u, 1.5, seed=8)
-        assert threaded.value == base.value
-        assert threaded.witness == base.witness
 
 
 class TestWitnesses:
