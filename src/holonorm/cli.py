@@ -190,7 +190,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     elif kind == "dq":
         l_val = _need(cfg, "l", "for --kind dq")
         if cfg.get("k"):
-            lt_q = int(cfg["lt"]) if cfg.get("lt") else int(l_val / 2.0) + 1
+            lt_q = int(cfg["lt"]) if cfg.get("lt") else DiffSeminormSpec.default_for(l_val).l_t
             spec = DiffSeminormSpec(int(cfg["k"]), lt_q)
         else:
             spec = None

@@ -322,15 +322,6 @@ def as_grid_callable(e: Expr):
     return f
 
 
-def variables_of(e: Expr) -> set[str]:
-    if e.op == "var":
-        return {e.name}
-    out: set[str] = set()
-    for a in e.args:
-        out |= variables_of(a)
-    return out
-
-
 # -- unparsing ----------------------------------------------------------------
 
 

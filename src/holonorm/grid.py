@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -287,7 +288,7 @@ def make_grid_function(
     Non-finite samples are rejected with the offending node named.  The
     lattice is validated before ``f`` is called.
     """
-    if isinstance(spatial_steps, int):
+    if isinstance(spatial_steps, numbers.Integral):
         spatial_steps = (spatial_steps,) * domain.N
     spatial_steps, time_steps, shape = _lattice_shape(domain, spatial_steps, time_steps)
     axes, taxis = _lattice_axes(domain, spatial_steps, time_steps)

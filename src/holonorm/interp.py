@@ -108,8 +108,8 @@ class InterpSpec:
                 raise ValueError(
                     f"need l1 < l < l2, got {self.l1}, {self.l}, {self.l2}"
                 )
-        elif self.p is None or not self.p > 1.0:
-            raise ValueError(f"variant {v.value} needs a Lebesgue exponent p > 1")
+        elif self.p is None or not (math.isfinite(self.p) and self.p > 1.0):
+            raise ValueError(f"variant {v.value} needs a finite Lebesgue exponent p > 1")
 
     @property
     def is_elliptic(self) -> bool:
@@ -342,7 +342,7 @@ def pointwise_reconstruction_bound(
     if k < 1:
         raise ValueError(f"difference order must be >= 1, got {k}")
     if seminorm is None:
-        spec = DiffSeminormSpec(k, int(math.floor(idx.l / 2.0)) + 1)
+        spec = DiffSeminormSpec(k, DiffSeminormSpec.default_for(idx).l_t)
         seminorm = diff_quotient_seminorm(u, idx, spec=spec, seed=seed).value
     base = u.normalize_index(index)
     diff = kth_difference(u, base, shift, k)

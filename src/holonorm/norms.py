@@ -121,9 +121,7 @@ class NormReport:
 
 
 def _report_from_outcome(kind, out: SupOutcome, index, params) -> NormReport:
-    info = SamplingInfo(
-        out.mode, out.seed, out.sample_count if out.mode == "sampled" else out.examined
-    )
+    info = SamplingInfo(out.mode, out.seed, out.examined)
     return NormReport(kind, out.value, index, out.examined, info, out.witness, params)
 
 
@@ -209,8 +207,8 @@ def _weighted_power_sum(values: np.ndarray, p: float, axes_n: Sequence[int]) -> 
 
 def _lebesgue_exponent(p) -> float:
     p = float(p)
-    if not p > 1.0:
-        raise ValueError(f"Lebesgue exponent must satisfy p > 1, got {p}")
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"Lebesgue exponent must be finite with p > 1, got {p}")
     return p
 
 
@@ -454,15 +452,13 @@ def diff_quotient_seminorm(
         u.values, u.h_x, u.h_t, idx.l / 2.0, spec.l_t, seed=seed
     )
     value = out_x.value + out_t.value
-    modes = (out_x.mode, out_t.mode)
-    info = _sampling_of(modes, seed, out_x.sample_count + out_t.sample_count
-                        if "sampled" in modes else out_x.examined + out_t.examined)
+    examined = out_x.examined + out_t.examined
     return NormReport(
         "diff_quotient_split",
         value,
         idx.l,
-        out_x.examined + out_t.examined,
-        info,
+        examined,
+        _sampling_of((out_x.mode, out_t.mode), seed, examined),
         None,
         {"l": idx.l, "k": spec.k, "l_t": spec.l_t, "form": "split"},
         {"space": out_x.value, "time": out_t.value},

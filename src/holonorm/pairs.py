@@ -15,12 +15,12 @@ length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
    visited nearest first, and the walk stops at the first offset whose bound
    is below the running best: every offset skipped is certified to lie below
    it, so the value is exact (mode ``"exhaustive"``).
-4. Otherwise the supremum is sampled: the nearest-neighbour sweep plus
-   ``SAMPLE_TARGET`` seeded draws stratified by separation scale in powers of
-   two (rough quotients peak at small separations, smooth ones at box scale,
-   so both ends need coverage).  Each draw is a (base node, offset) row,
-   measured with the table's separations and reported with the same witness;
-   rows are folded in order, so the seed alone fixes the result.
+4. Otherwise the supremum is sampled: after the same sweep, the same walk
+   visits seeded offsets instead of the table, stratified by separation scale
+   in powers of two (rough quotients peak at small separations, smooth ones
+   at box scale, so both ends need coverage), and stops once it has evaluated
+   ``SAMPLE_TARGET`` more pairs.  Each offset's whole slab is evaluated and
+   the tie rule below applies, so the seed alone fixes the result.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -40,11 +40,11 @@ import numpy as np
 from .grid import difference_coefficients
 
 PAIR_LIMIT = 100_000_000
-SAMPLE_TARGET = 1_000_000
+SAMPLE_TARGET = 50_000_000  # pairs evaluated beyond the nearest-neighbour sweep
 DEFAULT_SEED = 1729
-_CHUNK = 262_144
+_BATCH = 512  # offsets drawn per batch of the sampled walk
 _MAX_BATCHES = 64
-_TABLE_CHUNK = 262_144  # offsets per chunk of the offset table
+_TABLE_ROWS = 262_144  # offsets per chunk of the offset table
 _EPS = np.finfo(float).eps
 
 
@@ -55,7 +55,6 @@ class SupOutcome:
     examined: int
     mode: str  # "exhaustive" | "sampled"
     seed: int | None
-    sample_count: int = 0
 
 
 def plength_steps(d: tuple[int, ...], j: int, h_x: tuple[float, ...], h_t: float) -> float:
@@ -72,22 +71,6 @@ def _separation(kind: str, d, j: int, h_x, h_t: float) -> float:
     if kind == "time":
         return j * h_t
     return plength_steps(d, j, h_x, h_t)
-
-
-def _offset_witness(kind: str, base, d, j, k, h_x, h_t) -> dict:
-    if kind == "kdiff" or k > 1:
-        return {
-            "base": list(base),
-            "steps": list(d),
-            "time_step": int(j),
-            "order": int(k),
-            "plength": plength_steps(d, j, h_x, h_t),
-        }
-    return {
-        "a": [b + o for b, o in zip(base, tuple(d) + (j,))],
-        "b": list(base),
-        "separation": _separation(kind, d, j, h_x, h_t),
-    }
 
 
 # -- slabs ----------------------------------------------------------------------------
@@ -200,8 +183,13 @@ class _Problem:
 
     def witness(self, off: tuple[int, ...], where) -> dict:
         at, shape, lows = where
-        base = tuple(int(a + lo) for a, lo in zip(np.unravel_index(at, shape), lows))
-        return _offset_witness(self.kind, base, off[:-1], off[-1], self.k, self.h_x, self.h_t)
+        base = [int(a + lo) for a, lo in zip(np.unravel_index(at, shape), lows)]
+        d, j = off[:-1], off[-1]
+        if self.kind == "kdiff" or self.k > 1:
+            return {"base": base, "steps": list(d), "time_step": int(j), "order": int(self.k),
+                    "plength": plength_steps(d, j, self.h_x, self.h_t)}
+        return {"a": [b + o for b, o in zip(base, off)], "b": base,
+                "separation": _separation(self.kind, d, j, self.h_x, self.h_t)}
 
     def nearest_offsets(self) -> list[tuple[int, ...]]:
         """Unit offsets along each spatial axis, then along time."""
@@ -222,7 +210,7 @@ class _Problem:
         Only offsets within the separation ``r`` where the bound, raised by
         a relative 1e-12 that dwarfs its rounding, meets ``floor`` are
         enumerated (an axis component alone is at most the separation), in
-        chunks of ``_TABLE_CHUNK``, time offset outermost.
+        chunks of ``_TABLE_ROWS``, time offset outermost.
         """
         limits, j_hi = self.limits, self.j_hi
         if floor > 0.0 and self.exponent > 0.0:
@@ -236,8 +224,8 @@ class _Problem:
         total = math.prod(box)
         dims = np.asarray(self.values.shape, dtype=np.int64)
         parts, pairs = [], 0
-        for start in range(0, total, _TABLE_CHUNK):
-            idx = np.unravel_index(np.arange(start, min(start + _TABLE_CHUNK, total)), box)
+        for start in range(0, total, _TABLE_ROWS):
+            idx = np.unravel_index(np.arange(start, min(start + _TABLE_ROWS, total)), box)
             lead = np.stack([idx[0] + self.j_lo]
                             + [i - m for i, m in zip(idx[1:], limits)], axis=1)  # (j, d)
             first = lead[np.arange(len(lead)), np.argmax(lead != 0, axis=1)]
@@ -268,29 +256,35 @@ class _Best:
 
 
 def _sup(prob: _Problem, seed: int | None, limit: int | None, empty: str) -> SupOutcome:
-    """Pruned exact supremum, or the sampled one when the certified work
-    exceeds ``limit`` (``None``: always exact)."""
-    nearest = [(off, *prob.evaluate(off)) for off in prob.nearest_offsets()]
+    """The nearest-neighbour sweep, then one walk: the certified table nearest
+    first, stopping at the first bound below the running best (exact), or,
+    when the certified work exceeds ``limit`` (``None``: never), seeded
+    offsets until ``SAMPLE_TARGET`` more pairs have been evaluated."""
+    nearest = prob.nearest_offsets()
     if not nearest:
         raise ValueError(empty)
-    examined = sum(n for *_, n in nearest)
-    best = _Best()
-    for off, q, where, _ in nearest:
-        best.offer(q, off, where)
-    table = prob.certified(best.q, limit)
-    if table is None:
-        return _sampled_sup(prob, seed, nearest, examined)
-    seen = {off for off, *_ in nearest}
-    for row, bound in zip(*table):
-        if bound < best.q:
-            break
-        off = tuple(int(v) for v in row)
-        if off in seen:
-            continue
+    best, seen, examined = _Best(), set(nearest), 0
+    for off in nearest:
         q, where, n = prob.evaluate(off)
         examined += n
         best.offer(q, off, where)
-    return SupOutcome(best.q, prob.witness(best.off, best.where), examined, "exhaustive", None)
+    table = prob.certified(best.q, limit)
+    if table is None:
+        mode, budget = "sampled", examined + SAMPLE_TARGET
+        walk = ((off, math.inf) for off in _sampled_offsets(prob, seed))
+    else:
+        mode, budget, seed = "exhaustive", math.inf, None
+        walk = ((tuple(int(v) for v in row), bound) for row, bound in zip(*table))
+    for off, bound in walk:
+        if bound < best.q or examined >= budget:
+            break
+        if off in seen:
+            continue
+        seen.add(off)
+        q, where, n = prob.evaluate(off)
+        examined += n
+        best.offer(q, off, where)
+    return SupOutcome(best.q, prob.witness(best.off, best.where), examined, mode, seed)
 
 
 # -- exhaustive engines ---------------------------------------------------------
@@ -328,34 +322,7 @@ def kdiff_quotient_sup_exhaustive(
     return _sup(prob, None, None, _kdiff_empty(values, k))
 
 
-# -- sampled engine ---------------------------------------------------------------
-
-
-def _row_quotients(prob: _Problem, bases, steps) -> np.ndarray:
-    values, coeffs = prob.values, prob.coeffs
-    dims = values.ndim
-    u0 = values[tuple(bases[:, a] for a in range(dims))]
-    s = coeffs[0] * values[tuple(bases[:, a] + steps[:, a] for a in range(dims))]
-    for i in range(2, prob.k + 1):
-        s += coeffs[i - 1] * values[tuple(bases[:, a] + i * steps[:, a] for a in range(dims))]
-    return np.abs(u0 - s) / prob.separations(steps) ** prob.exponent
-
-
-def _rows_update(prob: _Problem, best: list, bases, steps) -> int:
-    """Fold the quotients of sampled rows (base node, offset) into ``best``,
-    a ``[value, witness]`` pair.  Rows go in chunks of ``_CHUNK``, which
-    bounds the temporaries, in order; a later row replaces the best only
-    with a strictly larger quotient."""
-    for lo in range(0, len(bases), _CHUNK):
-        b, st = bases[lo:lo + _CHUNK], steps[lo:lo + _CHUNK]
-        q = _row_quotients(prob, b, st)
-        at = int(q.argmax())
-        if q[at] > best[0]:
-            base, off = (tuple(int(v) for v in r[at]) for r in (b, st))
-            best[0] = float(q[at])
-            best[1] = _offset_witness(prob.kind, base, off[:-1], off[-1], prob.k, prob.h_x,
-                                      prob.h_t)
-    return len(bases)
+# -- sampled offsets ---------------------------------------------------------------
 
 
 def _unit_directions(rng: np.random.Generator, count: int, n_dim: int) -> np.ndarray:
@@ -368,86 +335,43 @@ def _unit_directions(rng: np.random.Generator, count: int, n_dim: int) -> np.nda
     return d / norms[:, None]
 
 
-def _draw_bases(rng, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    r = rng.random(lo.shape)
-    return lo + np.floor(r * (hi - lo + 1)).astype(np.int64)
+def _sampled_offsets(prob: _Problem, seed: int):
+    """Seeded admissible offsets ``(d, j)``; a batch may repeat earlier ones.
 
-
-def _bucket_count(ratio: float) -> int:
-    return max(1, math.ceil(math.log2(ratio))) if ratio > 1.0 else 1
-
-
-def _sampled_sup(prob: _Problem, seed: int, nearest: list, examined: int) -> SupOutcome:
-    """The nearest-neighbour sweep (already evaluated, folded in its own
-    order) plus stratified seeded draws."""
-    values, h_x, h_t, k = prob.values, prob.h_x, prob.h_t, prob.k
-    kind, allow_time = prob.kind, prob.allow_time
-    n_sp = values.shape[:-1]
-    n_t = values.shape[-1]
-    n_dim = len(n_sp)
-    steps_sp = tuple(n - 1 for n in n_sp)
-    t_steps = n_t - 1
-    best: list = [-math.inf, None]
-    h_arr = np.asarray(h_x)
-    for off, q, where, _ in nearest:
-        if q > best[0]:
-            best[0], best[1] = q, prob.witness(off, where)
-
-    # Stratified seeded draws.
+    Each row draws a separation scale ``lam`` from a power-of-two bucket
+    between the smallest step and the largest admissible separation, then a
+    random direction; a joint shift splits ``lam`` at random into a spatial
+    length and a temporal one ``(j h_t)^(1/2)``.  Rows come in batches of
+    ``_BATCH``, at most ``_MAX_BATCHES`` of them; each is flipped into the
+    canonical half-space; rows that are zero or outside the admissible box
+    are dropped, and so are repeats within a batch.
+    """
     rng = np.random.default_rng(seed)
-    if kind == "time":
-        n_buckets = _bucket_count(float(max(1, t_steps // k)))
-    else:
-        lmin = min(h_x)
-        lmax = euclid_steps(steps_sp, h_x)
-        if kind == "kdiff" and allow_time and t_steps:
-            lmin = min(lmin, math.sqrt(h_t))
-            lmax = lmax + math.sqrt(t_steps * h_t)
-        n_buckets = _bucket_count(lmax / lmin)
-
-    drawn = 0
-    batches = 0
-    while drawn < SAMPLE_TARGET and batches < _MAX_BATCHES:
-        batches += 1
-        want = SAMPLE_TARGET - drawn
-        size = min(int(want * 1.3) + 1024, 2 * SAMPLE_TARGET)
-
-        buckets = rng.integers(0, n_buckets, size)
-        rho = rng.uniform(1.0, 2.0, size)
-        scale = rho * np.exp2(buckets.astype(float))
-        steps_rows = np.zeros((size, n_dim + 1), dtype=np.int64)
-        if kind == "time":
-            j = np.rint(scale).astype(np.int64)
-            np.clip(j, 1, max(1, t_steps // k), out=j)
-            steps_rows[:, -1] = j
+    h_x, h_t, n_dim = np.asarray(prob.h_x), prob.h_t, len(prob.limits)
+    joint = prob.kind == "kdiff" and prob.j_hi > 0
+    box = np.asarray(prob.limits + (prob.j_hi,))
+    lmax = float(prob.separations(box[None, :])[0])
+    lmin = h_t if prob.kind == "time" else min(prob.h_x)
+    if joint:
+        lmin = min(lmin, math.sqrt(h_t))
+    n_buckets = max(1, math.ceil(math.log2(lmax / lmin)))
+    for _ in range(_MAX_BATCHES):
+        lam = lmin * rng.uniform(1.0, 2.0, _BATCH) * np.exp2(rng.integers(0, n_buckets, _BATCH))
+        rows = np.zeros((_BATCH, n_dim + 1), dtype=np.int64)
+        if prob.kind == "time":
+            rows[:, -1] = np.rint(lam / h_t)
         else:
-            lam = lmin * scale
-            dirs = _unit_directions(rng, size, n_dim)
-            if kind == "kdiff" and allow_time and t_steps:
-                phi = rng.uniform(0.0, 1.0, size)
-                s_len = phi * lam
-                t_len = (1.0 - phi) * lam
-                steps_rows[:, -1] = np.rint((t_len * t_len) / h_t).astype(np.int64)
-            else:
-                s_len = lam
-            steps_rows[:, :n_dim] = np.rint((s_len[:, None] * dirs) / h_arr).astype(np.int64)
-
-        dims_arr = np.asarray(values.shape, dtype=np.int64)
-        lo = np.where(steps_rows >= 0, 0, -k * steps_rows)
-        hi = np.where(steps_rows >= 0, dims_arr - 1 - k * steps_rows, dims_arr - 1)
-        bases = _draw_bases(rng, lo, hi)
-
-        valid = np.any(steps_rows != 0, axis=1) & np.all(hi >= lo, axis=1)
-        if not np.any(valid):
-            continue
-        bases, steps_rows = bases[valid], steps_rows[valid]
-        if len(bases) > want:
-            bases, steps_rows = bases[:want], steps_rows[:want]
-        n_done = _rows_update(prob, best, bases, steps_rows)
-        drawn += n_done
-        examined += n_done
-
-    return SupOutcome(best[0], best[1], examined, "sampled", seed, sample_count=drawn)
+            if joint:
+                phi = rng.uniform(0.0, 1.0, _BATCH)
+                rows[:, -1] = np.rint(((1.0 - phi) * lam) ** 2 / h_t)
+                lam = phi * lam
+            rows[:, :-1] = np.rint(lam[:, None] * _unit_directions(rng, _BATCH, n_dim) / h_x)
+        lead = np.roll(rows, 1, axis=1)  # (j, d)
+        first = lead[np.arange(_BATCH), np.argmax(lead != 0, axis=1)]
+        rows *= np.sign(first)[:, None]
+        rows = rows[(first != 0) & np.all(np.abs(rows) <= box, axis=1)]
+        _, at = np.unique(np.ravel_multi_index((rows + box).T, 2 * box + 1), return_index=True)
+        yield from map(tuple, rows[np.sort(at)].tolist())
 
 
 # -- public drivers ---------------------------------------------------------------

@@ -62,6 +62,14 @@ class TestNormCommand:
         assert code == 2
         assert "--p is required" in err
 
+    def test_infinite_p_exit_2(self, capsys):
+        for args in (["norm", "--kind", "lp"], ["norm", "--kind", "sup-t-lp"],
+                     ["check", "--variant", "2.3.1", "--l2", "0.5"]):
+            code, out, err = run_cli(args + ["--p", "inf", "--expr", "3*sin(2*pi*x1)", "--dim",
+                                             "1", "--T", "1", "--res", "8"], capsys)
+            assert code == 2, args
+            assert "finite" in err and out == ""
+
     def test_missing_l2_named(self, capsys):
         code, _, err = run_cli(
             ["check", "--variant", "2.3.1", "--dim", "1", "--p", "2",

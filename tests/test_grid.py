@@ -50,6 +50,11 @@ class TestMakeGridFunction:
         u = make_grid_function(unit_interval(), 2, 0, lambda x, t: x[0])
         assert list(u.values[:, 0]) == [0.0, 0.5, 1.0]
 
+    def test_numpy_integer_step_count(self):
+        u = make_grid_function(unit_interval(1.0), np.int64(2), np.int64(1), lambda x, t: x[0])
+        assert u.spatial_steps == (2,) and u.time_steps == 1
+        assert list(u.values[:, 1]) == [0.0, 0.5, 1.0]
+
     def test_product_node(self):
         u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 2, 2, lambda x, t: x[0] * t)
         assert u.value_at((1, 2)) == 0.5  # x = 0.5, t = 1.0

@@ -68,6 +68,8 @@ class TestExponent:
             InterpSpec(variant="2.3.1", l2=2.0, p=2, N=1)
         with pytest.raises(ValueError, match="p > 1"):
             InterpSpec(variant="2.10", l1=0.5, l2=1.5, p=1.0, N=1)
+        with pytest.raises(ValueError, match="finite Lebesgue exponent"):
+            InterpSpec(variant="2.3.1", l2=0.5, p=math.inf, N=1)
         with pytest.raises(ValueError, match="sup norm"):
             InterpSpec(variant="2.3.1", l1=0.5, l2=1.5, p=2, N=1)
         with pytest.raises(ValueError, match="intermediate"):
