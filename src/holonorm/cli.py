@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -46,11 +47,20 @@ class InputError(ValueError):
 
 
 def _atomic_write_text(path: str, text: str, newline: str | None = None) -> None:
+    """Replace ``path`` with ``text`` through a renamed temporary file.  The
+    file keeps its mode, or gets the one ``open()`` would give it."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".holonorm-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline=newline) as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

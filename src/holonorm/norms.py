@@ -3,9 +3,10 @@
 Derivatives are discretized with second-order central differences at interior
 nodes and one-sided second-order stencils in the boundary layer; higher orders
 apply the first-derivative operator repeatedly.  Pair suprema delegate to
-:mod:`holonorm.pairs`, which switches between exhaustive enumeration and
-stratified sampling.  Every report records what was examined, how, and a
-witness that re-evaluates to the reported value.
+:mod:`holonorm.pairs`, which walks offsets best per-offset bound first to the
+exact value, and samples seeded offsets only once that walk exceeds its pair
+budget.  Every report records what was examined, how, and a witness that
+re-evaluates to the reported value.
 """
 
 from __future__ import annotations

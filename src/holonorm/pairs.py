@@ -8,19 +8,25 @@ length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
 
 1. Every nearest-neighbour offset is swept; the best quotient seeds the search.
 2. No k-th difference exceeds ``amp = 2^(k-1) (max w - min w)``, so an offset
-   at separation ``r`` bounds its quotients by ``amp / r^e``, which falls as
-   ``r`` grows.  The offsets whose bound still reaches the seed are the
-   certified work.
-3. If the certified offsets hold at most ``PAIR_LIMIT`` pairs, they are
-   visited nearest first, and the walk stops at the first offset whose bound
-   is below the running best: every offset skipped is certified to lie below
-   it, so the value is exact (mode ``"exhaustive"``).
-4. Otherwise the supremum is sampled: after the same sweep, the same walk
-   visits seeded offsets instead of the table, stratified by separation scale
-   in powers of two (rough quotients peak at small separations, smooth ones
-   at box scale, so both ends need coverage), and stops once it has evaluated
-   ``SAMPLE_TARGET`` more pairs.  Each offset's whole slab is evaluated and
-   the tie rule below applies, so the seed alone fixes the result.
+   at separation ``r`` bounds its quotients by ``amp / r^e``.  This global
+   bound fixes the radius beyond which no offset can reach the seed.
+3. Within that radius each offset ``H = (d, j)`` gets its own bound from the
+   moduli ``omega_a(s) = max |w(y + s e_a) - w(y)|`` of each axis (time
+   included): a staircase path from ``y`` to ``y + H`` stays in the box, and
+   ``Delta^k = Delta^(k-1) Delta``, so no quotient at ``H`` exceeds
+   ``min(amp, 2^(k-1) (sum_a omega_a(|d_a|) + omega_t(j))) / sep^e``.
+4. The offsets whose bound reaches the seed are walked best bound first, and
+   the walk stops at the first bound below the running best: every offset
+   skipped is certified to lie below it, so the value is exact (mode
+   ``"exhaustive"``).
+5. The dispatchers give the walk a budget of ``PAIR_LIMIT`` evaluated pairs.
+   Past it, or when the moduli alone would cost more than the budget or more
+   than ``_TABLE_ROWS`` offsets reach the seed, the same walk goes on over
+   seeded offsets, stratified by separation scale in powers of two (rough
+   quotients peak at small separations, smooth ones at box scale, so both
+   ends need coverage), until ``SAMPLE_TARGET`` more pairs are evaluated
+   (mode ``"sampled"``, a lower bound fixed by the seed alone).  A walk that
+   has seen every admissible offset is exact, whichever way it got there.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -39,12 +45,12 @@ import numpy as np
 
 from .grid import difference_coefficients
 
-PAIR_LIMIT = 100_000_000
-SAMPLE_TARGET = 50_000_000  # pairs evaluated beyond the nearest-neighbour sweep
+PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may evaluate
+SAMPLE_TARGET = 50_000_000  # pairs evaluated by the sampled continuation
 DEFAULT_SEED = 1729
 _BATCH = 512  # offsets drawn per batch of the sampled walk
 _MAX_BATCHES = 64
-_TABLE_ROWS = 262_144  # offsets per chunk of the offset table
+_TABLE_ROWS = 262_144  # offsets per chunk of the offset table; a dispatcher keeps no more
 _EPS = np.finfo(float).eps
 
 
@@ -134,10 +140,14 @@ class _Problem:
             self.j_lo = 0
             self.j_hi = (n_t - 1) // k if self.kind == "kdiff" and self.allow_time else 0
         self.coeffs = difference_coefficients(k)
-        self.amp = self._amplitude()
+        plane = math.prod(2 * m + 1 for m in self.limits)
+        # canonical admissible offsets: all of the box but half the j = 0 plane
+        self.count = (self.j_hi - self.j_lo + 1) * plane - (plane + 1) // 2 * (self.j_lo == 0)
+        self.amp, self.slack = self._amplitude()
 
-    def _amplitude(self) -> float:
-        """An upper bound on every computed ``|k-th difference|`` of ``values``.
+    def _amplitude(self) -> tuple[float, float]:
+        """An upper bound on every computed ``|k-th difference|`` of
+        ``values``, and the absolute rounding term in it.
 
         The positive and the negative coefficients of a k-th difference each
         sum to ``2^(k-1)`` in magnitude, so the exact difference is at most
@@ -156,10 +166,50 @@ class _Problem:
         """
         v = self.values
         hi, lo = float(v.max()), float(v.min())
-        w = max(abs(hi), abs(lo))
         k, n = self.k, v.ndim - 1
+        slack = 2.0 ** k * k * _EPS * max(abs(hi), abs(lo))
         margin = 1.0 + 2.0 * (self.exponent * (n + 4) + 5) * _EPS
-        return (2.0 ** (k - 1) * (hi - lo) + 2.0 ** k * k * _EPS * w) * margin
+        return (2.0 ** (k - 1) * (hi - lo) + slack) * margin, slack
+
+    def moduli(self, reach: tuple[int, ...]) -> list[np.ndarray]:
+        """``omega_a(s) = max |w(y + s e_a) - w(y)|`` for ``s = 0..reach_a``,
+        one array per axis, time last."""
+        out = []
+        for axis, top in enumerate(reach):
+            omega = np.zeros(top + 1)
+            if top:
+                v = np.ascontiguousarray(np.moveaxis(self.values, axis, 0))
+                diff = np.empty_like(v)
+                for s in range(1, top + 1):
+                    d = np.subtract(v[s:], v[:-s], out=diff[s:])
+                    omega[s] = np.abs(d, out=d).max()
+            out.append(omega)
+        return out
+
+    def staircase(self, off: np.ndarray, moduli: list[np.ndarray]) -> np.ndarray:
+        """Upper bounds on every computed ``|k-th difference|`` at each offset
+        row ``(d, j)``: ``min(amp, 2^(k-1) S)`` with
+        ``S = omega_t(j) + sum_a omega_a(|d_a|)``, summed in that order.
+
+        Exactly, a staircase path from ``y`` to ``y + H`` moves along one axis
+        at a time and keeps every corner inside the box, so
+        ``|Delta_H w(y)| <= S``; and ``Delta^k_H w(y)`` is a ``(k-1)``-th
+        difference of ``Delta_H w`` at ``y, ..., y + (k-1) H``, whose
+        coefficients sum to ``2^(k-1)`` in magnitude.  Rounding, as in
+        ``_amplitude`` (``u = eps / 2``): a computed modulus is at least
+        ``1 - u`` times the exact one and the ``N`` additions of ``S`` lose
+        at most a factor ``(1 - u)^N``; the computed difference keeps
+        ``_amplitude``'s absolute term and its factor ``1 + u``; adding that
+        term and applying the margin round twice more.  This is a relative
+        ``(N + 4) u``; with the ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s
+        comparison of ``D`` with ``D'``, twice the sum gives the factor below.
+        """
+        stair = moduli[-1][off[:, -1]]
+        for axis, omega in enumerate(moduli[:-1]):
+            stair = stair + omega[np.abs(off[:, axis])]
+        n = len(moduli) - 1
+        margin = 1.0 + (2.0 * self.exponent * (n + 4) + n + 12) * _EPS
+        return np.minimum(self.amp, (2.0 ** (self.k - 1) * stair + self.slack) * margin)
 
     def separations(self, off: np.ndarray) -> np.ndarray:
         """Separations of offset rows ``(d, j)`` with ``j >= 0``."""
@@ -204,13 +254,15 @@ class _Problem:
 
     def certified(self, floor: float, limit: int | None):
         """Offsets whose quotient bound reaches ``floor``, as arrays
-        (offsets, bounds) sorted by separation with ties in enumeration order;
-        ``None`` once their pairs exceed ``limit``.
+        (offsets, bounds) sorted by bound, descending, ties in enumeration
+        order.  With a ``limit``, ``None`` when the moduli would cost more
+        than ``limit`` pairs or more than ``_TABLE_ROWS`` offsets are kept.
 
-        Only offsets within the separation ``r`` where the bound, raised by
-        a relative 1e-12 that dwarfs its rounding, meets ``floor`` are
-        enumerated (an axis component alone is at most the separation), in
-        chunks of ``_TABLE_ROWS``, time offset outermost.
+        Only offsets within the separation ``r`` where the global bound,
+        raised by a relative 1e-12 that dwarfs its rounding, meets ``floor``
+        are enumerated (an axis component alone is at most the separation),
+        in chunks of ``_TABLE_ROWS``, time offset outermost; the moduli reach
+        as far.
         """
         limits, j_hi = self.limits, self.j_hi
         if floor > 0.0 and self.exponent > 0.0:
@@ -220,26 +272,26 @@ class _Problem:
             if j_hi > 0:
                 reach = r * r if self.kind == "kdiff" else r
                 j_hi = int(min(j_hi, reach / self.h_t + 1.0))
+        if limit is not None and (sum(limits) + j_hi) * self.values.size > limit:
+            return None
+        moduli = self.moduli(limits + (j_hi,))
         box = (j_hi - self.j_lo + 1,) + tuple(2 * m + 1 for m in limits)
         total = math.prod(box)
-        dims = np.asarray(self.values.shape, dtype=np.int64)
-        parts, pairs = [], 0
-        for start in range(0, total, _TABLE_ROWS):
+        parts, kept = [], 0
+        # at j = 0 the canonical offsets follow the zero offset, mid-plane
+        for start in range((total // box[0] + 1) // 2 if self.j_lo == 0 else 0, total,
+                           _TABLE_ROWS):
             idx = np.unravel_index(np.arange(start, min(start + _TABLE_ROWS, total)), box)
-            lead = np.stack([idx[0] + self.j_lo]
-                            + [i - m for i, m in zip(idx[1:], limits)], axis=1)  # (j, d)
-            first = lead[np.arange(len(lead)), np.argmax(lead != 0, axis=1)]
-            off = np.roll(lead, -1, axis=1)  # (d, j)
-            sep = self.separations(off)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bound = self.amp / sep ** self.exponent
-            keep = (first > 0) & (bound >= floor)
-            pairs += int(np.prod(dims - self.k * np.abs(off[keep]), axis=1).sum())
-            if limit is not None and pairs > limit:
+            off = np.stack([i - m for i, m in zip(idx[1:], limits)] + [idx[0] + self.j_lo],
+                           axis=1)  # (d, j)
+            bound = self.staircase(off, moduli) / self.separations(off) ** self.exponent
+            keep = bound >= floor
+            kept += int(keep.sum())
+            if limit is not None and kept > _TABLE_ROWS:
                 return None
-            parts.append((off[keep], sep[keep], bound[keep]))
-        off, sep, bound = (np.concatenate(p) for p in zip(*parts))
-        perm = np.argsort(sep, kind="stable")
+            parts.append((off[keep], bound[keep]))
+        off, bound = (np.concatenate(p) for p in zip(*parts))
+        perm = np.argsort(-bound, kind="stable")
         return off[perm], bound[perm]
 
 
@@ -256,35 +308,44 @@ class _Best:
 
 
 def _sup(prob: _Problem, seed: int | None, limit: int | None, empty: str) -> SupOutcome:
-    """The nearest-neighbour sweep, then one walk: the certified table nearest
-    first, stopping at the first bound below the running best (exact), or,
-    when the certified work exceeds ``limit`` (``None``: never), seeded
-    offsets until ``SAMPLE_TARGET`` more pairs have been evaluated."""
+    """The nearest-neighbour sweep, then one walk: the certified table best
+    bound first, stopping at the first bound below the running best (exact);
+    once it has evaluated ``limit`` pairs (``None``: never), or when there is
+    no table, seeded offsets until ``SAMPLE_TARGET`` more pairs have been
+    evaluated.  Seeing every admissible offset makes any walk exact."""
     nearest = prob.nearest_offsets()
     if not nearest:
         raise ValueError(empty)
-    best, seen, examined = _Best(), set(nearest), 0
-    for off in nearest:
-        q, where, n = prob.evaluate(off)
-        examined += n
-        best.offer(q, off, where)
+    best, seen, examined = _Best(), set(), 0
+
+    def walk(steps, budget: float) -> bool:
+        """Visit (offset, bound) steps in order.  True when a bound falls
+        below the running best, every offset is seen or the steps run out;
+        False once ``budget`` pairs are spent."""
+        nonlocal examined
+        for off, bound in steps:
+            if bound < best.q or len(seen) == prob.count:
+                return True
+            if examined >= budget:
+                return False
+            if off in seen:
+                continue
+            seen.add(off)
+            q, where, n = prob.evaluate(off)
+            examined += n
+            best.offer(q, off, where)
+        return True
+
+    walk(((off, math.inf) for off in nearest), math.inf)
     table = prob.certified(best.q, limit)
-    if table is None:
-        mode, budget = "sampled", examined + SAMPLE_TARGET
-        walk = ((off, math.inf) for off in _sampled_offsets(prob, seed))
-    else:
-        mode, budget, seed = "exhaustive", math.inf, None
-        walk = ((tuple(int(v) for v in row), bound) for row, bound in zip(*table))
-    for off, bound in walk:
-        if bound < best.q or examined >= budget:
-            break
-        if off in seen:
-            continue
-        seen.add(off)
-        q, where, n = prob.evaluate(off)
-        examined += n
-        best.offer(q, off, where)
-    return SupOutcome(best.q, prob.witness(best.off, best.where), examined, mode, seed)
+    exact = table is not None and walk(
+        ((tuple(int(v) for v in row), bound) for row, bound in zip(*table)),
+        math.inf if limit is None else limit)
+    if not exact:
+        walk(((off, math.inf) for off in _sampled_offsets(prob, seed)), examined + SAMPLE_TARGET)
+        exact = len(seen) == prob.count
+    return SupOutcome(best.q, prob.witness(best.off, best.where), examined,
+                      "exhaustive" if exact else "sampled", None if exact else seed)
 
 
 # -- exhaustive engines ---------------------------------------------------------

@@ -119,44 +119,45 @@ def kdiff_scalar(values, base, off, k) -> float | None:
     return (-1.0) ** k * (u0 - s)
 
 
-def kdiff_sup_loops(values, h_x, h_t, l, k, allow_time) -> float:
-    """Sup of |diff_k| / plength^l over the canonical shift half-space."""
+def kdiff_argsup_loops(values, h_x, h_t, l, k, kind):
+    """Sup of |diff_k| / sep^l over the canonical offsets of ``kind``, and
+    its first maximiser (base, d, j) in enumeration order: time offset, then
+    spatial offset lexicographically, then base node.
+
+    ``kind`` is "space" (same-time shifts, Euclidean separation), "time"
+    (same-place shifts, separation ``j h_t``), or "joint" (space-time shifts,
+    parabolic length).
+    """
     n_sp = values.shape[:-1]
     n_t = values.shape[-1]
-    limits = tuple((n - 1) // k for n in n_sp)
-    jmax = (n_t - 1) // k if allow_time else 0
-    best = -math.inf
+    limits = tuple(0 if kind == "time" else (n - 1) // k for n in n_sp)
+    jmax = 0 if kind == "space" else (n_t - 1) // k
+    best, arg = -math.inf, None
     for j in range(jmax + 1):
         for d in itertools.product(*(range(-m, m + 1) for m in limits)):
             if j == 0 and not _first_nonzero_positive(d):
                 continue
             off = d + (j,)
-            denom = plength(d, j, h_x, h_t) ** l
+            sep = (euclid(d, h_x) if kind == "space" else j * h_t if kind == "time"
+                   else plength(d, j, h_x, h_t))
+            denom = sep ** l
             for base in itertools.product(*(range(n) for n in values.shape)):
                 diff = kdiff_scalar(values, base, off, k)
                 if diff is None:
                     continue
                 q = abs(diff) / denom
                 if q > best:
-                    best = q
-    return best
+                    best, arg = q, (list(base), list(d), j)
+    return best, arg
+
+
+def kdiff_sup_loops(values, h_x, h_t, l, k, allow_time) -> float:
+    """Sup of |diff_k| / plength^l over the canonical shift half-space."""
+    return kdiff_argsup_loops(values, h_x, h_t, l, k, "joint" if allow_time else "space")[0]
 
 
 def kdiff_time_sup_loops(values, h_t, exponent, k) -> float:
-    n_sp = values.shape[:-1]
-    n_t = values.shape[-1]
-    best = -math.inf
-    zero = (0,) * len(n_sp)
-    for j in range(1, (n_t - 1) // k + 1):
-        denom = (j * h_t) ** exponent
-        for base in itertools.product(*(range(n) for n in values.shape)):
-            diff = kdiff_scalar(values, base, zero + (j,), k)
-            if diff is None:
-                continue
-            q = abs(diff) / denom
-            if q > best:
-                best = q
-    return best
+    return kdiff_argsup_loops(values, (), h_t, exponent, k, "time")[0]
 
 
 def trapezoid_lp_loops(values, h_cells, p) -> float:

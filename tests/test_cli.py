@@ -119,6 +119,25 @@ class TestCheckCommand:
         assert list(tmp_path.glob(".holonorm-*")) == []
         assert list(csv_dir.iterdir()) == []
 
+    def test_output_files_get_the_mode_open_gives(self, capsys, tmp_path):
+        # new files follow the umask, as open() would create them; a file
+        # that exists keeps its mode
+        out_json, out_csv = tmp_path / "o.json", tmp_path / "o.csv"
+        out_csv.write_text("")
+        out_csv.chmod(0o640)
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(
+                ["check", "--variant", "2.3.1", "--dim", "1", "--l2", "1.5", "--p", "2",
+                 "--expr", "sin(2*pi*x1)*exp(-t)", "--T", "1", "--sweep", "8,16",
+                 "--out", str(out_json), "--csv-out", str(out_csv)], capsys)
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert out_json.stat().st_mode & 0o777 == 0o644
+        assert out_csv.stat().st_mode & 0o777 == 0o640
+        assert out_csv.read_text().startswith("resolution,ratio")
+
     def test_invalid_parameters_exit_2(self, capsys):
         code, _, err = run_cli(
             ["check", "--variant", "2.11", "--dim", "1", "--l1", "1", "--l2", "0.5",

@@ -351,3 +351,31 @@ class TestTimeSeminormBound:
         u = sample_expr("sin(2*x1)", steps=12)
         out = time_seminorm_bound(u, 1.5)
         assert out["lhs_time_sum"] == pytest.approx(0.0, abs=1e-12)
+
+
+# The benchmark's sup-variant terms that the pair budget once left sampled:
+# (N, source, steps, l2, variant, exact joint high term, exact ratio), the
+# values those checks give with every supremum enumerated exhaustively.
+SMOOTH_1D = "sin(2*pi*x1)*exp(-t)"
+CUSP_1D = "abs(x1-0.5)^0.6*exp(-t)"
+CUSP_2D = "sqrt((x1-0.5)*(x1-0.5)+(x2-0.5)*(x2-0.5))^0.6*exp(-t)"
+FORMERLY_SAMPLED = {
+    "smooth256-2.3.1": (1, SMOOTH_1D, 256, 1.5, "2.3.1", 16.01100256519838, 0.3665162611316009),
+    "smooth256-2.3.3": (1, SMOOTH_1D, 256, 1.5, "2.3.3", 16.01100256519838, 0.648308352071907),
+    "cusp128-2.3.1": (1, CUSP_1D, 128, 0.5, "2.3.1", 0.9330329915368073, 0.945009216527828),
+    "cusp128-2.3.3": (1, CUSP_1D, 128, 0.5, "2.3.3", 0.9330329915368073, 1.0241032172881153),
+    "cusp256-2.3.1": (1, CUSP_1D, 256, 0.5, "2.3.1", 0.9330329915368073, 0.9450145936081776),
+    "cusp256-2.3.3": (1, CUSP_1D, 256, 0.5, "2.3.3", 0.9330329915368073, 1.0241109649567977),
+    "cusp2d32-2.3.1": (2, CUSP_2D, 32, 0.5, "2.3.1", 0.9659363289248455, 1.0171500336872763),
+    "cusp2d32-2.3.3": (2, CUSP_2D, 32, 0.5, "2.3.3", 0.9659363289248455, 1.0041683816624938),
+}
+
+
+@pytest.mark.parametrize("n, source, steps, l2, variant, high, ratio",
+                         list(FORMERLY_SAMPLED.values()), ids=list(FORMERLY_SAMPLED))
+def test_benchmark_sup_terms_are_exact(n, source, steps, l2, variant, high, ratio):
+    u = sample_expr(source, n, steps)
+    rep = check(InterpSpec(variant=variant, l2=l2, p=2.0, N=n), u)
+    term = rep.norms["high"]
+    assert (term["sampling"]["mode"], term["sampling"]["seed"]) == ("exhaustive", None)
+    assert (term["value"], rep.ratio) == (high, ratio)

@@ -288,7 +288,9 @@ class TestNormAssembly:
         import holonorm.pairs as pairs_mod
         rng = np.random.default_rng(44)
         u = GridFunction(Domain((0.0,), (1.0,)), (12,), 0, rng.uniform(-1, 1, (13, 1)))
+        # no exact walk, and too few sampled pairs to see all 12 offsets
         monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
+        monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 20)
         rep = holder_norm(u, 0.5, seed=7)
         term = holder_seminorm_space(u, 0.5, seed=7)
         assert list(rep.breakdown) == ["max |dt^0 dx^(0,) u|", "<dt^0 dx^(0,) u>_x^(0.5)"]
@@ -484,29 +486,32 @@ class TestProperties:
 
 
 class TestSampledMode:
-    def _force_sampled(self, seed=0):
-        # 1D at 220 steps crosses the exhaustive pair limit for k = 2
+    def _force_sampled(self, monkeypatch):
+        # the per-offset bounds walk this 220-step grid exactly for k = 2; a
+        # one-pair budget makes the dispatchers sample it
+        import holonorm.pairs as pairs_mod
+        monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
         u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 220, 220,
                                lambda x, t: np.sin(2 * np.pi * x[0]) * np.exp(-t)
                                + 0.3 * np.sin(9 * x[0] + 1.0))
         return u
 
-    def test_mode_is_sampled(self):
+    def test_mode_is_sampled(self, monkeypatch):
         import holonorm.pairs as pairs_mod
-        u = self._force_sampled()
+        u = self._force_sampled(monkeypatch)
         rep = diff_quotient_seminorm(u, 1.5)
         assert rep.sampling.mode == "sampled"
         assert rep.sampling.count == rep.pairs_examined >= pairs_mod.SAMPLE_TARGET
 
-    def test_deterministic_given_seed(self):
-        u = self._force_sampled()
+    def test_deterministic_given_seed(self, monkeypatch):
+        u = self._force_sampled(monkeypatch)
         a = diff_quotient_seminorm(u, 1.5, seed=5)
         b = diff_quotient_seminorm(u, 1.5, seed=5)
         assert a.value == b.value
         assert a.witness == b.witness
 
-    def test_sampled_dilation_covariance(self):
-        u = self._force_sampled()
+    def test_sampled_dilation_covariance(self, monkeypatch):
+        u = self._force_sampled(monkeypatch)
         v = parabolic_dilate(u, 2.0)
         a = diff_quotient_seminorm(u, 1.5, seed=3)
         b = diff_quotient_seminorm(v, 1.5, seed=3)
@@ -526,20 +531,18 @@ class TestSampledMode:
         assert approx <= exact * (1 + 1e-13)
         assert approx >= 0.5 * exact  # stratified sampling lands in the ballpark
 
-    def test_sampled_pair_kinds_bounded_by_exhaustive(self):
+    def test_sampled_pair_kinds_bounded_by_exhaustive(self, monkeypatch):
         import holonorm.pairs as pairs_mod
         u = sample(lambda x, t: np.sin(5 * x[0] + 1.0) * np.exp(-t) + x[0] * t,
                    T=1.0, steps=20)
         exact_space = holder_seminorm_space(u, 0.5).value
         exact_time = holder_seminorm_time(u, 0.5).value
-        old = pairs_mod.PAIR_LIMIT
-        pairs_mod.PAIR_LIMIT = 1
-        try:
-            s1 = holder_seminorm_space(u, 0.5, seed=2)
-            s2 = holder_seminorm_space(u, 0.5, seed=2)
-            t1 = holder_seminorm_time(u, 0.5, seed=2)
-        finally:
-            pairs_mod.PAIR_LIMIT = old
+        # no exact walk, and too few sampled pairs to see all 20 offsets
+        monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
+        monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 2000)
+        s1 = holder_seminorm_space(u, 0.5, seed=2)
+        s2 = holder_seminorm_space(u, 0.5, seed=2)
+        t1 = holder_seminorm_time(u, 0.5, seed=2)
         assert s1.sampling.mode == t1.sampling.mode == "sampled"
         assert s1.value == s2.value and s1.witness == s2.witness
         assert s1.value <= exact_space * (1 + 1e-13)
@@ -547,31 +550,31 @@ class TestSampledMode:
         assert s1.value >= 0.8 * exact_space  # nearest-neighbour sweep anchors it
         assert t1.value >= 0.8 * exact_time
 
-    def test_sampled_mode_catches_cusp_at_nearest_neighbours(self):
+    def test_sampled_mode_catches_cusp_at_nearest_neighbours(self, monkeypatch):
         # the cusp quotient peaks at the smallest separations, which the
         # nearest-neighbour sweep covers exhaustively even in sampled mode
+        import holonorm.pairs as pairs_mod
+        monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
         u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 220, 220,
                                lambda x, t: np.abs(x[0] - 0.5) ** 0.5 + 0.0 * t)
         rep = diff_quotient_seminorm(u, 0.5, spec=DiffSeminormSpec(1, 1))
         assert rep.sampling.mode == "sampled"
         assert rep.value == pytest.approx(1.0, rel=1e-12)
 
-    def test_sampled_elliptic_space_pairs(self):
+    def test_sampled_elliptic_space_pairs(self, monkeypatch):
         import holonorm.pairs as pairs_mod
         u = sample(lambda x, t: np.sin(7 * x[0] + 0.5) + x[0] ** 2, steps=40)
         exact = holder_seminorm_space(u, 0.5).value
-        old = pairs_mod.PAIR_LIMIT
-        pairs_mod.PAIR_LIMIT = 1
-        try:
-            rep = holder_seminorm_space(u, 0.5, seed=4)
-        finally:
-            pairs_mod.PAIR_LIMIT = old
+        # no exact walk, and too few sampled pairs to see all 40 offsets
+        monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
+        monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 200)
+        rep = holder_seminorm_space(u, 0.5, seed=4)
         assert rep.sampling.mode == "sampled"
         assert rep.value <= exact * (1 + 1e-13)
         assert rep.value >= 0.8 * exact
 
-    def test_sampled_witness_reevaluates(self):
-        u = self._force_sampled()
+    def test_sampled_witness_reevaluates(self, monkeypatch):
+        u = self._force_sampled(monkeypatch)
         rep = diff_quotient_seminorm(u, 1.5, seed=6)
         assert rep.sampling.mode == "sampled"
         assert witness_value(u, rep) == pytest.approx(rep.value, rel=1e-12)

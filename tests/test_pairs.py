@@ -32,32 +32,49 @@ def _profile_values(kind: str, shape, seed: int) -> np.ndarray:
     return np.full(shape, 0.25)
 
 
+def _offset_of(witness) -> tuple[list[int], list[int], int]:
+    """(base, spatial steps, time steps) of a supremum's witness."""
+    if "base" in witness:
+        return witness["base"], witness["steps"], witness["time_step"]
+    off = [a - b for a, b in zip(witness["a"], witness["b"])]
+    return witness["b"], off[:-1], off[-1]
+
+
 def _reevaluate(values, out, kind, exponent, k, h_x, h_t) -> float:
-    w = out.witness
-    if "base" in w:
-        base, off = tuple(w["base"]), tuple(w["steps"]) + (w["time_step"],)
-        diff = oracles.kdiff_scalar(values, base, off, k)
-        sep = (oracles.plength(off[:-1], off[-1], h_x, h_t) if kind == "kdiff"
-               else oracles.euclid(off[:-1], h_x) if kind == "space" else off[-1] * h_t)
-        return abs(diff) / sep ** exponent
-    a, b = tuple(w["a"]), tuple(w["b"])
-    return abs(float(values[a]) - float(values[b])) / w["separation"] ** exponent
+    base, d, j = _offset_of(out.witness)
+    diff = oracles.kdiff_scalar(values, tuple(base), tuple(d) + (j,), k)
+    sep = (oracles.plength(d, j, h_x, h_t) if kind == "joint"
+           else oracles.euclid(d, h_x) if kind == "space" else j * h_t)
+    return abs(diff) / sep ** exponent
 
 
-def _check(engine, oracle_value, values, kind, exponent, k, h_x, h_t, sampled=False):
-    if oracle_value == -math.inf:
+def _check(engine, oracle, values, kind, exponent, k, h_x, h_t, forced=False):
+    value, first = oracle
+    if value == -math.inf:
         with pytest.raises(ValueError, match="no admissible|two time levels"):
             engine()
         return
     out = engine()
     assert _reevaluate(values, out, kind, exponent, k, h_x, h_t) == out.value
-    if sampled:
-        assert out.mode == "sampled"
-        assert out.value <= oracle_value * (1 + 1e-13)
+    if out.mode == "exhaustive":
+        assert out.value == value
+        assert list(_offset_of(out.witness)) == list(first)
+    else:  # only a zero pair budget samples grids this small
+        assert forced and out.mode == "sampled"
+        assert out.value <= value * (1 + 1e-13)
         assert engine() == out  # the seed alone fixes the outcome
-    else:
-        assert out.mode == "exhaustive"
-        assert out.value == oracle_value
+
+
+def _assert_bounds_sound(values, h_x, h_t, e, k, kind, allow_time):
+    # every computed quotient lies at or below its offset's bound, as the
+    # walk compares them, so skipping an offset whose bound is below the
+    # running best never changes the result
+    prob = pairs._Problem(values, h_x, h_t, e, k, kind, allow_time)
+    if prob.nearest_offsets():
+        table, bounds = prob.certified(0.0, None)
+        assert len(table) == prob.count
+        for row, bound in zip(table, bounds):
+            assert prob.evaluate(tuple(int(v) for v in row))[0] <= bound
 
 
 @st.composite
@@ -79,33 +96,38 @@ def grids(draw):
 def test_pruned_engines_equal_brute_force(grid, k, exponent, sampled):
     values, h_x, h_t = grid
     e = exponent
-    # (kind, brute-force value, engines); the dispatchers never sample grids
-    # this small, so they agree with the exhaustive engines unless a zero
-    # pair limit forces them to sample, which never exceeds the oracle
+    # (kind, problem kind, allow_time, brute-force (value, witness), engines);
+    # the dispatchers walk grids this small exactly, unless a zero pair budget
+    # forces them to sample, which never exceeds the oracle and is exact again
+    # once every admissible offset has been seen
     cases = [
-        ("space", oracles.kdiff_sup_loops(values, h_x, h_t, e, k, False),
+        ("space", "space", False, oracles.kdiff_argsup_loops(values, h_x, h_t, e, k, "space"),
          [lambda: pairs.pair_quotient_sup_exhaustive(values, h_x, h_t, e, "space", k)]
          + [lambda: pairs.pair_quotient_sup(values, h_x, h_t, e, "space")] * (k == 1)),
     ]
     for allow_time in (False, True):
         cases.append(
-            ("kdiff", oracles.kdiff_sup_loops(values, h_x, h_t, e, k, allow_time),
+            ("joint" if allow_time else "space", "kdiff", allow_time,
+             oracles.kdiff_argsup_loops(values, h_x, h_t, e, k,
+                                        "joint" if allow_time else "space"),
              [lambda a=allow_time: pairs.kdiff_quotient_sup_exhaustive(values, h_x, h_t, e, k, a),
               lambda a=allow_time: pairs.kdiff_quotient_sup(values, h_x, h_t, e, k, a)]))
     if h_t:
         cases.append(
-            ("time", oracles.kdiff_time_sup_loops(values, h_t, e, k),
+            ("time", "time", True, oracles.kdiff_argsup_loops(values, h_x, h_t, e, k, "time"),
              [lambda: pairs.pair_quotient_sup_exhaustive(values, h_x, h_t, e, "time", k),
               lambda: pairs.kdiff_time_quotient_sup(values, h_x, h_t, e, k)]
              + [lambda: pairs.pair_quotient_sup(values, h_x, h_t, e, "time")] * (k == 1)))
     if k == 1:
-        assert cases[0][1] == oracles.holder_space_sup_loops(values, h_x, e)
+        assert cases[0][3][0] == oracles.holder_space_sup_loops(values, h_x, e)
         if h_t:
-            assert cases[-1][1] == oracles.holder_time_sup_loops(values, h_t, e)
+            assert cases[-1][3][0] == oracles.holder_time_sup_loops(values, h_t, e)
+    for _, kind, allow_time, _, _ in cases:
+        _assert_bounds_sound(values, h_x, h_t, e, k, kind, allow_time)
     with pytest.MonkeyPatch.context() as mp:
         if sampled:
             mp.setattr(pairs, "PAIR_LIMIT", 0)
-        for kind, expect, engines in cases:
+        for kind, _, _, expect, engines in cases:
             for i, engine in enumerate(engines):
                 _check(engine, expect, values, kind, e, k, h_x, h_t, sampled and i > 0)
 
@@ -142,10 +164,14 @@ def test_res32_2d_space_pairs_are_exact():
     assert rep.pairs_examined < 33 * (33 ** 2 * (33 ** 2 - 1) // 2)
 
 
-def _certified_pairs(u, l, k) -> int:
+def _global_bound_pairs(u, l, k) -> int:
+    """Pairs in the offsets whose global bound ``amp / sep^l`` reaches the
+    nearest-neighbour seed: the work the engine certified before it had
+    per-offset bounds."""
     prob = pairs._Problem(u.values, u.h_x, u.h_t, l, k, "kdiff", True)
     seed = max(prob.evaluate(off)[0] for off in prob.nearest_offsets())
-    off, _ = prob.certified(seed, None)
+    off, _ = prob.certified(0.0, None)
+    off = off[prob.amp / prob.separations(off) ** l >= seed]
     return int(np.prod(np.asarray(u.values.shape) - k * np.abs(off), axis=1).sum())
 
 
@@ -153,36 +179,90 @@ def _certified_pairs(u, l, k) -> int:
     (lambda x, t: np.sin(2 * np.pi * x[0]) * np.exp(-t) + 0.3 * np.sin(9 * x[0] + 1.0), 1.5, 2),
     (lambda x, t: np.abs(x[0] - 0.5) ** 0.5 + 0.0 * t, 0.5, 1),
 ])
-def test_large_certified_work_still_samples(source, l, k):
-    # the 220-step fixtures of the sampled-mode tests certify 2.97e8 and
-    # 1.59e8 pairs, above the limit
+def test_large_certified_work_still_samples(source, l, k, monkeypatch):
+    # the 220-step fixtures of the sampled-mode tests: under the global bound
+    # alone they certify 2.97e8 and 1.59e8 pairs, above the budget, yet the
+    # per-offset bounds walk them exactly; cut the budget and they sample
     u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 220, 220, source)
-    assert _certified_pairs(u, l, k) > pairs.PAIR_LIMIT
-    rep = diff_quotient_seminorm(u, l, spec=DiffSeminormSpec(k, 1))
+    assert _global_bound_pairs(u, l, k) > pairs.PAIR_LIMIT
+    spec = DiffSeminormSpec(k, 1)
+    exact = diff_quotient_seminorm(u, l, spec=spec)
+    assert exact.sampling.mode == "exhaustive"
+    assert exact.value == pairs.kdiff_quotient_sup_exhaustive(
+        u.values, u.h_x, u.h_t, l, k, True).value
+    monkeypatch.setattr(pairs, "PAIR_LIMIT", 1)
+    rep = diff_quotient_seminorm(u, l, spec=spec)
     assert rep.sampling.mode == "sampled"
+    assert rep.value <= exact.value
 
 
-def test_cusp_res32_joint_term_sampled_near_exact():
-    # the joint term of the sup variants on the 2-D cusp: its certified work
-    # exceeds the limit, yet the sampled walk must land within 1% of the
-    # exact supremum, which it can never exceed
+def _cusp_res32_joint_args():
+    # the joint term of the sup variants on the 2-D cusp
     f = as_grid_callable(parse("((x1-0.5)^2+(x2-0.5)^2)^0.3*exp(-t)", 2))
     u = make_grid_function(Domain((0.0, 0.0), (1.0, 1.0), 1.0), 32, 32, f)
-    args = (u.values, u.h_x, u.h_t, 0.5, 1, True)
+    return u.values, u.h_x, u.h_t, 0.5, 1, True
+
+
+def test_cusp_res32_joint_term_is_exact():
+    # the global bound certified 4.9e8 pairs here, so this term was sampled;
+    # the bound-first walk settles it within the pair budget
+    args = _cusp_res32_joint_args()
     exact = pairs.kdiff_quotient_sup_exhaustive(*args)
     assert exact.value == pytest.approx(0.965936, abs=1e-6)
     out = pairs.kdiff_quotient_sup(*args)
-    assert out.mode == "sampled"
-    assert exact.value * 0.99 <= out.value <= exact.value
+    assert (out.mode, out.seed) == ("exhaustive", None)
+    assert (out.value, out.witness) == (exact.value, exact.witness)
+    assert out.examined <= pairs.PAIR_LIMIT
 
 
-def test_certified_count_stops_at_the_limit(monkeypatch):
-    # a 3+1-D grid whose offset table has 35 chunks: the first chunk already
-    # certifies more pairs than the limit, so no further chunk is built
-    values = np.random.default_rng(5).uniform(size=(33, 33, 33, 33))
-    prob = pairs._Problem(values, (1 / 32,) * 3, 1 / 32, 0.5, 1, "kdiff", True)
+def test_walk_past_the_budget_continues_sampled(monkeypatch):
+    # a budget that cuts the exact walk short hands over to the seeded
+    # offsets; they skip what the walk has seen, so the result is at least
+    # the one of sampling from the start, and never above the exact value
+    args = _cusp_res32_joint_args()
+    exact = pairs.kdiff_quotient_sup(*args)
+    monkeypatch.setattr(pairs, "PAIR_LIMIT", 1)
+    from_start = pairs.kdiff_quotient_sup(*args)
+    monkeypatch.setattr(pairs, "PAIR_LIMIT", 10_000_000)
+    cut = pairs.kdiff_quotient_sup(*args)
+    assert from_start.mode == cut.mode == "sampled"
+    assert cut.seed == pairs.DEFAULT_SEED
+    assert cut.examined >= pairs.PAIR_LIMIT + pairs.SAMPLE_TARGET
+    assert from_start.value <= cut.value <= exact.value
+    assert pairs.kdiff_quotient_sup(*args) == cut
+
+
+def test_forced_sampling_that_sees_every_offset_is_exact(monkeypatch):
+    # on a 1-D 8 x 8 grid the seeded offsets soon cover all 144 admissible
+    # ones; the walk then stops, and its value is exact
+    values = np.random.default_rng(0).uniform(-1.0, 1.0, (9, 9))
+    h = (1.0 / 8,)
+    monkeypatch.setattr(pairs, "PAIR_LIMIT", 0)
+    out = pairs.kdiff_quotient_sup(values, h, h[0], 0.5, 1, True)
+    value, first = oracles.kdiff_argsup_loops(values, h, h[0], 0.5, 1, "joint")
+    assert (out.mode, out.seed) == ("exhaustive", None)
+    assert out.value == value
+    assert list(_offset_of(out.witness)) == list(first)
+    # each admissible offset was evaluated once
+    assert out.examined == sum((9 - abs(d)) * (9 - j) for j in range(9) for d in range(-8, 9)
+                               if j > 0 or d > 0)
+
+
+def test_table_guards_stop_before_building_much(monkeypatch):
+    # with a pair budget, the table gives up (None) once more than
+    # _TABLE_ROWS offsets are kept, or at once when the moduli alone would
+    # cost more than the budget
     chunks = []
     real = np.unravel_index
     monkeypatch.setattr(pairs.np, "unravel_index", lambda *a: chunks.append(1) or real(*a))
+    # 3+1-D, 17 nodes per axis: a table of 3 chunks, all of whose offsets
+    # reach a zero floor; the second chunk passes the row guard
+    values = np.random.default_rng(5).uniform(size=(17, 17, 17, 17))
+    prob = pairs._Problem(values, (1 / 16,) * 3, 1 / 16, 0.5, 1, "kdiff", True)
     assert prob.certified(0.0, pairs.PAIR_LIMIT) is None
-    assert len(chunks) == 1
+    assert len(chunks) == 2
+    # 33 nodes per axis: the moduli would take 1.5e8 pairs
+    values = np.random.default_rng(5).uniform(size=(33, 33, 33, 33))
+    prob = pairs._Problem(values, (1 / 32,) * 3, 1 / 32, 0.5, 1, "kdiff", True)
+    assert prob.certified(0.0, pairs.PAIR_LIMIT) is None
+    assert len(chunks) == 2
