@@ -3,7 +3,7 @@ sweeps, and ratio searches; emit JSON reports and CSV plot series.
 
 Exit codes: 0 success, 1 an inequality-violation flag was raised, 2 input
 error.  Flags override values from an optional JSON config file, and every
-output embeds the tool version, the resolved configuration, and the seed.
+output embeds the tool version and the resolved configuration.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .norms import (
     sup_norm,
     sup_t_lp_norm,
 )
-from .pairs import DEFAULT_SEED
 from .search import Family, SearchResult, build_candidate, random_search, refine_search
 
 VARIANTS = [v.value for v in Variant]
@@ -124,19 +123,25 @@ def _parse_res(text: str, n_dim: int) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _opt(cfg: dict, key: str, default):
+    """``cfg[key]``, or ``default`` when the key is missing or null; a 0 is a
+    value like any other."""
+    val = cfg.get(key)
+    return default if val is None else val
+
+
 def _build_input(cfg: dict) -> GridFunction:
     if cfg.get("csv"):
         return grid_from_csv(cfg["csv"])
     if not cfg.get("expr"):
         raise InputError("provide --expr (with --dim/--box/--res) or --csv")
-    n_dim = int(cfg.get("dim") or 1)
-    lows, highs = _parse_box(cfg.get("box") or "0,1", n_dim)
-    horizon = float(cfg.get("T") or 0.0)
-    res = _parse_res(str(cfg.get("res") or "64"), n_dim)
-    tres = int(cfg["tres"]) if cfg.get("tres") else (res[0] if horizon > 0 else 0)
+    n_dim = int(_opt(cfg, "dim", 1))
+    lows, highs = _parse_box(_opt(cfg, "box", "0,1"), n_dim)
+    horizon = float(_opt(cfg, "T", 0.0))
+    res = _parse_res(str(_opt(cfg, "res", 64)), n_dim)
+    tres = int(_opt(cfg, "tres", res[0])) if horizon > 0 else 0
     tree = expr_mod.parse(cfg["expr"], n_dim)
-    domain = Domain(lows, highs, horizon)
-    return make_grid_function(domain, res, tres if horizon > 0 else 0,
+    return make_grid_function(Domain(lows, highs, horizon), res, tres,
                               expr_mod.as_grid_callable(tree))
 
 
@@ -170,12 +175,12 @@ def _need(cfg: dict, key: str, why: str) -> float:
 
 def cmd_norm(args: argparse.Namespace) -> int:
     cfg = _resolved(args, _INPUT_KEYS + ["kind", "l", "p", "alpha", "exponent",
-                                         "beta", "lt", "k", "form", "seed", "out"])
+                                         "beta", "lt", "k", "form", "out"])
     u = _build_input(cfg)
-    kind = cfg.get("kind") or "sup"
-    seed = int(cfg.get("seed", DEFAULT_SEED))
-    beta = tuple(int(b) for b in str(cfg["beta"]).split(",")) if cfg.get("beta") else None
-    lt = int(cfg.get("lt") or 0)
+    kind = _opt(cfg, "kind", "sup")
+    beta = cfg.get("beta")
+    beta = None if beta is None else tuple(int(b) for b in str(beta).split(","))
+    lt = int(_opt(cfg, "lt", 0))
 
     if kind == "sup":
         report = sup_norm(u)
@@ -184,66 +189,66 @@ def cmd_norm(args: argparse.Namespace) -> int:
     elif kind == "sup-t-lp":
         report = sup_t_lp_norm(u, _need(cfg, "p", "for --kind sup-t-lp"))
     elif kind == "holder":
-        alpha = cfg.get("alpha") if cfg.get("alpha") is not None else cfg.get("l")
+        alpha = _opt(cfg, "alpha", cfg.get("l"))
         if alpha is None:
             raise InputError("--alpha (or --l) is required for --kind holder")
-        report = holder_seminorm_space(u, float(alpha), beta, lt, seed)
+        report = holder_seminorm_space(u, float(alpha), beta, lt)
     elif kind == "holder-time":
-        exp_t = cfg.get("exponent") if cfg.get("exponent") is not None else cfg.get("l")
+        exp_t = _opt(cfg, "exponent", cfg.get("l"))
         if exp_t is None:
             raise InputError("--exponent (or --l) is required for --kind holder-time")
-        report = holder_seminorm_time(u, float(exp_t), beta, lt, seed)
+        report = holder_seminorm_time(u, float(exp_t), beta, lt)
     elif kind == "parabolic":
-        report = parabolic_norm(u, _need(cfg, "l", "for --kind parabolic"), seed)
+        report = parabolic_norm(u, _need(cfg, "l", "for --kind parabolic"))
     elif kind == "elliptic":
-        report = elliptic_norm(u, _need(cfg, "l", "for --kind elliptic"), seed)
+        report = elliptic_norm(u, _need(cfg, "l", "for --kind elliptic"))
     elif kind == "dq":
         l_val = _need(cfg, "l", "for --kind dq")
-        if cfg.get("k"):
-            lt_q = int(cfg["lt"]) if cfg.get("lt") else DiffSeminormSpec.default_for(l_val).l_t
+        if cfg.get("k") is not None:
+            lt_q = int(_opt(cfg, "lt", DiffSeminormSpec.default_for(l_val).l_t))
             spec = DiffSeminormSpec(int(cfg["k"]), lt_q)
         else:
             spec = None
-        report = diff_quotient_seminorm(u, l_val, spec, cfg.get("form") or "joint", seed)
+        report = diff_quotient_seminorm(u, l_val, spec, _opt(cfg, "form", "joint"))
     else:
         raise InputError(f"unknown norm kind {kind!r}")
 
-    _emit(_envelope(cfg, {"seed": seed, "report": report.to_json_dict()}), cfg.get("out"))
+    _emit(_envelope(cfg, {"report": report.to_json_dict()}), cfg.get("out"))
     return 0
 
 
 def _spec_from_cfg(cfg: dict) -> InterpSpec:
-    variant = str(cfg.get("variant") or "")
+    variant = str(_opt(cfg, "variant", ""))
     if variant not in VARIANTS:
         raise InputError(f"--variant must be one of {VARIANTS}, got {variant!r}")
     return InterpSpec(
         variant=Variant(variant),
-        l1=float(cfg.get("l1") or 0.0),
-        l=float(cfg["l"]) if cfg.get("l") is not None else None,
+        l1=float(_opt(cfg, "l1", 0.0)),
+        l=cfg.get("l"),
         l2=_need(cfg, "l2", "for inequality checks"),
-        p=float(cfg["p"]) if cfg.get("p") is not None else None,
-        N=int(cfg.get("dim") or 1),
+        p=cfg.get("p"),
+        N=int(_opt(cfg, "dim", 1)),
     )
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _resolved(args, _INPUT_KEYS + ["variant", "l1", "l", "l2", "p", "seed",
-                                         "sweep", "out", "csv-out"])
+    cfg = _resolved(args, _INPUT_KEYS + ["variant", "l1", "l", "l2", "p", "sweep", "out",
+                                         "csv-out"])
     spec = _spec_from_cfg(cfg)
-    seed = int(cfg.get("seed", DEFAULT_SEED))
 
-    sweep = [int(r) for r in str(cfg["sweep"]).split(",")] if cfg.get("sweep") else None
+    sweep = cfg.get("sweep")
+    sweep = None if sweep is None else [int(r) for r in str(sweep).split(",")]
     reports: list[CheckReport] = []
     if sweep:
         for res in sweep:
             sub = dict(cfg)
             sub["res"] = str(res)
             sub.pop("tres", None)
-            reports.append(check(spec, _build_input(sub), seed=seed))
+            reports.append(check(spec, _build_input(sub)))
     else:
-        reports.append(check(spec, _build_input(cfg), seed=seed))
+        reports.append(check(spec, _build_input(cfg)))
 
-    body = {"seed": seed, "reports": [r.to_json_dict() for r in reports]}
+    body = {"reports": [r.to_json_dict() for r in reports]}
     if sweep:
         ratios = [r.ratio for r in reports]
         body["sweep"] = {"resolutions": sweep, "ratios": ratios}
@@ -264,19 +269,19 @@ def cmd_search(args: argparse.Namespace) -> int:
                            "budget", "seed", "res", "tres", "refine-steps",
                            "step-scale", "out", "history-csv"])
     spec = _spec_from_cfg(cfg)
-    seed = int(cfg.get("seed", 0))
-    family = Family(kind=str(cfg.get("family") or "trig"))
-    resolution = int(str(cfg.get("res") or "64").split(",")[0])
-    tres = int(cfg["tres"]) if cfg.get("tres") else None
+    seed = int(_opt(cfg, "seed", 0))
+    family = Family(kind=str(_opt(cfg, "family", "trig")))
+    resolution = int(str(_opt(cfg, "res", 64)).split(",")[0])
+    tres = cfg.get("tres")
 
     result = random_search(
-        spec, family, int(cfg.get("budget") or 100), seed,
-        resolution=resolution, time_resolution=tres,
+        spec, family, int(_opt(cfg, "budget", 100)), seed,
+        resolution=resolution, time_resolution=None if tres is None else int(tres),
     )
-    refine_steps = int(cfg.get("refine-steps") or 0)
+    refine_steps = int(_opt(cfg, "refine-steps", 0))
     if refine_steps:
         result = refine_search(result, family, refine_steps,
-                               float(cfg.get("step-scale") or 0.1), seed)
+                               float(_opt(cfg, "step-scale", 0.1)), seed)
 
     probe = _constant_probe(spec, result)
     body = {
@@ -295,7 +300,7 @@ def _constant_probe(spec: InterpSpec, result: SearchResult) -> dict:
     """Always evaluate the constant function as a reference candidate."""
     res = result.resolution
     u = build_candidate("1", spec, result.domain, res["resolution"], res["time_resolution"])
-    report = check(spec, u, seed=res.get("check_seed", DEFAULT_SEED))
+    report = check(spec, u)
     return {"expression": "1", "status": report.status, "ratio": report.ratio}
 
 
@@ -312,7 +317,6 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", help="load the grid from a CSV lattice instead")
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
-    p.add_argument("--seed", type=int, help="seed for sampled suprema")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--dim", type=int)
     p_search.add_argument("--family", choices=["trig", "bump", "rough"])
     p_search.add_argument("--budget", type=int)
-    p_search.add_argument("--seed", type=int)
+    p_search.add_argument("--seed", type=int, help="seed of the search's random draws")
     p_search.add_argument("--res", help="steps per spatial axis")
     p_search.add_argument("--tres", type=int)
     p_search.add_argument("--refine-steps", type=int)

@@ -41,7 +41,6 @@ from .norms import (
     sup_norm,
     sup_t_lp_norm,
 )
-from .pairs import DEFAULT_SEED
 
 TRIVIAL_RTOL = 1e-14
 
@@ -152,7 +151,6 @@ class CheckReport:
     status: str
     norms: dict = field(default_factory=dict)
     resolution: dict = field(default_factory=dict)
-    seed: int | None = None
 
     @property
     def violation(self) -> bool:
@@ -174,7 +172,6 @@ class CheckReport:
             "status": self.status,
             "norms": self.norms,
             "resolution": self.resolution,
-            "seed": self.seed,
         }
 
 
@@ -201,29 +198,33 @@ def _check_compatible(spec: InterpSpec, u: GridFunction) -> None:
         )
 
 
-def _base_norms(spec: InterpSpec, u: GridFunction, seed: int):
+def _base_norms(spec: InterpSpec, u: GridFunction):
     v = spec.variant
     if v in _HOLDER_VARIANTS:
-        lhs = holder_norm(u, spec.l, seed)
-        high = holder_norm(u, spec.l2, seed)
-        low = holder_norm(u, spec.l1, seed)
+        lhs = holder_norm(u, spec.l)
+        high = holder_norm(u, spec.l2)
+        low = holder_norm(u, spec.l1)
     elif v in _SUP_VARIANTS:
         lhs = sup_norm(u)
-        high = diff_quotient_seminorm(u, spec.l2, seed=seed)
+        high = diff_quotient_seminorm(u, spec.l2)
         low = lp_norm(u, spec.p) if v == Variant.SUP_VS_LP_PARABOLIC else sup_t_lp_norm(u, spec.p)
     else:
-        lhs = holder_norm(u, spec.l1, seed)
-        high = holder_norm(u, spec.l2, seed)
+        lhs = holder_norm(u, spec.l1)
+        high = holder_norm(u, spec.l2)
         low = sup_t_lp_norm(u, spec.p) if v == Variant.GENERAL_SUPLP else lp_norm(u, spec.p)
     return lhs, high, low
 
 
-def check(spec: InterpSpec, u: GridFunction, seed: int = DEFAULT_SEED) -> CheckReport:
+def check(spec: InterpSpec, u: GridFunction, seed: int | None = None) -> CheckReport:
     """Evaluate one inequality on a grid function and report the ratio
-    ``lhs / (high^omega * low^(1-omega))``."""
+    ``lhs / (high^omega * low^(1-omega))``.
+
+    ``seed`` is accepted for older callers and ignored: sampled suprema draw
+    from the fixed ``pairs.DEFAULT_SEED``, so no value changes the report.
+    """
     _check_compatible(spec, u)
     omega = exponent(spec)
-    lhs_rep, high_rep, low_rep = _base_norms(spec, u, seed)
+    lhs_rep, high_rep, low_rep = _base_norms(spec, u)
     lhs, high, low = lhs_rep.value, high_rep.value, low_rep.value
 
     scale = max(1.0, high, low)
@@ -258,17 +259,14 @@ def check(spec: InterpSpec, u: GridFunction, seed: int = DEFAULT_SEED) -> CheckR
             "low": low_rep.to_json_dict(),
         },
         resolution=_resolution_of(u),
-        seed=seed,
     )
 
 
-def check_holder_interp(
-    u: GridFunction, l1: float, l: float, l2: float, seed: int = DEFAULT_SEED
-) -> CheckReport:
+def check_holder_interp(u: GridFunction, l1: float, l: float, l2: float) -> CheckReport:
     """Hoelder-against-Hoelder interpolation; the variant follows the grid."""
     variant = Variant.HOLDER_HOLDER_ELLIPTIC if u.is_elliptic else Variant.HOLDER_HOLDER_PARABOLIC
     spec = InterpSpec(variant=variant, l1=l1, l=l, l2=l2, N=u.N)
-    return check(spec, u, seed)
+    return check(spec, u)
 
 
 # -- two-term bound and balancing ------------------------------------------------
@@ -328,7 +326,6 @@ def pointwise_reconstruction_bound(
     index: Sequence[int],
     shift: ParabolicShift,
     seminorm: float | None = None,
-    seed: int = DEFAULT_SEED,
 ) -> float:
     """Bound ``|u| <= <u> * plength^l + sum_i binom(k,i) |u(.+i shift)|`` at a node.
 
@@ -343,7 +340,7 @@ def pointwise_reconstruction_bound(
         raise ValueError(f"difference order must be >= 1, got {k}")
     if seminorm is None:
         spec = DiffSeminormSpec(k, DiffSeminormSpec.default_for(idx).l_t)
-        seminorm = diff_quotient_seminorm(u, idx, spec=spec, seed=seed).value
+        seminorm = diff_quotient_seminorm(u, idx, spec=spec).value
     base = u.normalize_index(index)
     diff = kth_difference(u, base, shift, k)
     if diff is None:
@@ -357,15 +354,15 @@ def pointwise_reconstruction_bound(
     return total
 
 
-def time_seminorm_bound(u: GridFunction, l, seed: int = DEFAULT_SEED) -> dict:
+def time_seminorm_bound(u: GridFunction, l) -> dict:
     """Compare the time seminorm sum against the space seminorm sum plus the
     top pure-time term; returns both sides and their ratio."""
     idx = norms_mod._as_index(l)
-    space_sum, time_sum, breakdown, _, _ = norms_mod.parabolic_seminorm_parts(u, idx, seed)
+    space_sum, time_sum, breakdown, _, _ = norms_mod.parabolic_seminorm_parts(u, idx)
     m, alpha = idx.m, idx.alpha
     top_lt = m // 2
     top_exp = (m - 2 * top_lt + alpha) / 2.0
-    top = norms_mod.holder_seminorm_time(u, top_exp, (0,) * u.N, top_lt, seed)
+    top = norms_mod.holder_seminorm_time(u, top_exp, (0,) * u.N, top_lt)
     rhs = space_sum + top.value
     return {
         "lhs_time_sum": time_sum,

@@ -4,7 +4,7 @@ Derivatives are discretized with second-order central differences at interior
 nodes and one-sided second-order stencils in the boundary layer; higher orders
 apply the first-derivative operator repeatedly.  Pair suprema delegate to
 :mod:`holonorm.pairs`, which walks offsets best per-offset bound first to the
-exact value, and samples seeded offsets only once that walk exceeds its pair
+exact value, and samples offsets only once that walk exceeds its pair
 budget.  Every report records what was examined, how, and a witness that
 re-evaluates to the reported value.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pairs
 from .grid import GridFunction, MultiIndex, kth_difference
-from .pairs import DEFAULT_SEED, SupOutcome
+from .pairs import SupOutcome
 
 
 class StencilError(ValueError):
@@ -87,12 +87,10 @@ class DiffSeminormSpec:
 
 @dataclass(frozen=True)
 class SamplingInfo:
-    mode: str  # "exhaustive" | "sampled" | "none"
-    seed: int | None = None
-    count: int = 0
+    mode: str  # "exhaustive" | "sampled"
 
     def to_json_dict(self) -> dict:
-        return {"mode": self.mode, "seed": self.seed, "count": self.count}
+        return {"mode": self.mode}
 
 
 @dataclass
@@ -122,8 +120,8 @@ class NormReport:
 
 
 def _report_from_outcome(kind, out: SupOutcome, index, params) -> NormReport:
-    info = SamplingInfo(out.mode, out.seed, out.examined)
-    return NormReport(kind, out.value, index, out.examined, info, out.witness, params)
+    return NormReport(kind, out.value, index, out.examined, SamplingInfo(out.mode), out.witness,
+                      params)
 
 
 # -- discrete derivatives --------------------------------------------------------
@@ -185,8 +183,7 @@ def sup_norm(u: GridFunction) -> NormReport:
     value = float(abs(u.values[at]))
     x, t = u.node_coords(at)
     witness = {"node": [int(v) for v in at], "x": list(x), "t": t}
-    info = SamplingInfo("exhaustive", None, u.values.size)
-    return NormReport("sup", value, 0.0, u.values.size, info, witness)
+    return NormReport("sup", value, 0.0, u.values.size, SamplingInfo("exhaustive"), witness)
 
 
 def _trapezoid_pattern(n: int) -> np.ndarray:
@@ -228,8 +225,7 @@ def lp_norm(u: GridFunction, p: float) -> NormReport:
     else:
         s = _weighted_power_sum(u.values, p, u.n_spatial + (u.n_time,))
         value = (math.prod(u.h_x) * u.h_t * s) ** (1.0 / p)
-    info = SamplingInfo("exhaustive", None, u.values.size)
-    return NormReport("lp", value, p, u.values.size, info, None, {"p": p})
+    return NormReport("lp", value, p, u.values.size, SamplingInfo("exhaustive"), None, {"p": p})
 
 
 def sup_t_lp_norm(u: GridFunction, p: float) -> NormReport:
@@ -243,8 +239,8 @@ def sup_t_lp_norm(u: GridFunction, p: float) -> NormReport:
         if v > best:
             best, best_j = v, j
     witness = {"time_level": best_j, "t": float(u.time_coords()[best_j])}
-    info = SamplingInfo("exhaustive", None, u.values.size)
-    return NormReport("sup_t_lp", best, p, u.values.size, info, witness, {"p": p})
+    return NormReport("sup_t_lp", best, p, u.values.size, SamplingInfo("exhaustive"), witness,
+                      {"p": p})
 
 
 # -- Hoelder seminorms ---------------------------------------------------------------
@@ -255,14 +251,13 @@ def holder_seminorm_space(
     alpha: float,
     beta: Sequence[int] | MultiIndex | None = None,
     l_t: int = 0,
-    seed: int = DEFAULT_SEED,
 ) -> NormReport:
     """Sup over same-time node pairs of ``|w(x,t)-w(y,t)| / |x-y|^alpha`` where
     ``w`` is the requested discrete derivative of ``u``."""
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"spatial Hoelder exponent must lie in (0,1), got {alpha}")
-    return _pair_seminorm(u, "space", "alpha", alpha, beta, l_t, seed)
+    return _pair_seminorm(u, "space", "alpha", alpha, beta, l_t)
 
 
 def holder_seminorm_time(
@@ -270,7 +265,6 @@ def holder_seminorm_time(
     exponent: float,
     beta: Sequence[int] | MultiIndex | None = None,
     l_t: int = 0,
-    seed: int = DEFAULT_SEED,
 ) -> NormReport:
     """Sup over same-place node pairs of ``|w(x,t)-w(x,s)| / |t-s|^exponent``."""
     exponent = float(exponent)
@@ -278,15 +272,15 @@ def holder_seminorm_time(
         raise ValueError(f"temporal Hoelder exponent must lie in (0,1], got {exponent}")
     if u.is_elliptic:
         raise ValueError("time seminorm needs a positive time horizon")
-    return _pair_seminorm(u, "time", "exponent", exponent, beta, l_t, seed)
+    return _pair_seminorm(u, "time", "exponent", exponent, beta, l_t)
 
 
-def _pair_seminorm(u: GridFunction, axes: str, name: str, exponent: float, beta, l_t: int,
-                   seed: int) -> NormReport:
+def _pair_seminorm(u: GridFunction, axes: str, name: str, exponent: float, beta,
+                   l_t: int) -> NormReport:
     """Pair supremum of the requested derivative field along ``axes``."""
     beta = tuple(beta.beta if isinstance(beta, MultiIndex) else (beta or (0,) * u.N))
     w = derivative_field(u, beta, l_t)
-    out = pairs.pair_quotient_sup(w, u.h_x, u.h_t, exponent, axes, seed)
+    out = pairs.pair_quotient_sup(w, u.h_x, u.h_t, exponent, axes)
     params = {name: exponent, "beta": list(beta), "l_t": l_t}
     return _report_from_outcome(f"holder_{axes}", out, exponent, params)
 
@@ -322,7 +316,7 @@ def _seminorm_band(m: int, n_dim: int, parabolic: bool):
                 yield beta, l_t
 
 
-def _seminorm_terms(u: GridFunction, idx: HoelderIndex, parabolic: bool, seed: int):
+def _seminorm_terms(u: GridFunction, idx: HoelderIndex, parabolic: bool):
     """Space quotient seminorms over the band, each followed on space-time grids
     by its time seminorm: (space sum, time sum, per-term breakdown, pairs
     examined, the engine modes that ran)."""
@@ -332,13 +326,13 @@ def _seminorm_terms(u: GridFunction, idx: HoelderIndex, parabolic: bool, seed: i
     examined = 0
     modes = set()
     for beta, l_t in _seminorm_band(m, u.N, parabolic):
-        rep = holder_seminorm_space(u, alpha, beta, l_t, seed)
+        rep = holder_seminorm_space(u, alpha, beta, l_t)
         space_sum += rep.value
         breakdown[f"<{_beta_label(beta, l_t)} u>_x^({alpha})"] = rep.value
         parts = [rep]
         if parabolic:
             t_exp = (m - sum(beta) - 2 * l_t + alpha) / 2.0
-            rep_t = holder_seminorm_time(u, t_exp, beta, l_t, seed)
+            rep_t = holder_seminorm_time(u, t_exp, beta, l_t)
             time_sum += rep_t.value
             breakdown[f"<{_beta_label(beta, l_t)} u>_t^({t_exp})"] = rep_t.value
             parts.append(rep_t)
@@ -347,26 +341,24 @@ def _seminorm_terms(u: GridFunction, idx: HoelderIndex, parabolic: bool, seed: i
     return space_sum, time_sum, breakdown, examined, modes
 
 
-def _sampling_of(modes, seed: int, count: int) -> SamplingInfo:
-    """Sampling info of a composite whose parts ran in ``modes``: sampled,
-    under ``seed``, when any part was."""
-    if "sampled" in modes:
-        return SamplingInfo("sampled", seed, count)
-    return SamplingInfo("exhaustive", None, count)
+def _sampling_of(modes) -> SamplingInfo:
+    """Sampling info of a composite whose parts ran in ``modes``: sampled
+    when any part was."""
+    return SamplingInfo("sampled" if "sampled" in modes else "exhaustive")
 
 
-def parabolic_seminorm_parts(u: GridFunction, l, seed: int = DEFAULT_SEED):
+def parabolic_seminorm_parts(u: GridFunction, l):
     """Space and time seminorm sums of the anisotropic Hoelder norm, with the
     per-term breakdown.  Requires a noninteger index and a space-time grid."""
     idx = _as_index(l)
     _require_fractional(idx, "parabolic seminorm")
     if u.is_elliptic:
         raise ValueError("parabolic seminorm needs a positive time horizon")
-    space_sum, time_sum, breakdown, examined, modes = _seminorm_terms(u, idx, True, seed)
+    space_sum, time_sum, breakdown, examined, modes = _seminorm_terms(u, idx, True)
     return space_sum, time_sum, breakdown, examined, "sampled" in modes
 
 
-def holder_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
+def holder_norm(u: GridFunction, l) -> NormReport:
     """The Hoelder norm of index ``l`` appropriate to the grid.
 
     The derivative maxima ``|Dt^l_t Dx^beta u|`` with ``|beta| + 2 l_t <= m``
@@ -381,15 +373,15 @@ def holder_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
     if idx.is_integer:
         space_sum, time_sum, terms, examined, modes = 0.0, 0.0, {}, 0, ()
     else:
-        space_sum, time_sum, terms, examined, modes = _seminorm_terms(u, idx, parabolic, seed)
+        space_sum, time_sum, terms, examined, modes = _seminorm_terms(u, idx, parabolic)
     value = math.fsum(lower.values()) + space_sum + time_sum
     examined += count
     return NormReport("parabolic" if parabolic else "elliptic", value, idx.l, examined,
-                      _sampling_of(modes, seed, examined), None, {"l": idx.l},
+                      _sampling_of(modes), None, {"l": idx.l},
                       {**lower, **terms})
 
 
-def parabolic_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
+def parabolic_norm(u: GridFunction, l) -> NormReport:
     """Anisotropic Hoelder norm: lower-order derivative maxima plus the space
     and time quotient seminorms over the band ``0 <= m - |beta| - 2 l_t <= 1``."""
     idx = _as_index(l)
@@ -397,10 +389,10 @@ def parabolic_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
     if u.is_elliptic:
         raise ValueError("parabolic norm needs a positive time horizon; "
                          "use elliptic_norm for purely spatial grids")
-    return holder_norm(u, idx, seed)
+    return holder_norm(u, idx)
 
 
-def elliptic_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
+def elliptic_norm(u: GridFunction, l) -> NormReport:
     """Isotropic Hoelder norm: derivative maxima up to order ``m`` plus the
     order-``m`` spatial quotient seminorms."""
     idx = _as_index(l)
@@ -408,7 +400,7 @@ def elliptic_norm(u: GridFunction, l, seed: int = DEFAULT_SEED) -> NormReport:
     if not u.is_elliptic:
         raise ValueError("elliptic norm is defined on purely spatial grids (time horizon 0); "
                          "use parabolic_norm instead")
-    return holder_norm(u, idx, seed)
+    return holder_norm(u, idx)
 
 
 # -- difference-quotient seminorms --------------------------------------------------------
@@ -419,7 +411,6 @@ def diff_quotient_seminorm(
     l,
     spec: DiffSeminormSpec | None = None,
     form: str = "joint",
-    seed: int = DEFAULT_SEED,
 ) -> NormReport:
     """Quotient seminorm from k-th differences.
 
@@ -438,7 +429,7 @@ def diff_quotient_seminorm(
 
     if form == "joint":
         out = pairs.kdiff_quotient_sup(
-            u.values, u.h_x, u.h_t, idx.l, spec.k, allow_time=not u.is_elliptic, seed=seed
+            u.values, u.h_x, u.h_t, idx.l, spec.k, allow_time=not u.is_elliptic
         )
         params = {"l": idx.l, "k": spec.k, "form": "joint"}
         return _report_from_outcome("diff_quotient", out, idx.l, params)
@@ -446,12 +437,8 @@ def diff_quotient_seminorm(
     if u.is_elliptic:
         raise ValueError("split form needs a positive time horizon; "
                          "use the joint form on purely spatial grids")
-    out_x = pairs.kdiff_quotient_sup(
-        u.values, u.h_x, u.h_t, idx.l, spec.k, allow_time=False, seed=seed
-    )
-    out_t = pairs.kdiff_time_quotient_sup(
-        u.values, u.h_x, u.h_t, idx.l / 2.0, spec.l_t, seed=seed
-    )
+    out_x = pairs.kdiff_quotient_sup(u.values, u.h_x, u.h_t, idx.l, spec.k, allow_time=False)
+    out_t = pairs.kdiff_time_quotient_sup(u.values, u.h_x, u.h_t, idx.l / 2.0, spec.l_t)
     value = out_x.value + out_t.value
     examined = out_x.examined + out_t.examined
     return NormReport(
@@ -459,7 +446,7 @@ def diff_quotient_seminorm(
         value,
         idx.l,
         examined,
-        _sampling_of((out_x.mode, out_t.mode), seed, examined),
+        _sampling_of((out_x.mode, out_t.mode)),
         None,
         {"l": idx.l, "k": spec.k, "l_t": spec.l_t, "form": "split"},
         {"space": out_x.value, "time": out_t.value},

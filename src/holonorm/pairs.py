@@ -22,11 +22,12 @@ length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
 5. The dispatchers give the walk a budget of ``PAIR_LIMIT`` evaluated pairs.
    Past it, or when the moduli alone would cost more than the budget or more
    than ``_TABLE_ROWS`` offsets reach the seed, the same walk goes on over
-   seeded offsets, stratified by separation scale in powers of two (rough
+   random offsets, stratified by separation scale in powers of two (rough
    quotients peak at small separations, smooth ones at box scale, so both
    ends need coverage), until ``SAMPLE_TARGET`` more pairs are evaluated
-   (mode ``"sampled"``, a lower bound fixed by the seed alone).  A walk that
-   has seen every admissible offset is exact, whichever way it got there.
+   (mode ``"sampled"``, a lower bound; the draws come from the fixed
+   ``DEFAULT_SEED``, so the same input always gives the same outcome).  A walk
+   that has seen every admissible offset is exact, whichever way it got there.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -47,7 +48,7 @@ from .grid import difference_coefficients
 
 PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may evaluate
 SAMPLE_TARGET = 50_000_000  # pairs evaluated by the sampled continuation
-DEFAULT_SEED = 1729
+DEFAULT_SEED = 1729  # the only seed of the sampled walk's draws
 _BATCH = 512  # offsets drawn per batch of the sampled walk
 _MAX_BATCHES = 64
 _TABLE_ROWS = 262_144  # offsets per chunk of the offset table; a dispatcher keeps no more
@@ -60,7 +61,6 @@ class SupOutcome:
     witness: dict | None
     examined: int
     mode: str  # "exhaustive" | "sampled"
-    seed: int | None
 
 
 def plength_steps(d: tuple[int, ...], j: int, h_x: tuple[float, ...], h_t: float) -> float:
@@ -307,11 +307,11 @@ class _Best:
             self.q, self.key, self.off, self.where = q, key, off, where
 
 
-def _sup(prob: _Problem, seed: int | None, limit: int | None, empty: str) -> SupOutcome:
+def _sup(prob: _Problem, limit: int | None, empty: str) -> SupOutcome:
     """The nearest-neighbour sweep, then one walk: the certified table best
     bound first, stopping at the first bound below the running best (exact);
     once it has evaluated ``limit`` pairs (``None``: never), or when there is
-    no table, seeded offsets until ``SAMPLE_TARGET`` more pairs have been
+    no table, sampled offsets until ``SAMPLE_TARGET`` more pairs have been
     evaluated.  Seeing every admissible offset makes any walk exact."""
     nearest = prob.nearest_offsets()
     if not nearest:
@@ -342,10 +342,10 @@ def _sup(prob: _Problem, seed: int | None, limit: int | None, empty: str) -> Sup
         ((tuple(int(v) for v in row), bound) for row, bound in zip(*table)),
         math.inf if limit is None else limit)
     if not exact:
-        walk(((off, math.inf) for off in _sampled_offsets(prob, seed)), examined + SAMPLE_TARGET)
+        walk(((off, math.inf) for off in _sampled_offsets(prob)), examined + SAMPLE_TARGET)
         exact = len(seen) == prob.count
     return SupOutcome(best.q, prob.witness(best.off, best.where), examined,
-                      "exhaustive" if exact else "sampled", None if exact else seed)
+                      "exhaustive" if exact else "sampled")
 
 
 # -- exhaustive engines ---------------------------------------------------------
@@ -362,8 +362,8 @@ def pair_quotient_sup_exhaustive(
     """Max of the k-th difference quotient over same-time ("space") or
     same-place ("time") displacements."""
     prob = _Problem(w, h_x, h_t, exponent, k, axes, axes == "time")
-    return _sup(prob, None, None, f"no admissible displacement of order {k} along {axes} on "
-                                  f"grid {tuple(n - 1 for n in w.shape)}")
+    return _sup(prob, None, f"no admissible displacement of order {k} along {axes} on "
+                            f"grid {tuple(n - 1 for n in w.shape)}")
 
 
 def _kdiff_empty(values: np.ndarray, k: int) -> str:
@@ -380,7 +380,7 @@ def kdiff_quotient_sup_exhaustive(
     allow_time: bool,
 ) -> SupOutcome:
     prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time)
-    return _sup(prob, None, None, _kdiff_empty(values, k))
+    return _sup(prob, None, _kdiff_empty(values, k))
 
 
 # -- sampled offsets ---------------------------------------------------------------
@@ -396,8 +396,9 @@ def _unit_directions(rng: np.random.Generator, count: int, n_dim: int) -> np.nda
     return d / norms[:, None]
 
 
-def _sampled_offsets(prob: _Problem, seed: int):
-    """Seeded admissible offsets ``(d, j)``; a batch may repeat earlier ones.
+def _sampled_offsets(prob: _Problem):
+    """Admissible offsets ``(d, j)`` drawn from ``DEFAULT_SEED``; a batch may
+    repeat earlier ones.
 
     Each row draws a separation scale ``lam`` from a power-of-two bucket
     between the smallest step and the largest admissible separation, then a
@@ -407,7 +408,7 @@ def _sampled_offsets(prob: _Problem, seed: int):
     canonical half-space; rows that are zero or outside the admissible box
     are dropped, and so are repeats within a batch.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     h_x, h_t, n_dim = np.asarray(prob.h_x), prob.h_t, len(prob.limits)
     joint = prob.kind == "kdiff" and prob.j_hi > 0
     box = np.asarray(prob.limits + (prob.j_hi,))
@@ -444,14 +445,13 @@ def pair_quotient_sup(
     h_t: float,
     exponent: float,
     axes: str,
-    seed: int = DEFAULT_SEED,
 ) -> SupOutcome:
     """First-difference quotient supremum over space or time pairs."""
     prob = _Problem(w, h_x, h_t, exponent, 1, axes, axes == "time")
     empty = ("time-pair seminorm needs at least two time levels" if axes == "time" else
              f"no admissible displacement of order 1 along space on grid "
              f"{tuple(n - 1 for n in w.shape)}")
-    return _sup(prob, seed, PAIR_LIMIT, empty)
+    return _sup(prob, PAIR_LIMIT, empty)
 
 
 def kdiff_quotient_sup(
@@ -461,11 +461,10 @@ def kdiff_quotient_sup(
     exponent: float,
     k: int,
     allow_time: bool,
-    seed: int = DEFAULT_SEED,
 ) -> SupOutcome:
     """Joint space-time k-th difference quotient supremum."""
     prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time)
-    return _sup(prob, seed, PAIR_LIMIT, _kdiff_empty(values, k))
+    return _sup(prob, PAIR_LIMIT, _kdiff_empty(values, k))
 
 
 def kdiff_time_quotient_sup(
@@ -474,9 +473,8 @@ def kdiff_time_quotient_sup(
     h_t: float,
     exponent: float,
     k: int,
-    seed: int = DEFAULT_SEED,
 ) -> SupOutcome:
     """Pure-time k-th difference quotient supremum (split-form time part)."""
     prob = _Problem(values, h_x, h_t, exponent, k, "time", True)
-    return _sup(prob, seed, PAIR_LIMIT,
+    return _sup(prob, PAIR_LIMIT,
                 f"no admissible pure-time shift of order {k}: need at least {k} time steps")

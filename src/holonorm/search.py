@@ -25,7 +25,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .grid import Domain, GridFunction, make_grid_function
-from .interp import CheckReport, InterpSpec, check
+from .interp import InterpSpec, check
 from .pairs import DEFAULT_SEED
 
 AMPLITUDE_TOL = 1e-12
@@ -43,7 +43,6 @@ class Family:
     decay_range: tuple[float, float] = (0.0, 4.0)
     width_range: tuple[float, float] = (0.05, 0.5)
     gamma_range: tuple[float, float] = (0.5, 1.5)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("trig", "bump", "rough"):
@@ -181,16 +180,14 @@ def build_candidate(
 
 
 def _evaluate(
-    source: str, spec: InterpSpec, domain: Domain, resolution: int, time_resolution: int,
-    seed: int,
-) -> tuple[float | None, CheckReport]:
+    source: str, spec: InterpSpec, domain: Domain, resolution: int, time_resolution: int
+) -> float | None:
+    """The candidate's ratio, or ``None`` when the check forms none."""
     u = build_candidate(source, spec, domain, resolution, time_resolution)
     if float(np.max(np.abs(u.values))) <= AMPLITUDE_TOL:
-        return None, None  # degenerate: effectively the zero function
-    report = check(spec, u, seed=seed)
-    if report.status != "ok":
-        return None, report
-    return report.ratio, report
+        return None  # degenerate: effectively the zero function
+    report = check(spec, u)
+    return report.ratio if report.status == "ok" else None
 
 
 def random_search(
@@ -201,7 +198,6 @@ def random_search(
     domain: Domain | None = None,
     resolution: int = 64,
     time_resolution: int | None = None,
-    check_seed: int = DEFAULT_SEED,
 ) -> SearchResult:
     """Evaluate ``budget`` sampled family members and keep the best ratio.
 
@@ -214,7 +210,7 @@ def random_search(
         raise ValueError(f"budget must be >= 1, got {budget}")
     domain = domain or _default_domain(spec)
     time_resolution = resolution if time_resolution is None else time_resolution
-    rng = np.random.default_rng(seed if family.seed is None else [seed, family.seed])
+    rng = np.random.default_rng(seed)
     pspec = family.param_spec(spec, domain)
 
     def draw() -> dict[str, float]:
@@ -230,7 +226,7 @@ def random_search(
     while done < budget:
         params = draw()
         source = family.expression(params, spec, domain)
-        ratio, _ = _evaluate(source, spec, domain, resolution, time_resolution, check_seed)
+        ratio = _evaluate(source, spec, domain, resolution, time_resolution)
         evaluations += 1
         if ratio is None:
             failures += 1
@@ -265,7 +261,7 @@ def random_search(
                 "upper": list(domain.space_upper),
                 "T": domain.time_horizon,
             },
-            "check_seed": check_seed,
+            "check_seed": DEFAULT_SEED,  # the sampled suprema's seed, fixed in pairs
         },
     )
 
@@ -295,7 +291,6 @@ def refine_search(
     domain = start.domain
     resolution = res["resolution"]
     time_resolution = res["time_resolution"]
-    check_seed = res.get("check_seed", DEFAULT_SEED)
     pspec = family.param_spec(spec, domain)
     names = [name for name, _, _ in pspec]
     bounds = {name: (lo, hi) for name, lo, hi in pspec}
@@ -315,7 +310,7 @@ def refine_search(
             np.clip(best_params[name] + rng.normal(0.0, step_scale * (hi - lo)), lo, hi)
         )
         source = family.expression(proposal, spec, domain)
-        ratio, _ = _evaluate(source, spec, domain, resolution, time_resolution, check_seed)
+        ratio = _evaluate(source, spec, domain, resolution, time_resolution)
         evaluations += 1
         if ratio is not None and ratio > best_ratio:
             best_ratio = ratio

@@ -159,8 +159,8 @@ class TestCheckCommand:
 
         real_check = cli_mod.check
 
-        def fake_check(spec, u, seed=0):
-            rep = real_check(spec, u, seed=seed)
+        def fake_check(spec, u):
+            rep = real_check(spec, u)
             rep.status = "violation"
             return rep
 
@@ -169,6 +169,36 @@ class TestCheckCommand:
                 ["check", "--variant", "2.3.1", "--dim", "1", "--l2", "1.5",
                  "--p", "2", "--expr", "sin(x1)*exp(-t)", "--T", "1", "--res", "8"])
         assert code == 1
+
+
+ZERO_FLAGS = {
+    "norm-dim": ["norm", "--expr", "x1", "--dim", "0", "--res", "8", "--kind", "sup"],
+    "check-dim": ["check", "--variant", "2.3.1", "--dim", "0", "--l2", "1.5", "--p", "2",
+                  "--expr", "x1*exp(-t)", "--T", "1", "--res", "8"],
+    "norm-tres": ["norm", "--expr", "x1*t", "--T", "1", "--res", "8", "--tres", "0",
+                  "--kind", "sup"],
+    "search-budget": ["search", "--variant", "2.11", "--dim", "1", "--l2", "1.5", "--p", "2",
+                      "--budget", "0", "--res", "8"],
+    "norm-lt": ["norm", "--expr", "x1*t", "--T", "1", "--res", "8", "--kind", "dq",
+                "--form", "split", "--k", "2", "--l", "1.5", "--lt", "0"],
+}
+
+
+@pytest.mark.parametrize("args", list(ZERO_FLAGS.values()), ids=list(ZERO_FLAGS))
+def test_flag_set_to_zero_is_validated_not_dropped(args, capsys):
+    # a 0 is a value: it reaches the validation and fails there, rather
+    # than being replaced by the default while the echoed config shows 0
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["norm", "check"])
+def test_seed_flag_is_for_search_only(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--expr", "x1", "--res", "8", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 class TestSearchCommand:

@@ -377,5 +377,42 @@ def test_benchmark_sup_terms_are_exact(n, source, steps, l2, variant, high, rati
     u = sample_expr(source, n, steps)
     rep = check(InterpSpec(variant=variant, l2=l2, p=2.0, N=n), u)
     term = rep.norms["high"]
-    assert (term["sampling"]["mode"], term["sampling"]["seed"]) == ("exhaustive", None)
+    assert term["sampling"] == {"mode": "exhaustive"}
     assert (term["value"], rep.ratio) == (high, ratio)
+
+
+def test_check_seed_has_no_effect(monkeypatch):
+    # interp.check keeps a seed keyword for old callers; the sampled walk's
+    # draws are fixed in pairs, so no value of it changes the report
+    import holonorm.pairs as pairs_mod
+    monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
+    monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 2000)
+    u = sample_expr("abs(x1-0.3)^0.7*exp(-t)+0.2*sin(5*x1)", steps=24)
+    spec = InterpSpec(variant="2.3.1", l2=0.5, p=2.0, N=1)
+    reports = [check(spec, u, seed=s).to_json_dict() for s in (None, 0, 7, 1729)]
+    assert reports[0]["norms"]["high"]["sampling"] == {"mode": "sampled"}
+    assert all(rep == reports[0] for rep in reports[1:])
+
+
+def test_only_the_search_and_check_take_a_seed():
+    # the search draws from its own seed, and check keeps a no-op one; no
+    # other public callable or supremum engine takes a seed of any name
+    import inspect
+
+    import holonorm
+    import holonorm.pairs as pairs_mod
+    allowed = {"check", "random_search", "refine_search",
+               "SearchResult"}  # records the search's own seed
+    callables = {name: getattr(holonorm, name) for name in holonorm.__all__}
+    callables.update((name, getattr(pairs_mod, name)) for name in (
+        "SupOutcome", "pair_quotient_sup", "kdiff_quotient_sup", "kdiff_time_quotient_sup",
+        "pair_quotient_sup_exhaustive", "kdiff_quotient_sup_exhaustive"))
+    seeded = set()
+    for name, obj in callables.items():
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # not callable, or no signature to read
+            continue
+        if any("seed" in p for p in params):
+            seeded.add(name)
+    assert seeded == allowed

@@ -54,7 +54,7 @@ class TestRandomSearch:
         res = random_search(SPEC_231, Family(kind="trig"), budget=10, seed=3, resolution=16)
         domain = Domain((0.0,), (1.0,), 1.0)
         u = build_candidate(res.best_expression, SPEC_231, domain, 16, 16)
-        rep = check(SPEC_231, u, seed=res.resolution["check_seed"])
+        rep = check(SPEC_231, u)
         assert rep.ratio == pytest.approx(res.best_ratio, rel=1e-10)
 
     def test_trig_budget_500_beats_constant_ratio(self):
@@ -108,5 +108,5 @@ class TestRefineSearch:
         out = refine_search(start, fam, steps=25, seed=11)
         domain = Domain((0.0,), (1.0,), 1.0)
         u = build_candidate(out.best_expression, SPEC_231, domain, 16, 16)
-        rep = check(SPEC_231, u, seed=out.resolution["check_seed"])
+        rep = check(SPEC_231, u)
         assert rep.ratio == pytest.approx(out.best_ratio, rel=1e-10)
