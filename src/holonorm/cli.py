@@ -146,13 +146,18 @@ def _build_input(cfg: dict) -> GridFunction:
 
 
 def _resolved(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge the config file (if any) with flags; flags win."""
+    """Merge the config file (if any) with flags; flags win.  A config key
+    outside ``keys`` would be echoed without effect, so it is an error."""
     cfg = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise InputError("config file must hold a JSON object")
+        unknown = [key for key in loaded if key not in keys]
+        if unknown:
+            raise InputError(f"config key {unknown[0]!r} is not read by {args.command}; "
+                             f"it reads {', '.join(keys)}")
         cfg.update(loaded)
     for key in keys:
         val = getattr(args, key.replace("-", "_"), None)

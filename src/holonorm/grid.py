@@ -157,10 +157,11 @@ class GridFunction:
 
     ``values`` has shape ``(*spatial_points, time_points)``; the elliptic case
     keeps a single time level.  Node coordinates come from per-axis linspace
-    arrays, so box endpoints are hit exactly.
+    arrays, so box endpoints are hit exactly.  ``_memo`` keeps what
+    :mod:`holonorm.norms` computed on this grid; each new grid starts empty.
     """
 
-    __slots__ = ("domain", "spatial_steps", "time_steps", "values", "_axes", "_taxis")
+    __slots__ = ("domain", "spatial_steps", "time_steps", "values", "_axes", "_taxis", "_memo")
 
     def __init__(self, domain: Domain, spatial_steps: Sequence[int], time_steps: int, values):
         spatial_steps, time_steps, shape = _lattice_shape(domain, spatial_steps, time_steps)
@@ -177,6 +178,7 @@ class GridFunction:
         self.time_steps = time_steps
         self.values = vals
         self._axes, self._taxis = _lattice_axes(domain, spatial_steps, time_steps)
+        self._memo = {}
 
     # -- geometry ----------------------------------------------------------
 

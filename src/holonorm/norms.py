@@ -7,10 +7,16 @@ apply the first-derivative operator repeatedly.  Pair suprema delegate to
 exact value, and samples offsets only once that walk exceeds its pair
 budget.  Every report records what was examined, how, and a witness that
 re-evaluates to the reported value.
+
+Each supremum and Lebesgue norm is computed once per grid and kept in the
+grid's memo; every call gets its own copy, and ``pairs_examined`` counts the
+pairs evaluated to obtain the value, repeated call or not.  The suprema of
+one derivative field share its moduli store, which changes no outcome.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -124,6 +130,23 @@ def _report_from_outcome(kind, out: SupOutcome, index, params) -> NormReport:
                       params)
 
 
+def _once(fn, u: GridFunction, *args):
+    """``fn(u, *args)``, computed once per grid and arguments and kept in the
+    grid's memo; each call gets its own deep copy, so that no two reports
+    share a witness, params or breakdown."""
+    key = (fn.__name__,) + args
+    if key not in u._memo:
+        u._memo[key] = fn(u, *args)
+    return copy.deepcopy(u._memo[key])
+
+
+def _field_sup(u: GridFunction, beta: tuple[int, ...], l_t: int, engine: str, *args) -> SupOutcome:
+    """``pairs.<engine>(w, h_x, h_t, *args)`` on the field ``w = D_t^l_t D_x^beta u``,
+    with the moduli store that every supremum of that field on ``u`` shares."""
+    store = u._memo.setdefault(("moduli", beta, l_t), {})
+    return getattr(pairs, engine)(derivative_field(u, beta, l_t), u.h_x, u.h_t, *args, store)
+
+
 # -- discrete derivatives --------------------------------------------------------
 
 
@@ -219,7 +242,10 @@ def _slice_lp(u: GridFunction, j: int, p: float) -> float:
 def lp_norm(u: GridFunction, p: float) -> NormReport:
     """Tensor-trapezoidal ``(integral of |u|^p)^(1/p)`` over the box (and over
     time as well when the time horizon is positive)."""
-    p = _lebesgue_exponent(p)
+    return _once(_lp_norm, u, _lebesgue_exponent(p))
+
+
+def _lp_norm(u: GridFunction, p: float) -> NormReport:
     if u.is_elliptic:
         value = _slice_lp(u, 0, p)
     else:
@@ -233,6 +259,10 @@ def sup_t_lp_norm(u: GridFunction, p: float) -> NormReport:
     p = _lebesgue_exponent(p)
     if u.is_elliptic:
         raise ValueError("sup-in-time norm needs a positive time horizon")
+    return _once(_sup_t_lp_norm, u, p)
+
+
+def _sup_t_lp_norm(u: GridFunction, p: float) -> NormReport:
     best, best_j = -math.inf, 0
     for j in range(u.n_time):
         v = _slice_lp(u, j, p)
@@ -279,8 +309,7 @@ def _pair_seminorm(u: GridFunction, axes: str, name: str, exponent: float, beta,
                    l_t: int) -> NormReport:
     """Pair supremum of the requested derivative field along ``axes``."""
     beta = tuple(beta.beta if isinstance(beta, MultiIndex) else (beta or (0,) * u.N))
-    w = derivative_field(u, beta, l_t)
-    out = pairs.pair_quotient_sup(w, u.h_x, u.h_t, exponent, axes)
+    out = _once(_field_sup, u, beta, l_t, "pair_quotient_sup", exponent, axes)
     params = {name: exponent, "beta": list(beta), "l_t": l_t}
     return _report_from_outcome(f"holder_{axes}", out, exponent, params)
 
@@ -427,18 +456,17 @@ def diff_quotient_seminorm(
     if form not in ("joint", "split"):
         raise ValueError(f"form must be 'joint' or 'split', got {form!r}")
 
+    field = ((0,) * u.N, 0)  # u itself
     if form == "joint":
-        out = pairs.kdiff_quotient_sup(
-            u.values, u.h_x, u.h_t, idx.l, spec.k, allow_time=not u.is_elliptic
-        )
+        out = _once(_field_sup, u, *field, "kdiff_quotient_sup", idx.l, spec.k, not u.is_elliptic)
         params = {"l": idx.l, "k": spec.k, "form": "joint"}
         return _report_from_outcome("diff_quotient", out, idx.l, params)
 
     if u.is_elliptic:
         raise ValueError("split form needs a positive time horizon; "
                          "use the joint form on purely spatial grids")
-    out_x = pairs.kdiff_quotient_sup(u.values, u.h_x, u.h_t, idx.l, spec.k, allow_time=False)
-    out_t = pairs.kdiff_time_quotient_sup(u.values, u.h_x, u.h_t, idx.l / 2.0, spec.l_t)
+    out_x = _once(_field_sup, u, *field, "kdiff_quotient_sup", idx.l, spec.k, False)
+    out_t = _once(_field_sup, u, *field, "kdiff_time_quotient_sup", idx.l / 2.0, spec.l_t)
     value = out_x.value + out_t.value
     examined = out_x.examined + out_t.examined
     return NormReport(

@@ -15,6 +15,8 @@ length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
    included): a staircase path from ``y`` to ``y + H`` stays in the box, and
    ``Delta^k = Delta^(k-1) Delta``, so no quotient at ``H`` exceeds
    ``min(amp, 2^(k-1) (sum_a omega_a(|d_a|) + omega_t(j))) / sep^e``.
+   The moduli depend on the values alone, so the dispatchers take a
+   caller-owned ``store`` of them that the suprema of one field share.
 4. The offsets whose bound reaches the seed are walked best bound first, and
    the walk stops at the first bound below the running best: every offset
    skipped is certified to lie below it, so the value is exact (mode
@@ -28,6 +30,7 @@ length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
    (mode ``"sampled"``, a lower bound; the draws come from the fixed
    ``DEFAULT_SEED``, so the same input always gives the same outcome).  A walk
    that has seen every admissible offset is exact, whichever way it got there.
+   ``examined`` counts the pairs the walk evaluated, store or not.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -128,6 +131,7 @@ class _Problem:
     k: int
     kind: str  # "space" | "time" | "kdiff"
     allow_time: bool
+    store: dict | None = None  # moduli already computed from ``values``, see ``moduli``
 
     def __post_init__(self):
         n_sp, n_t = self.values.shape[:-1], self.values.shape[-1]
@@ -173,17 +177,22 @@ class _Problem:
 
     def moduli(self, reach: tuple[int, ...]) -> list[np.ndarray]:
         """``omega_a(s) = max |w(y + s e_a) - w(y)|`` for ``s = 0..reach_a``,
-        one array per axis, time last."""
+        one array per axis, time last; only those not yet in ``store``
+        (axis -> omega of these values) are computed, and kept there."""
+        store = {} if self.store is None else self.store
         out = []
         for axis, top in enumerate(reach):
-            omega = np.zeros(top + 1)
-            if top:
+            omega = store.get(axis, np.zeros(1))
+            if top >= len(omega):
+                have, omega = omega, np.zeros(top + 1)
+                omega[:len(have)] = have
                 v = np.ascontiguousarray(np.moveaxis(self.values, axis, 0))
                 diff = np.empty_like(v)
-                for s in range(1, top + 1):
+                for s in range(len(have), top + 1):
                     d = np.subtract(v[s:], v[:-s], out=diff[s:])
                     omega[s] = np.abs(d, out=d).max()
-            out.append(omega)
+                store[axis] = omega
+            out.append(omega[:top + 1])
         return out
 
     def staircase(self, off: np.ndarray, moduli: list[np.ndarray]) -> np.ndarray:
@@ -445,9 +454,10 @@ def pair_quotient_sup(
     h_t: float,
     exponent: float,
     axes: str,
+    store: dict | None = None,
 ) -> SupOutcome:
     """First-difference quotient supremum over space or time pairs."""
-    prob = _Problem(w, h_x, h_t, exponent, 1, axes, axes == "time")
+    prob = _Problem(w, h_x, h_t, exponent, 1, axes, axes == "time", store)
     empty = ("time-pair seminorm needs at least two time levels" if axes == "time" else
              f"no admissible displacement of order 1 along space on grid "
              f"{tuple(n - 1 for n in w.shape)}")
@@ -461,9 +471,10 @@ def kdiff_quotient_sup(
     exponent: float,
     k: int,
     allow_time: bool,
+    store: dict | None = None,
 ) -> SupOutcome:
     """Joint space-time k-th difference quotient supremum."""
-    prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time)
+    prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time, store)
     return _sup(prob, PAIR_LIMIT, _kdiff_empty(values, k))
 
 
@@ -473,8 +484,9 @@ def kdiff_time_quotient_sup(
     h_t: float,
     exponent: float,
     k: int,
+    store: dict | None = None,
 ) -> SupOutcome:
     """Pure-time k-th difference quotient supremum (split-form time part)."""
-    prob = _Problem(values, h_x, h_t, exponent, k, "time", True)
+    prob = _Problem(values, h_x, h_t, exponent, k, "time", True, store)
     return _sup(prob, PAIR_LIMIT,
                 f"no admissible pure-time shift of order {k}: need at least {k} time steps")

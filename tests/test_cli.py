@@ -268,6 +268,25 @@ class TestConfigFile:
         code, _, err = run_cli(["norm", "--config", str(cfg), "--kind", "sup"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["seed", "budjet"])
+    def test_key_the_command_does_not_read_exit_2(self, key, capsys, tmp_path):
+        # a stale "seed" (check no longer takes one) or a misspelt key would
+        # otherwise be echoed under "config" as if it had been applied
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "variant": "2.3.1", "expr": "sin(x1)*exp(-t)", "dim": 1, "box": "0,1",
+            "T": 1.0, "res": "16", "l2": 0.5, "p": 2.0, key: 7}))
+        code, out, err = run_cli(["check", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+        # the same file without the key runs
+        cfg.write_text(json.dumps({k: v for k, v in json.loads(cfg.read_text()).items()
+                                   if k != key}))
+        code, out, _ = run_cli(["check", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert key not in json.loads(out)["config"]
+
 
 class TestEntryPoint:
     def test_module_invocation(self):

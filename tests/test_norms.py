@@ -504,9 +504,11 @@ class TestSampledMode:
         assert rep.pairs_examined >= pairs_mod.SAMPLE_TARGET
 
     def test_two_calls_give_equal_reports(self, monkeypatch):
+        # the second call runs on a fresh grid, so it samples again rather
+        # than reading the first grid's memo
         u = self._force_sampled(monkeypatch)
         a = diff_quotient_seminorm(u, 1.5)
-        b = diff_quotient_seminorm(u, 1.5)
+        b = diff_quotient_seminorm(u.with_values(u.values), 1.5)
         assert a.sampling.mode == "sampled"
         assert a.to_json_dict() == b.to_json_dict()
 
@@ -521,13 +523,17 @@ class TestSampledMode:
         # the sampled sup can only miss pairs, never exceed the exhaustive sup
         import holonorm.pairs as pairs_mod
         u = _random_parabolic(21, steps=24, tsteps=24)
-        exact = diff_quotient_seminorm(u, 1.5).value
+        exact = diff_quotient_seminorm(u, 1.5)
+        assert exact.sampling.mode == "exhaustive"
         old = pairs_mod.PAIR_LIMIT
         pairs_mod.PAIR_LIMIT = 1
         try:
-            approx = diff_quotient_seminorm(u, 1.5).value
+            # a fresh grid: u's memo holds the exact report
+            sampled = diff_quotient_seminorm(u.with_values(u.values), 1.5)
         finally:
             pairs_mod.PAIR_LIMIT = old
+        assert sampled.sampling.mode == "sampled"
+        approx, exact = sampled.value, exact.value
         assert approx <= exact * (1 + 1e-13)
         assert approx >= 0.5 * exact  # stratified sampling lands in the ballpark
 
@@ -537,12 +543,14 @@ class TestSampledMode:
                    T=1.0, steps=20)
         exact_space = holder_seminorm_space(u, 0.5).value
         exact_time = holder_seminorm_time(u, 0.5).value
-        # no exact walk, and too few sampled pairs to see all 20 offsets
+        # no exact walk, and too few sampled pairs to see all 20 offsets; the
+        # sampled calls run on fresh grids, as u's memo holds the exact ones
         monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
         monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 2000)
-        s1 = holder_seminorm_space(u, 0.5)
-        s2 = holder_seminorm_space(u, 0.5)
-        t1 = holder_seminorm_time(u, 0.5)
+        v = u.with_values(u.values)
+        s1 = holder_seminorm_space(v, 0.5)
+        s2 = holder_seminorm_space(u.with_values(u.values), 0.5)
+        t1 = holder_seminorm_time(v, 0.5)
         assert s1.sampling.mode == t1.sampling.mode == "sampled"
         assert s1.value == s2.value and s1.witness == s2.witness
         assert s1.value <= exact_space * (1 + 1e-13)
@@ -565,10 +573,11 @@ class TestSampledMode:
         import holonorm.pairs as pairs_mod
         u = sample(lambda x, t: np.sin(7 * x[0] + 0.5) + x[0] ** 2, steps=40)
         exact = holder_seminorm_space(u, 0.5).value
-        # no exact walk, and too few sampled pairs to see all 40 offsets
+        # no exact walk, and too few sampled pairs to see all 40 offsets; a
+        # fresh grid, as u's memo holds the exact report
         monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
         monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 200)
-        rep = holder_seminorm_space(u, 0.5)
+        rep = holder_seminorm_space(u.with_values(u.values), 0.5)
         assert rep.sampling.mode == "sampled"
         assert rep.value <= exact * (1 + 1e-13)
         assert rep.value >= 0.8 * exact

@@ -132,6 +132,27 @@ def test_pruned_engines_equal_brute_force(grid, k, exponent, sampled):
                 _check(engine, expect, values, kind, e, k, h_x, h_t, sampled and i > 0)
 
 
+@given(grid=grids(), kind=st.sampled_from(["space", "time", "kdiff"]),
+       reaches=st.lists(st.integers(0, 8), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches):
+    # a store filled by earlier calls, with smaller, larger or equal reaches,
+    # gives bit for bit the moduli of a single pass without one
+    values, h_x, h_t = grid
+    if kind == "time" and not h_t:
+        return
+    store, tops = {}, [0] * values.ndim
+    for r in reaches:
+        grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, True, store)
+        reach = tuple(min(r, m) for m in grown.limits) + (min(r, grown.j_hi),)
+        alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, True).moduli(reach)
+        got = grown.moduli(reach)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
+        tops = [max(t, s) for t, s in zip(tops, reach)]
+    # the store holds the separations asked for so far, and no more
+    assert {a: len(o) for a, o in store.items()} == {a: t + 1 for a, t in enumerate(tops) if t}
+
+
 def test_ties_go_to_first_offset_in_enumeration_order():
     # Integer values and equal spacings make many quotients equal, also
     # across offsets of equal separation.  The witness is the first maximal
@@ -191,7 +212,8 @@ def test_large_certified_work_still_samples(source, l, k, monkeypatch):
     assert exact.value == pairs.kdiff_quotient_sup_exhaustive(
         u.values, u.h_x, u.h_t, l, k, True).value
     monkeypatch.setattr(pairs, "PAIR_LIMIT", 1)
-    rep = diff_quotient_seminorm(u, l, spec=spec)
+    # a fresh grid with the same values: u's memo holds the exact report
+    rep = diff_quotient_seminorm(u.with_values(u.values), l, spec=spec)
     assert rep.sampling.mode == "sampled"
     assert rep.value <= exact.value
 
