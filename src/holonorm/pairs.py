@@ -236,9 +236,15 @@ class _Problem:
         offset's slab."""
         lows, highs = _base_slices(off, self.values.shape, self.k)
         arr = _kdiff_slab(self.values, lows, highs, off, self.k, self.coeffs)
-        at = int(arr.argmax())
+        flat = arr.reshape(-1)
+        at = int(flat.argmax())
         denom = _separation(self.kind, off[:-1], off[-1], self.h_x, self.h_t) ** self.exponent
-        return float(arr.flat[at]) / denom, (at, arr.shape, lows), arr.size
+        q = float(flat[at]) / denom
+        # a smaller difference earlier in the slab may round to the same
+        # quotient; the witness is the first base that attains it
+        if at and float(flat[:at].max()) / denom == q:
+            at = int(np.argmax(flat[:at] / denom == q))
+        return q, (at, arr.shape, lows), arr.size
 
     def witness(self, off: tuple[int, ...], where) -> dict:
         at, shape, lows = where

@@ -176,6 +176,19 @@ def test_ties_go_to_first_offset_in_enumeration_order():
         assert first == (out.witness["base"], out.witness["steps"], out.witness["time_step"])
 
 
+def test_ties_made_by_rounding_go_to_first_base():
+    # |w(1) - w(0)| is one ulp below |w(3) - w(2)|, and dividing by
+    # 0.5^0.9 rounds both to the same quotient: the witness is base 0
+    values = _profile_values("cusp", (4, 3), 0)
+    near, far = abs(values[1, 1] - values[0, 1]), abs(values[3, 1] - values[2, 1])
+    assert near < far and near / 0.5 ** 0.9 == far / 0.5 ** 0.9
+    expect = oracles.kdiff_argsup_loops(values, (0.5,), 0.5, 0.9, 1, "space")
+    assert expect[1] == ([0, 1], [1], 0)
+    for out in (pairs.pair_quotient_sup_exhaustive(values, (0.5,), 0.5, 0.9, "space", 1),
+                pairs.pair_quotient_sup(values, (0.5,), 0.5, 0.9, "space")):
+        assert (out.value, out.witness["b"], out.witness["a"]) == (expect[0], [0, 1], [1, 1])
+
+
 def test_res32_2d_space_pairs_are_exact():
     f = as_grid_callable(parse("sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)", 2))
     u = make_grid_function(Domain((0.0, 0.0), (1.0, 1.0), 1.0), 32, 32, f)
