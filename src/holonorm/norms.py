@@ -8,7 +8,7 @@ exact value, and samples offsets only once that walk exceeds its pair
 budget.  Every report records what was examined, how, and a witness that
 re-evaluates to the reported value.
 
-Each supremum and Lebesgue norm is computed once per grid and kept in the
+Each pair supremum is computed once per grid and engine and kept in the
 grid's memo; every call gets its own copy, and ``pairs_examined`` counts the
 pairs evaluated to obtain the value, repeated call or not.  The suprema of
 one derivative field share its moduli store, which changes no outcome.
@@ -140,11 +140,12 @@ def _once(fn, u: GridFunction, *args):
     return copy.deepcopy(u._memo[key])
 
 
-def _field_sup(u: GridFunction, beta: tuple[int, ...], l_t: int, engine: str, *args) -> SupOutcome:
-    """``pairs.<engine>(w, h_x, h_t, *args)`` on the field ``w = D_t^l_t D_x^beta u``,
-    with the moduli store that every supremum of that field on ``u`` shares."""
+def _field_sup(u: GridFunction, beta: tuple[int, ...], l_t: int, engine, *args) -> SupOutcome:
+    """``engine(w, h_x, h_t, *args)`` on the field ``w = D_t^l_t D_x^beta u``, with
+    the moduli store that every supremum of that field on ``u`` shares.  The
+    engine is part of the memo key, so a different engine computes afresh."""
     store = u._memo.setdefault(("moduli", beta, l_t), {})
-    return getattr(pairs, engine)(derivative_field(u, beta, l_t), u.h_x, u.h_t, *args, store)
+    return engine(derivative_field(u, beta, l_t), u.h_x, u.h_t, *args, store)
 
 
 # -- discrete derivatives --------------------------------------------------------
@@ -242,10 +243,7 @@ def _slice_lp(u: GridFunction, j: int, p: float) -> float:
 def lp_norm(u: GridFunction, p: float) -> NormReport:
     """Tensor-trapezoidal ``(integral of |u|^p)^(1/p)`` over the box (and over
     time as well when the time horizon is positive)."""
-    return _once(_lp_norm, u, _lebesgue_exponent(p))
-
-
-def _lp_norm(u: GridFunction, p: float) -> NormReport:
+    p = _lebesgue_exponent(p)
     if u.is_elliptic:
         value = _slice_lp(u, 0, p)
     else:
@@ -259,10 +257,6 @@ def sup_t_lp_norm(u: GridFunction, p: float) -> NormReport:
     p = _lebesgue_exponent(p)
     if u.is_elliptic:
         raise ValueError("sup-in-time norm needs a positive time horizon")
-    return _once(_sup_t_lp_norm, u, p)
-
-
-def _sup_t_lp_norm(u: GridFunction, p: float) -> NormReport:
     best, best_j = -math.inf, 0
     for j in range(u.n_time):
         v = _slice_lp(u, j, p)
@@ -309,7 +303,7 @@ def _pair_seminorm(u: GridFunction, axes: str, name: str, exponent: float, beta,
                    l_t: int) -> NormReport:
     """Pair supremum of the requested derivative field along ``axes``."""
     beta = tuple(beta.beta if isinstance(beta, MultiIndex) else (beta or (0,) * u.N))
-    out = _once(_field_sup, u, beta, l_t, "pair_quotient_sup", exponent, axes)
+    out = _once(_field_sup, u, beta, l_t, pairs.pair_quotient_sup, exponent, axes)
     params = {name: exponent, "beta": list(beta), "l_t": l_t}
     return _report_from_outcome(f"holder_{axes}", out, exponent, params)
 
@@ -458,15 +452,17 @@ def diff_quotient_seminorm(
 
     field = ((0,) * u.N, 0)  # u itself
     if form == "joint":
-        out = _once(_field_sup, u, *field, "kdiff_quotient_sup", idx.l, spec.k, not u.is_elliptic)
+        out = _once(_field_sup, u, *field, pairs.kdiff_quotient_sup, idx.l, spec.k,
+                    not u.is_elliptic)
         params = {"l": idx.l, "k": spec.k, "form": "joint"}
         return _report_from_outcome("diff_quotient", out, idx.l, params)
 
     if u.is_elliptic:
         raise ValueError("split form needs a positive time horizon; "
                          "use the joint form on purely spatial grids")
-    out_x = _once(_field_sup, u, *field, "kdiff_quotient_sup", idx.l, spec.k, False)
-    out_t = _once(_field_sup, u, *field, "kdiff_time_quotient_sup", idx.l / 2.0, spec.l_t)
+    out_x = _once(_field_sup, u, *field, pairs.kdiff_quotient_sup, idx.l, spec.k, False)
+    out_t = _once(_field_sup, u, *field, pairs.kdiff_time_quotient_sup, idx.l / 2.0,
+                  spec.l_t)
     value = out_x.value + out_t.value
     examined = out_x.examined + out_t.examined
     return NormReport(

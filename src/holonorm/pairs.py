@@ -241,9 +241,11 @@ class _Problem:
         denom = _separation(self.kind, off[:-1], off[-1], self.h_x, self.h_t) ** self.exponent
         q = float(flat[at]) / denom
         # a smaller difference earlier in the slab may round to the same
-        # quotient; the witness is the first base that attains it
-        if at and float(flat[:at].max()) / denom == q:
-            at = int(np.argmax(flat[:at] / denom == q))
+        # quotient; the witness is the first base that attains it.  Division
+        # rounds monotonically, so no earlier base ties unless the next
+        # smaller float does.
+        if at and float(np.nextafter(flat[at], 0.0)) / denom == q:
+            at = int(np.argmax(flat[:at + 1] / denom == q))
         return q, (at, arr.shape, lows), arr.size
 
     def witness(self, off: tuple[int, ...], where) -> dict:

@@ -139,6 +139,36 @@ def test_each_supremum_runs_once_and_each_field_has_one_store(monkeypatch):
     assert sorted(stores[0]) == [0, 1]  # its space and time moduli
 
 
+def test_a_swapped_in_engine_computes_afresh_on_a_memoised_grid(monkeypatch):
+    # norms reaches the engines as pairs.<name> when it is called, so the
+    # exhaustive enumerators can stand in for them; the walk's outcomes kept
+    # in the memo must not answer for those stand-ins
+    u = grid("abs(x1-0.5)^0.6*exp(-t)+0.3*sin(7*x1)", 1, 24, False)
+    specs = [_spec_for(v, 1, 0.5, 0.75, 1.5) for v in PARABOLIC_VARIANTS]
+    walked = [check(spec, u).to_json_dict() for spec in specs]
+    calls = []
+
+    def pair_sup(w, h_x, h_t, exponent, axes, seed=None):
+        calls.append(axes)
+        return pairs.pair_quotient_sup_exhaustive(w, h_x, h_t, exponent, axes)
+
+    def kdiff_sup(values, h_x, h_t, exponent, k, allow_time, seed=None):
+        calls.append("kdiff")
+        return pairs.kdiff_quotient_sup_exhaustive(values, h_x, h_t, exponent, k, allow_time)
+
+    def kdiff_time_sup(values, h_x, h_t, exponent, k, seed=None):
+        calls.append("kdiff-time")
+        return pairs.pair_quotient_sup_exhaustive(values, h_x, h_t, exponent, "time", k)
+
+    monkeypatch.setattr(pairs, "pair_quotient_sup", pair_sup)
+    monkeypatch.setattr(pairs, "kdiff_quotient_sup", kdiff_sup)
+    monkeypatch.setattr(pairs, "kdiff_time_quotient_sup", kdiff_time_sup)
+    exact = [check(spec, u).to_json_dict() for spec in specs]
+    assert {"space", "time", "kdiff"} <= set(calls)
+    assert exact == [check(spec, fresh(u)).to_json_dict() for spec in specs]
+    assert [r["ratio"] for r in exact] == [r["ratio"] for r in walked]
+
+
 @pytest.mark.parametrize("source, n, steps, budget", [
     ("abs(x1-0.5)^0.6*exp(-t)+0.3*sin(7*x1)", 1, 48, None),
     ("sin(2*pi*x1)*exp(-t)+0.3*sin(9*x1+1)", 1, 64, None),
