@@ -16,9 +16,8 @@ one derivative field share its moduli store, which changes no outcome.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -130,22 +129,21 @@ def _report_from_outcome(kind, out: SupOutcome, index, params) -> NormReport:
                       params)
 
 
-def _once(fn, u: GridFunction, *args):
-    """``fn(u, *args)``, computed once per grid and arguments and kept in the
-    grid's memo; each call gets its own deep copy, so that no two reports
-    share a witness, params or breakdown."""
-    key = (fn.__name__,) + args
+def _field_sup(u: GridFunction, engine, beta: tuple[int, ...], l_t: int, *args) -> SupOutcome:
+    """``engine(w, h_x, h_t, *args)`` on the field ``w = D_t^l_t D_x^beta u``,
+    computed once per grid, engine and arguments and kept in the grid's memo
+    with the moduli store that every supremum of that field shares.  Keying
+    by the engine function lets an engine put in place of a ``pairs``
+    dispatcher compute afresh.  Each call gets its own copy of the witness
+    (numbers and flat lists of numbers), so no two reports share one."""
+    key = (engine, beta, l_t) + args
     if key not in u._memo:
-        u._memo[key] = fn(u, *args)
-    return copy.deepcopy(u._memo[key])
-
-
-def _field_sup(u: GridFunction, beta: tuple[int, ...], l_t: int, engine, *args) -> SupOutcome:
-    """``engine(w, h_x, h_t, *args)`` on the field ``w = D_t^l_t D_x^beta u``, with
-    the moduli store that every supremum of that field on ``u`` shares.  The
-    engine is part of the memo key, so a different engine computes afresh."""
-    store = u._memo.setdefault(("moduli", beta, l_t), {})
-    return engine(derivative_field(u, beta, l_t), u.h_x, u.h_t, *args, store)
+        store = u._memo.setdefault(("moduli", beta, l_t), {})
+        u._memo[key] = engine(derivative_field(u, beta, l_t), u.h_x, u.h_t, *args, store)
+    out = u._memo[key]
+    witness = None if out.witness is None else {
+        name: list(v) if isinstance(v, list) else v for name, v in out.witness.items()}
+    return replace(out, witness=witness)
 
 
 # -- discrete derivatives --------------------------------------------------------
@@ -303,7 +301,7 @@ def _pair_seminorm(u: GridFunction, axes: str, name: str, exponent: float, beta,
                    l_t: int) -> NormReport:
     """Pair supremum of the requested derivative field along ``axes``."""
     beta = tuple(beta.beta if isinstance(beta, MultiIndex) else (beta or (0,) * u.N))
-    out = _once(_field_sup, u, beta, l_t, pairs.pair_quotient_sup, exponent, axes)
+    out = _field_sup(u, pairs.pair_quotient_sup, beta, l_t, exponent, axes)
     params = {name: exponent, "beta": list(beta), "l_t": l_t}
     return _report_from_outcome(f"holder_{axes}", out, exponent, params)
 
@@ -450,19 +448,18 @@ def diff_quotient_seminorm(
     if form not in ("joint", "split"):
         raise ValueError(f"form must be 'joint' or 'split', got {form!r}")
 
-    field = ((0,) * u.N, 0)  # u itself
+    zero = (0,) * u.N  # the field is u itself
     if form == "joint":
-        out = _once(_field_sup, u, *field, pairs.kdiff_quotient_sup, idx.l, spec.k,
-                    not u.is_elliptic)
+        out = _field_sup(u, pairs.kdiff_quotient_sup, zero, 0, idx.l, spec.k,
+                         not u.is_elliptic)
         params = {"l": idx.l, "k": spec.k, "form": "joint"}
         return _report_from_outcome("diff_quotient", out, idx.l, params)
 
     if u.is_elliptic:
         raise ValueError("split form needs a positive time horizon; "
                          "use the joint form on purely spatial grids")
-    out_x = _once(_field_sup, u, *field, pairs.kdiff_quotient_sup, idx.l, spec.k, False)
-    out_t = _once(_field_sup, u, *field, pairs.kdiff_time_quotient_sup, idx.l / 2.0,
-                  spec.l_t)
+    out_x = _field_sup(u, pairs.kdiff_quotient_sup, zero, 0, idx.l, spec.k, False)
+    out_t = _field_sup(u, pairs.kdiff_time_quotient_sup, zero, 0, idx.l / 2.0, spec.l_t)
     value = out_x.value + out_t.value
     examined = out_x.examined + out_t.examined
     return NormReport(
