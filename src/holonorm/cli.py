@@ -139,6 +139,8 @@ def _build_input(cfg: dict) -> GridFunction:
     lows, highs = _parse_box(_opt(cfg, "box", "0,1"), n_dim)
     horizon = float(_opt(cfg, "T", 0.0))
     res = _parse_res(str(_opt(cfg, "res", 64)), n_dim)
+    if horizon <= 0 and cfg.get("tres") is not None:
+        raise InputError("--tres needs a positive --T; a grid with T = 0 has no time steps")
     tres = int(_opt(cfg, "tres", res[0])) if horizon > 0 else 0
     tree = expr_mod.parse(cfg["expr"], n_dim)
     return make_grid_function(Domain(lows, highs, horizon), res, tres,
@@ -243,12 +245,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     sweep = cfg.get("sweep")
     sweep = None if sweep is None else [int(r) for r in str(sweep).split(",")]
+    for key in ("res", "tres"):
+        if sweep and cfg.get(key) is not None:
+            raise InputError(f"--{key} has no effect with --sweep, which sets the steps "
+                             "of each grid")
     reports: list[CheckReport] = []
     if sweep:
         for res in sweep:
             sub = dict(cfg)
             sub["res"] = str(res)
-            sub.pop("tres", None)
             reports.append(check(spec, _build_input(sub)))
     else:
         reports.append(check(spec, _build_input(cfg)))
@@ -276,7 +281,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     spec = _spec_from_cfg(cfg)
     seed = int(_opt(cfg, "seed", 0))
     family = Family(kind=str(_opt(cfg, "family", "trig")))
-    resolution = int(str(_opt(cfg, "res", 64)).split(",")[0])
+    res = str(_opt(cfg, "res", 64))
+    if "," in res:
+        raise InputError(f"--res of search takes one number of steps for every axis, "
+                         f"got {res!r}")
+    resolution = int(res)
     tres = cfg.get("tres")
 
     result = random_search(

@@ -219,8 +219,8 @@ def check(spec: InterpSpec, u: GridFunction, seed: int | None = None) -> CheckRe
     """Evaluate one inequality on a grid function and report the ratio
     ``lhs / (high^omega * low^(1-omega))``.
 
-    ``seed`` is accepted for older callers and ignored: sampled suprema draw
-    from the fixed ``pairs.DEFAULT_SEED``, so no value changes the report.
+    ``seed`` is ignored: nothing in the computation draws random numbers.  It
+    is kept only because ``perfbench/workloads.py`` passes it.
     """
     _check_compatible(spec, u)
     omega = exponent(spec)

@@ -4,9 +4,10 @@ Derivatives are discretized with second-order central differences at interior
 nodes and one-sided second-order stencils in the boundary layer; higher orders
 apply the first-derivative operator repeatedly.  Pair suprema delegate to
 :mod:`holonorm.pairs`, which walks offsets best per-offset bound first to the
-exact value, and samples offsets only once that walk exceeds its pair
-budget.  Every report records what was examined, how, and a witness that
-re-evaluates to the reported value.
+exact value; past its pair budget a supremum reports a floor from the
+coarsened grid and a certified upper bound (mode ``interval``).  Every report
+records what was examined, how, and a witness that re-evaluates to the
+reported value.
 
 Each pair supremum is computed once per grid and engine and kept in the
 grid's memo; every call gets its own copy, and ``pairs_examined`` counts the
@@ -92,10 +93,13 @@ class DiffSeminormSpec:
 
 @dataclass(frozen=True)
 class SamplingInfo:
-    mode: str  # "exhaustive" | "sampled"
+    mode: str  # "exhaustive" | "interval"
+    upper: float | None = None  # a single supremum's certified bound, in mode "interval"
 
     def to_json_dict(self) -> dict:
-        return {"mode": self.mode}
+        if self.upper is None:
+            return {"mode": self.mode}
+        return {"mode": self.mode, "upper": self.upper}
 
 
 @dataclass
@@ -125,8 +129,8 @@ class NormReport:
 
 
 def _report_from_outcome(kind, out: SupOutcome, index, params) -> NormReport:
-    return NormReport(kind, out.value, index, out.examined, SamplingInfo(out.mode), out.witness,
-                      params)
+    return NormReport(kind, out.value, index, out.examined, SamplingInfo(out.mode, out.upper),
+                      out.witness, params)
 
 
 def _field_sup(u: GridFunction, engine, beta: tuple[int, ...], l_t: int, *args) -> SupOutcome:
@@ -363,9 +367,9 @@ def _seminorm_terms(u: GridFunction, idx: HoelderIndex, parabolic: bool):
 
 
 def _sampling_of(modes) -> SamplingInfo:
-    """Sampling info of a composite whose parts ran in ``modes``: sampled
-    when any part was."""
-    return SamplingInfo("sampled" if "sampled" in modes else "exhaustive")
+    """Sampling info of a composite whose parts ran in ``modes``: an
+    interval when any part is."""
+    return SamplingInfo("interval" if "interval" in modes else "exhaustive")
 
 
 def parabolic_seminorm_parts(u: GridFunction, l):
@@ -376,7 +380,7 @@ def parabolic_seminorm_parts(u: GridFunction, l):
     if u.is_elliptic:
         raise ValueError("parabolic seminorm needs a positive time horizon")
     space_sum, time_sum, breakdown, examined, modes = _seminorm_terms(u, idx, True)
-    return space_sum, time_sum, breakdown, examined, "sampled" in modes
+    return space_sum, time_sum, breakdown, examined, "interval" in modes
 
 
 def holder_norm(u: GridFunction, l) -> NormReport:

@@ -23,14 +23,15 @@ length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
    ``"exhaustive"``).
 5. The dispatchers give the walk a budget of ``PAIR_LIMIT`` evaluated pairs.
    Past it, or when the moduli alone would cost more than the budget or more
-   than ``_TABLE_ROWS`` offsets reach the seed, the same walk goes on over
-   random offsets, stratified by separation scale in powers of two (rough
-   quotients peak at small separations, smooth ones at box scale, so both
-   ends need coverage), until ``SAMPLE_TARGET`` more pairs are evaluated
-   (mode ``"sampled"``, a lower bound; the draws come from the fixed
-   ``DEFAULT_SEED``, so the same input always gives the same outcome).  A walk
-   that has seen every admissible offset is exact, whichever way it got there.
-   ``examined`` counts the pairs the walk evaluated, store or not.
+   than ``_TABLE_ROWS`` offsets reach the seed, the value is a floor and the
+   outcome a certified interval (mode ``"interval"``): the floor comes from
+   the same problem on the grid coarsened by two along each axis that carries
+   offsets, whose quotients are full-grid quotients at twice the offset; its
+   witness offset, doubled, and that offset's neighbours along each such axis
+   are evaluated on the full grid.  ``upper`` is the bound at the cut, or with
+   no table ``amp / (nearest separation)^e``.  A walk that has seen every
+   admissible offset is exact, whichever way it got there.  ``examined``
+   counts the pairs evaluated, coarse levels included, store or not.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -50,10 +51,7 @@ import numpy as np
 from .grid import difference_coefficients
 
 PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may evaluate
-SAMPLE_TARGET = 50_000_000  # pairs evaluated by the sampled continuation
-DEFAULT_SEED = 1729  # the only seed of the sampled walk's draws
-_BATCH = 512  # offsets drawn per batch of the sampled walk
-_MAX_BATCHES = 64
+DEFAULT_SEED = 1729  # nothing draws from it; kept only for perfbench/refs.py, which imports it
 _TABLE_ROWS = 262_144  # offsets per chunk of the offset table; a dispatcher keeps no more
 _EPS = np.finfo(float).eps
 
@@ -63,7 +61,8 @@ class SupOutcome:
     value: float
     witness: dict | None
     examined: int
-    mode: str  # "exhaustive" | "sampled"
+    mode: str  # "exhaustive" | "interval"
+    upper: float | None = None  # in mode "interval", a certified bound on the exact value
 
 
 def plength_steps(d: tuple[int, ...], j: int, h_x: tuple[float, ...], h_t: float) -> float:
@@ -267,6 +266,29 @@ class _Problem:
             out.append((0,) * n + (1,))
         return out
 
+    def coarsened(self) -> "_Problem":
+        """The same supremum on every other node along each axis that carries
+        offsets, those steps doubled exactly: its quotients are bit-equal to
+        full-grid quotients at twice the offset from even base nodes."""
+        step = tuple(2 if m else 1 for m in self.limits + (self.j_hi,))
+        values = np.ascontiguousarray(self.values[tuple(slice(None, None, s) for s in step)])
+        return _Problem(values, tuple(s * h for s, h in zip(step, self.h_x)),
+                        step[-1] * self.h_t, self.exponent, self.k, self.kind, self.allow_time)
+
+    def around(self, off: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """``off``, then its admissible neighbours ``off -+ e_a`` along each
+        axis, time last, in the canonical half-space.  ``off`` is twice an
+        offset of the coarsened problem, so no neighbour is zero."""
+        box, out = self.limits + (self.j_hi,), [off]
+        for a in range(len(off)):
+            for s in (-1, 1):
+                o = off[:a] + (off[a] + s,) + off[a + 1:]
+                if o[-1:] + o[:-1] < (0,) * len(o):
+                    o = tuple(-v for v in o)
+                if all(abs(v) <= m for v, m in zip(o, box)):
+                    out.append(o)
+        return out
+
     # -- the table ----------------------------------------------------------------
 
     def certified(self, floor: float, limit: int | None):
@@ -325,44 +347,62 @@ class _Best:
 
 
 def _sup(prob: _Problem, limit: int | None, empty: str) -> SupOutcome:
-    """The nearest-neighbour sweep, then one walk: the certified table best
-    bound first, stopping at the first bound below the running best (exact);
-    once it has evaluated ``limit`` pairs (``None``: never), or when there is
-    no table, sampled offsets until ``SAMPLE_TARGET`` more pairs have been
-    evaluated.  Seeing every admissible offset makes any walk exact."""
-    nearest = prob.nearest_offsets()
-    if not nearest:
+    """The outcome of :func:`_solve`; ``empty`` is the error raised when no
+    offset is admissible."""
+    if not prob.nearest_offsets():
         raise ValueError(empty)
+    best, examined, upper = _solve(prob, limit)
+    return SupOutcome(best.q, prob.witness(best.off, best.where), examined,
+                      "exhaustive" if upper is None else "interval", upper)
+
+
+def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]:
+    """(best, pairs evaluated, upper bound or ``None`` when exact).
+
+    The nearest-neighbour sweep, then one walk over the certified table best
+    bound first, stopping at the first bound below the running best (exact).
+    Once the walk has evaluated ``limit`` pairs (``None``: never), or when
+    there is no table, the coarsened problem is solved the same way, with the
+    same budget, down to a level that is exact or has no admissible offset;
+    its witness offset, doubled, and its neighbours (:meth:`_Problem.around`)
+    are evaluated here.  Seeing every admissible offset makes any walk
+    exact."""
+    nearest = prob.nearest_offsets()
     best, seen, examined = _Best(), set(), 0
 
-    def walk(steps, budget: float) -> bool:
-        """Visit (offset, bound) steps in order.  True when a bound falls
-        below the running best, every offset is seen or the steps run out;
-        False once ``budget`` pairs are spent."""
+    def visit(off: tuple[int, ...]):
         nonlocal examined
-        for off, bound in steps:
-            if bound < best.q or len(seen) == prob.count:
-                return True
-            if examined >= budget:
-                return False
-            if off in seen:
-                continue
-            seen.add(off)
-            q, where, n = prob.evaluate(off)
-            examined += n
-            best.offer(q, off, where)
-        return True
+        seen.add(off)
+        q, where, n = prob.evaluate(off)
+        examined += n
+        best.offer(q, off, where)
 
-    walk(((off, math.inf) for off in nearest), math.inf)
+    for off in nearest:
+        visit(off)
     table = prob.certified(best.q, limit)
-    exact = table is not None and walk(
-        ((tuple(int(v) for v in row), bound) for row, bound in zip(*table)),
-        math.inf if limit is None else limit)
-    if not exact:
-        walk(((off, math.inf) for off in _sampled_offsets(prob)), examined + SAMPLE_TARGET)
-        exact = len(seen) == prob.count
-    return SupOutcome(best.q, prob.witness(best.off, best.where), examined,
-                      "exhaustive" if exact else "sampled")
+    if table is None:
+        cut = float(np.max(prob.amp / prob.separations(np.asarray(nearest)) ** prob.exponent))
+    else:
+        cut, budget = None, math.inf if limit is None else limit
+        for row, bound in zip(*table):
+            if bound < best.q or len(seen) == prob.count:
+                break
+            if examined >= budget:
+                cut = float(bound)
+                break
+            off = tuple(int(v) for v in row)
+            if off not in seen:
+                visit(off)
+    if cut is None or len(seen) == prob.count:
+        return best, examined, None
+    coarse = prob.coarsened()
+    if coarse.nearest_offsets():
+        floor, n, _ = _solve(coarse, limit)
+        examined += n
+        for off in prob.around(tuple(2 * v for v in floor.off)):
+            if off not in seen:
+                visit(off)
+    return best, examined, max(best.q, cut)
 
 
 # -- exhaustive engines ---------------------------------------------------------
@@ -398,59 +438,6 @@ def kdiff_quotient_sup_exhaustive(
 ) -> SupOutcome:
     prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time)
     return _sup(prob, None, _kdiff_empty(values, k))
-
-
-# -- sampled offsets ---------------------------------------------------------------
-
-
-def _unit_directions(rng: np.random.Generator, count: int, n_dim: int) -> np.ndarray:
-    d = rng.normal(size=(count, n_dim))
-    norms = np.sqrt(np.sum(d * d, axis=1))
-    bad = norms == 0.0
-    if np.any(bad):
-        d[bad, 0] = 1.0
-        norms[bad] = 1.0
-    return d / norms[:, None]
-
-
-def _sampled_offsets(prob: _Problem):
-    """Admissible offsets ``(d, j)`` drawn from ``DEFAULT_SEED``; a batch may
-    repeat earlier ones.
-
-    Each row draws a separation scale ``lam`` from a power-of-two bucket
-    between the smallest step and the largest admissible separation, then a
-    random direction; a joint shift splits ``lam`` at random into a spatial
-    length and a temporal one ``(j h_t)^(1/2)``.  Rows come in batches of
-    ``_BATCH``, at most ``_MAX_BATCHES`` of them; each is flipped into the
-    canonical half-space; rows that are zero or outside the admissible box
-    are dropped, and so are repeats within a batch.
-    """
-    rng = np.random.default_rng(DEFAULT_SEED)
-    h_x, h_t, n_dim = np.asarray(prob.h_x), prob.h_t, len(prob.limits)
-    joint = prob.kind == "kdiff" and prob.j_hi > 0
-    box = np.asarray(prob.limits + (prob.j_hi,))
-    lmax = float(prob.separations(box[None, :])[0])
-    lmin = h_t if prob.kind == "time" else min(prob.h_x)
-    if joint:
-        lmin = min(lmin, math.sqrt(h_t))
-    n_buckets = max(1, math.ceil(math.log2(lmax / lmin)))
-    for _ in range(_MAX_BATCHES):
-        lam = lmin * rng.uniform(1.0, 2.0, _BATCH) * np.exp2(rng.integers(0, n_buckets, _BATCH))
-        rows = np.zeros((_BATCH, n_dim + 1), dtype=np.int64)
-        if prob.kind == "time":
-            rows[:, -1] = np.rint(lam / h_t)
-        else:
-            if joint:
-                phi = rng.uniform(0.0, 1.0, _BATCH)
-                rows[:, -1] = np.rint(((1.0 - phi) * lam) ** 2 / h_t)
-                lam = phi * lam
-            rows[:, :-1] = np.rint(lam[:, None] * _unit_directions(rng, _BATCH, n_dim) / h_x)
-        lead = np.roll(rows, 1, axis=1)  # (j, d)
-        first = lead[np.arange(_BATCH), np.argmax(lead != 0, axis=1)]
-        rows *= np.sign(first)[:, None]
-        rows = rows[(first != 0) & np.all(np.abs(rows) <= box, axis=1)]
-        _, at = np.unique(np.ravel_multi_index((rows + box).T, 2 * box + 1), return_index=True)
-        yield from map(tuple, rows[np.sort(at)].tolist())
 
 
 # -- public drivers ---------------------------------------------------------------

@@ -261,7 +261,7 @@ def random_search(
                 "upper": list(domain.space_upper),
                 "T": domain.time_horizon,
             },
-            "check_seed": DEFAULT_SEED,  # the sampled suprema's seed, fixed in pairs
+            "check_seed": DEFAULT_SEED,  # unused; perfbench/workloads.py reads it
         },
     )
 

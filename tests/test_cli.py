@@ -193,6 +193,28 @@ def test_flag_set_to_zero_is_validated_not_dropped(args, capsys):
     assert "error:" in err
 
 
+# (flag named in the error, arguments): each flag would be echoed under
+# config while the grids it was meant to shape ignore it
+EFFECTLESS_FLAGS = {
+    "search-res-per-axis": ("--res", ["search", "--variant", "2.11", "--dim", "2", "--l2", "1.5",
+                                      "--p", "2", "--budget", "1", "--res", "12,6"]),
+    "check-sweep-res": ("--res", ["check", "--variant", "2.3.1", "--l2", "1.5", "--p", "2",
+                                  "--expr", "x1*exp(-t)", "--T", "1", "--sweep", "8,16",
+                                  "--res", "16", "--tres", "4"]),
+    "check-tres-without-T": ("--tres", ["check", "--variant", "2.11", "--l2", "1.5", "--p", "2",
+                                        "--expr", "x1", "--T", "0", "--tres", "5"]),
+}
+
+
+@pytest.mark.parametrize("flag, args", list(EFFECTLESS_FLAGS.values()),
+                         ids=list(EFFECTLESS_FLAGS))
+def test_flag_without_effect_is_rejected(flag, args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert f"error: {flag} " in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["norm", "check"])
 def test_seed_flag_is_for_search_only(command, capsys):
     with pytest.raises(SystemExit) as exc:

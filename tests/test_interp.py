@@ -382,17 +382,16 @@ def test_benchmark_sup_terms_are_exact(n, source, steps, l2, variant, high, rati
 
 
 def test_check_seed_has_no_effect(monkeypatch):
-    # interp.check keeps a seed keyword for old callers; the sampled walk's
-    # draws are fixed in pairs, so no value of it changes the report
+    # interp.check keeps a seed keyword for old callers; nothing draws from
+    # it, so no value of it changes the report, interval terms included
     import holonorm.pairs as pairs_mod
     monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
-    monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 2000)
     u = sample_expr("abs(x1-0.3)^0.7*exp(-t)+0.2*sin(5*x1)", steps=24)
     spec = InterpSpec(variant="2.3.1", l2=0.5, p=2.0, N=1)
     # each check on a fresh grid, so that none reads another's memo
     reports = [check(spec, u.with_values(u.values), seed=s).to_json_dict()
                for s in (None, 0, 7, 1729)]
-    assert reports[0]["norms"]["high"]["sampling"] == {"mode": "sampled"}
+    assert reports[0]["norms"]["high"]["sampling"]["mode"] == "interval"
     assert all(rep == reports[0] for rep in reports[1:])
 
 

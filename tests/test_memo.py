@@ -174,8 +174,8 @@ def test_a_swapped_in_engine_computes_afresh_on_a_memoised_grid(monkeypatch):
     ("sin(2*pi*x1)*exp(-t)+0.3*sin(9*x1+1)", 1, 64, None),
     ("sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)", 2, 10, None),
     # a budget that the moduli of the joint terms alone would exceed, so
-    # they sample, although the space and time terms have computed most of
-    # those moduli by then
+    # they report intervals, although the space and time terms have computed
+    # most of those moduli by then
     ("sin(2*pi*x1)*exp(-t)+0.3*sin(9*x1+1)", 1, 64, 400_000),
 ])
 def test_engine_decisions_do_not_depend_on_the_memo(source, n, steps, budget, monkeypatch):
@@ -196,5 +196,5 @@ def test_engine_decisions_do_not_depend_on_the_memo(source, n, steps, budget, mo
     alone = [t(fresh(u)).to_json_dict() for t in terms]
     assert after == alone
     if budget is not None:
-        assert any(r["sampling"]["mode"] == "sampled" for r in after)
+        assert any(r["sampling"]["mode"] == "interval" for r in after)
         assert any(r["sampling"]["mode"] == "exhaustive" for r in after)

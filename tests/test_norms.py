@@ -284,21 +284,24 @@ class TestNormAssembly:
         assert rep.sampling == SamplingInfo("exhaustive")
         assert (rep.kind, rep.index, rep.witness) == ("parabolic", 2.0, None)
 
-    def test_sampled_term_marks_the_norm_sampled(self, monkeypatch):
+    def test_interval_term_marks_the_norm_interval(self, monkeypatch):
         import holonorm.pairs as pairs_mod
         rng = np.random.default_rng(44)
         u = GridFunction(Domain((0.0,), (1.0,)), (12,), 0, rng.uniform(-1, 1, (13, 1)))
-        # no exact walk, and too few sampled pairs to see all 12 offsets
+        # a one-pair budget leaves no table, so the term is an interval; the
+        # norm is marked so, and its one-sided bound belongs to the term only
         monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
-        monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 20)
         rep = holder_norm(u, 0.5)
         term = holder_seminorm_space(u, 0.5)
         assert list(rep.breakdown) == ["max |dt^0 dx^(0,) u|", "<dt^0 dx^(0,) u>_x^(0.5)"]
         assert rep.breakdown["<dt^0 dx^(0,) u>_x^(0.5)"] == term.value
-        assert term.sampling.mode == "sampled"
+        assert term.sampling.mode == "interval"
+        exact = oracles.holder_space_sup_loops(u.values, u.h_x, 0.5)
+        assert term.value <= exact <= term.sampling.upper
         examined = u.values.size + term.pairs_examined
         assert rep.pairs_examined == examined
-        assert rep.sampling == SamplingInfo("sampled")
+        assert rep.sampling == SamplingInfo("interval")
+        assert rep.to_json_dict()["sampling"] == {"mode": "interval"}
 
 
 class TestDiffQuotient:
@@ -485,10 +488,11 @@ class TestProperties:
         assert abs(ratios[2] / ratios[1] - 1) < 0.2
 
 
-class TestSampledMode:
-    def _force_sampled(self, monkeypatch):
+class TestIntervalMode:
+    def _force_interval(self, monkeypatch):
         # the per-offset bounds walk this 220-step grid exactly for k = 2; a
-        # one-pair budget makes the dispatchers sample it
+        # one-pair budget leaves the dispatchers no table, so they report an
+        # interval
         import holonorm.pairs as pairs_mod
         monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
         u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 220, 220,
@@ -496,31 +500,32 @@ class TestSampledMode:
                                + 0.3 * np.sin(9 * x[0] + 1.0))
         return u
 
-    def test_mode_is_sampled(self, monkeypatch):
-        import holonorm.pairs as pairs_mod
-        u = self._force_sampled(monkeypatch)
+    def test_mode_is_interval(self, monkeypatch):
+        u = self._force_interval(monkeypatch)
         rep = diff_quotient_seminorm(u, 1.5)
-        assert rep.sampling.mode == "sampled"
-        assert rep.pairs_examined >= pairs_mod.SAMPLE_TARGET
+        assert rep.sampling.mode == "interval"
+        assert rep.sampling.upper >= rep.value
+        assert rep.to_json_dict()["sampling"] == {"mode": "interval",
+                                                  "upper": rep.sampling.upper}
 
     def test_two_calls_give_equal_reports(self, monkeypatch):
-        # the second call runs on a fresh grid, so it samples again rather
+        # the second call runs on a fresh grid, so it computes again rather
         # than reading the first grid's memo
-        u = self._force_sampled(monkeypatch)
+        u = self._force_interval(monkeypatch)
         a = diff_quotient_seminorm(u, 1.5)
         b = diff_quotient_seminorm(u.with_values(u.values), 1.5)
-        assert a.sampling.mode == "sampled"
+        assert a.sampling.mode == "interval"
         assert a.to_json_dict() == b.to_json_dict()
 
-    def test_sampled_dilation_covariance(self, monkeypatch):
-        u = self._force_sampled(monkeypatch)
+    def test_interval_dilation_covariance(self, monkeypatch):
+        u = self._force_interval(monkeypatch)
         v = parabolic_dilate(u, 2.0)
         a = diff_quotient_seminorm(u, 1.5)
         b = diff_quotient_seminorm(v, 1.5)
         assert b.value == pytest.approx(2.0 ** -1.5 * a.value, rel=1e-12)
+        assert b.sampling.upper == pytest.approx(2.0 ** -1.5 * a.sampling.upper, rel=1e-12)
 
-    def test_sampled_not_above_exhaustive(self):
-        # the sampled sup can only miss pairs, never exceed the exhaustive sup
+    def test_interval_holds_exhaustive(self):
         import holonorm.pairs as pairs_mod
         u = _random_parabolic(21, steps=24, tsteps=24)
         exact = diff_quotient_seminorm(u, 1.5)
@@ -529,63 +534,60 @@ class TestSampledMode:
         pairs_mod.PAIR_LIMIT = 1
         try:
             # a fresh grid: u's memo holds the exact report
-            sampled = diff_quotient_seminorm(u.with_values(u.values), 1.5)
+            rep = diff_quotient_seminorm(u.with_values(u.values), 1.5)
         finally:
             pairs_mod.PAIR_LIMIT = old
-        assert sampled.sampling.mode == "sampled"
-        approx, exact = sampled.value, exact.value
-        assert approx <= exact * (1 + 1e-13)
-        assert approx >= 0.5 * exact  # stratified sampling lands in the ballpark
+        assert rep.sampling.mode == "interval"
+        assert rep.value <= exact.value <= rep.sampling.upper
+        assert rep.value >= 0.5 * exact.value  # the floor lands in the ballpark
 
-    def test_sampled_pair_kinds_bounded_by_exhaustive(self, monkeypatch):
+    def test_interval_pair_kinds_hold_exhaustive(self, monkeypatch):
         import holonorm.pairs as pairs_mod
         u = sample(lambda x, t: np.sin(5 * x[0] + 1.0) * np.exp(-t) + x[0] * t,
                    T=1.0, steps=20)
         exact_space = holder_seminorm_space(u, 0.5).value
         exact_time = holder_seminorm_time(u, 0.5).value
-        # no exact walk, and too few sampled pairs to see all 20 offsets; the
-        # sampled calls run on fresh grids, as u's memo holds the exact ones
+        # no table, so no exact walk; the interval calls run on fresh grids,
+        # as u's memo holds the exact ones
         monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
-        monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 2000)
         v = u.with_values(u.values)
         s1 = holder_seminorm_space(v, 0.5)
         s2 = holder_seminorm_space(u.with_values(u.values), 0.5)
         t1 = holder_seminorm_time(v, 0.5)
-        assert s1.sampling.mode == t1.sampling.mode == "sampled"
-        assert s1.value == s2.value and s1.witness == s2.witness
-        assert s1.value <= exact_space * (1 + 1e-13)
-        assert t1.value <= exact_time * (1 + 1e-13)
-        assert s1.value >= 0.8 * exact_space  # nearest-neighbour sweep anchors it
+        assert s1.sampling.mode == t1.sampling.mode == "interval"
+        assert s1.to_json_dict() == s2.to_json_dict()
+        assert s1.value <= exact_space <= s1.sampling.upper
+        assert t1.value <= exact_time <= t1.sampling.upper
+        assert s1.value >= 0.8 * exact_space
         assert t1.value >= 0.8 * exact_time
 
-    def test_sampled_mode_catches_cusp_at_nearest_neighbours(self, monkeypatch):
+    def test_interval_catches_cusp_at_nearest_neighbours(self, monkeypatch):
         # the cusp quotient peaks at the smallest separations, which the
-        # nearest-neighbour sweep covers exhaustively even in sampled mode
+        # nearest-neighbour sweep covers in every mode
         import holonorm.pairs as pairs_mod
         monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
         u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 220, 220,
                                lambda x, t: np.abs(x[0] - 0.5) ** 0.5 + 0.0 * t)
         rep = diff_quotient_seminorm(u, 0.5, spec=DiffSeminormSpec(1, 1))
-        assert rep.sampling.mode == "sampled"
+        assert rep.sampling.mode == "interval"
         assert rep.value == pytest.approx(1.0, rel=1e-12)
 
-    def test_sampled_elliptic_space_pairs(self, monkeypatch):
+    def test_interval_elliptic_space_pairs(self, monkeypatch):
         import holonorm.pairs as pairs_mod
         u = sample(lambda x, t: np.sin(7 * x[0] + 0.5) + x[0] ** 2, steps=40)
         exact = holder_seminorm_space(u, 0.5).value
-        # no exact walk, and too few sampled pairs to see all 40 offsets; a
-        # fresh grid, as u's memo holds the exact report
+        # no table, so no exact walk; a fresh grid, as u's memo holds the
+        # exact report
         monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
-        monkeypatch.setattr(pairs_mod, "SAMPLE_TARGET", 200)
         rep = holder_seminorm_space(u.with_values(u.values), 0.5)
-        assert rep.sampling.mode == "sampled"
-        assert rep.value <= exact * (1 + 1e-13)
+        assert rep.sampling.mode == "interval"
+        assert rep.value <= exact <= rep.sampling.upper
         assert rep.value >= 0.8 * exact
 
-    def test_sampled_witness_reevaluates(self, monkeypatch):
-        u = self._force_sampled(monkeypatch)
+    def test_interval_witness_reevaluates(self, monkeypatch):
+        u = self._force_interval(monkeypatch)
         rep = diff_quotient_seminorm(u, 1.5)
-        assert rep.sampling.mode == "sampled"
+        assert rep.sampling.mode == "interval"
         assert witness_value(u, rep) == pytest.approx(rep.value, rel=1e-12)
 
 
