@@ -130,8 +130,13 @@ def _opt(cfg: dict, key: str, default):
     return default if val is None else val
 
 
-def _build_input(cfg: dict) -> GridFunction:
+def _build_input(cfg: dict, reads_dim: bool = False) -> GridFunction:
+    """The grid of ``--expr`` or of ``--csv``, whose file fixes the lattice; a
+    caller that ``reads_dim`` reads ``--dim`` beside it for the spec's N."""
     if cfg.get("csv"):
+        for key in ("expr", "box", "T", "res", "tres") + ("dim",) * (not reads_dim):
+            if cfg.get(key) is not None:
+                raise InputError(f"--{key} has no effect with --csv, whose file fixes the grid")
         return grid_from_csv(cfg["csv"])
     if not cfg.get("expr"):
         raise InputError("provide --expr (with --dim/--box/--res) or --csv")
@@ -172,6 +177,7 @@ def _resolved(args: argparse.Namespace, keys: list[str]) -> dict:
 
 
 _INPUT_KEYS = ["expr", "dim", "box", "T", "res", "tres", "csv"]
+_SPEC_KEYS = ["variant", "l1", "l", "l2", "p"]  # the flags of _add_spec_flags
 
 
 def _need(cfg: dict, key: str, why: str) -> float:
@@ -180,11 +186,25 @@ def _need(cfg: dict, key: str, why: str) -> float:
     return float(cfg[key])
 
 
+# the flags each norm kind reads; --l stands in for a missing Hoelder exponent
+_NORM_FLAGS = {"sup": [], "lp": ["p"], "sup-t-lp": ["p"], "holder": ["alpha", "beta", "lt"],
+               "holder-time": ["exponent", "beta", "lt"], "parabolic": ["l"], "elliptic": ["l"],
+               "dq": ["l", "k", "lt", "form"]}
+
+
 def cmd_norm(args: argparse.Namespace) -> int:
-    cfg = _resolved(args, _INPUT_KEYS + ["kind", "l", "p", "alpha", "exponent",
-                                         "beta", "lt", "k", "form", "out"])
-    u = _build_input(cfg)
+    flags = ["l", "p", "alpha", "exponent", "beta", "lt", "k", "form"]
+    cfg = _resolved(args, _INPUT_KEYS + ["kind"] + flags + ["out"])
     kind = _opt(cfg, "kind", "sup")
+    if kind not in _NORM_FLAGS:
+        raise InputError(f"unknown norm kind {kind!r}")
+    reads = _NORM_FLAGS[kind]
+    if kind.startswith("holder") and cfg.get(reads[0]) is None:
+        reads = ["l"] + reads[1:]
+    for key in flags:
+        if cfg.get(key) is not None and key not in reads:
+            raise InputError(f"--{key} has no effect with --kind {kind}")
+    u = _build_input(cfg)
     beta = cfg.get("beta")
     beta = None if beta is None else tuple(int(b) for b in str(beta).split(","))
     lt = int(_opt(cfg, "lt", 0))
@@ -209,16 +229,11 @@ def cmd_norm(args: argparse.Namespace) -> int:
         report = parabolic_norm(u, _need(cfg, "l", "for --kind parabolic"))
     elif kind == "elliptic":
         report = elliptic_norm(u, _need(cfg, "l", "for --kind elliptic"))
-    elif kind == "dq":
+    else:  # dq
         l_val = _need(cfg, "l", "for --kind dq")
-        if cfg.get("k") is not None:
-            lt_q = int(_opt(cfg, "lt", DiffSeminormSpec.default_for(l_val).l_t))
-            spec = DiffSeminormSpec(int(cfg["k"]), lt_q)
-        else:
-            spec = None
+        default = DiffSeminormSpec.default_for(l_val)
+        spec = DiffSeminormSpec(int(_opt(cfg, "k", default.k)), int(_opt(cfg, "lt", default.l_t)))
         report = diff_quotient_seminorm(u, l_val, spec, _opt(cfg, "form", "joint"))
-    else:
-        raise InputError(f"unknown norm kind {kind!r}")
 
     _emit(_envelope(cfg, {"report": report.to_json_dict()}), cfg.get("out"))
     return 0
@@ -239,8 +254,7 @@ def _spec_from_cfg(cfg: dict) -> InterpSpec:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _resolved(args, _INPUT_KEYS + ["variant", "l1", "l", "l2", "p", "sweep", "out",
-                                         "csv-out"])
+    cfg = _resolved(args, _INPUT_KEYS + _SPEC_KEYS + ["sweep", "out", "csv-out"])
     spec = _spec_from_cfg(cfg)
 
     sweep = cfg.get("sweep")
@@ -254,9 +268,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         for res in sweep:
             sub = dict(cfg)
             sub["res"] = str(res)
-            reports.append(check(spec, _build_input(sub)))
+            reports.append(check(spec, _build_input(sub, reads_dim=True)))
     else:
-        reports.append(check(spec, _build_input(cfg)))
+        reports.append(check(spec, _build_input(cfg, reads_dim=True)))
 
     body = {"reports": [r.to_json_dict() for r in reports]}
     if sweep:
@@ -275,9 +289,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    cfg = _resolved(args, ["variant", "l1", "l", "l2", "p", "dim", "family",
-                           "budget", "seed", "res", "tres", "refine-steps",
-                           "step-scale", "out", "history-csv"])
+    cfg = _resolved(args, _SPEC_KEYS + ["dim", "family", "budget", "seed", "res", "tres",
+                                        "refine-steps", "step-scale", "out", "history-csv"])
     spec = _spec_from_cfg(cfg)
     seed = int(_opt(cfg, "seed", 0))
     family = Family(kind=str(_opt(cfg, "family", "trig")))
@@ -287,6 +300,9 @@ def cmd_search(args: argparse.Namespace) -> int:
                          f"got {res!r}")
     resolution = int(res)
     tres = cfg.get("tres")
+    if tres is not None and spec.is_elliptic:
+        raise InputError(f"--tres has no effect with variant {spec.variant.value}, whose "
+                         "search grids have T = 0")
 
     result = random_search(
         spec, family, int(_opt(cfg, "budget", 100)), seed,
@@ -333,6 +349,14 @@ def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the JSON report here (default: stdout)")
 
 
+def _add_spec_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}")
+    p.add_argument("--l1", type=float)
+    p.add_argument("--l", type=float, help="intermediate index (variants 2.1/2.2)")
+    p.add_argument("--l2", type=float)
+    p.add_argument("--p", type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holonorm",
@@ -357,21 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="check one interpolation inequality")
     _add_input_flags(p_check)
-    p_check.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}")
-    p_check.add_argument("--l1", type=float)
-    p_check.add_argument("--l", type=float, help="intermediate index (variants 2.1/2.2)")
-    p_check.add_argument("--l2", type=float)
-    p_check.add_argument("--p", type=float)
+    _add_spec_flags(p_check)
     p_check.add_argument("--sweep", help="comma-separated resolutions, e.g. '64,128,256'")
     p_check.add_argument("--csv-out", help="CSV path for the (resolution, ratio) series")
     p_check.set_defaults(func=cmd_check)
 
     p_search = sub.add_parser("search", help="maximize a ratio over a family")
-    p_search.add_argument("--variant", help=f"one of {', '.join(VARIANTS)}")
-    p_search.add_argument("--l1", type=float)
-    p_search.add_argument("--l", type=float)
-    p_search.add_argument("--l2", type=float)
-    p_search.add_argument("--p", type=float)
+    _add_spec_flags(p_search)
     p_search.add_argument("--dim", type=int)
     p_search.add_argument("--family", choices=["trig", "bump", "rough"])
     p_search.add_argument("--budget", type=int)

@@ -20,7 +20,9 @@ factor: that is the quantity with exact scaling ``lam^(-l)`` under the
 parabolic dilation ``x -> lam x, t -> lam^2 t``, which is what makes the
 exponent the unique scale-invariant choice (see the dilation tests).  The
 reported ``ratio`` is the empirical constant of the inequality at the given
-resolution; it is a lower bound for the true constant.
+resolution.  It is a lower bound for the true constant only when every norm
+is exact: in mode ``interval`` a norm's value is a floor, and a floor in the
+high or low factor can raise the ratio.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import norms as norms_mod
-from .grid import GridFunction, ParabolicShift, kth_difference
+from .grid import GridFunction, ParabolicShift, kth_difference, shift_eval
 from .norms import (
     DiffSeminormSpec,
     HoelderIndex,
@@ -330,9 +332,10 @@ def pointwise_reconstruction_bound(
     """Bound ``|u| <= <u> * plength^l + sum_i binom(k,i) |u(.+i shift)|`` at a node.
 
     All ``k`` translates must stay inside the box.  When ``seminorm`` is not
-    given, the order-``k`` quotient seminorm of index ``l`` is computed; with
-    exhaustive enumeration it dominates the local quotient, which makes the
-    bound certain at every admissible node.
+    given, the order-``k`` quotient seminorm of index ``l`` is computed and
+    its exact value, or in mode ``interval`` its certified upper end, is
+    used: either dominates the local quotient, which makes the bound certain
+    at every admissible node.
     """
     idx = norms_mod._as_index(l)
     k = int(k)
@@ -340,17 +343,15 @@ def pointwise_reconstruction_bound(
         raise ValueError(f"difference order must be >= 1, got {k}")
     if seminorm is None:
         spec = DiffSeminormSpec(k, DiffSeminormSpec.default_for(idx).l_t)
-        seminorm = diff_quotient_seminorm(u, idx, spec=spec).value
+        rep = diff_quotient_seminorm(u, idx, spec=spec)
+        seminorm = rep.value if rep.sampling.upper is None else rep.sampling.upper
     base = u.normalize_index(index)
     diff = kth_difference(u, base, shift, k)
     if diff is None:
         raise ValueError(f"translates of node {base} along the shift leave the box")
-    d, j = u.steps_of_shift(shift)
-    off = d + (j,)
     total = seminorm * shift.plength ** idx.l
     for i in range(1, k + 1):
-        target = tuple(b + i * o for b, o in zip(base, off))
-        total += math.comb(k, i) * abs(float(u.values[target]))
+        total += math.comb(k, i) * abs(shift_eval(u, base, shift, i))
     return total
 
 

@@ -7,7 +7,8 @@ apply the first-derivative operator repeatedly.  Pair suprema delegate to
 exact value; past its pair budget a supremum reports a floor from the
 coarsened grid and a certified upper bound (mode ``interval``).  Every report
 records what was examined, how, and a witness that re-evaluates to the
-reported value.
+reported value; the Hoelder and difference quotients share the witness of
+:mod:`holonorm.pairs` and one re-evaluation, :func:`witness_value`.
 
 Each pair supremum is computed once per grid and engine and kept in the
 grid's memo; every call gets its own copy, and ``pairs_examined`` counts the
@@ -490,19 +491,11 @@ def witness_value(u: GridFunction, report: NormReport) -> float:
         return float(abs(u.values[tuple(w["node"])]))
     if report.kind == "sup_t_lp":
         return _slice_lp(u, w["time_level"], report.params["p"])
-    if report.kind in ("holder_space", "holder_time"):
-        field_arr = derivative_field(u, report.params["beta"], report.params["l_t"])
-        a, b = tuple(w["a"]), tuple(w["b"])
-        exponent = report.params.get("alpha", report.params.get("exponent"))
-        da = tuple(ai - bi for ai, bi in zip(a[:-1], b[:-1]))
-        if report.kind == "holder_space":
-            sep = pairs.euclid_steps(da, u.h_x)
-        else:
-            sep = (a[-1] - b[-1]) * u.h_t
-        return abs(float(field_arr[a]) - float(field_arr[b])) / sep ** exponent
-    if report.kind == "diff_quotient":
-        steps, j = w["steps"], w["time_step"]
-        diff = kth_difference(u, w["base"], u.shift_from_steps(steps, j), w["order"])
-        pl = pairs.plength_steps(steps, j, u.h_x, u.h_t)
-        return abs(diff) / pl ** report.params["l"]
+    if report.kind in ("holder_space", "holder_time", "diff_quotient"):
+        # "joint" separates an offset with no time step as "space" does
+        kind = {"holder_space": "space", "holder_time": "time"}.get(report.kind, "joint")
+        p, steps, j = report.params, w["steps"], w["time_step"]
+        field_u = u.with_values(derivative_field(u, p.get("beta", (0,) * u.N), p.get("l_t", 0)))
+        diff = kth_difference(field_u, w["base"], u.shift_from_steps(steps, j), w["order"])
+        return abs(diff) / pairs.separation(kind, steps, j, u.h_x, u.h_t) ** report.index
     raise ValueError(f"no witness re-evaluation for kind {report.kind!r}")

@@ -1,10 +1,12 @@
 """Supremum engines over node pairs and grid-aligned space-time shifts.
 
 Every seminorm here is a maximum of quotients ``|k-th difference| / sep^e``
-over an admissible set of offsets ``(d, j)`` (spatial steps, time steps).
-Space pairs, time pairs, joint shifts and the split forms differ only in that
-set and in the separation: Euclidean ``|d h|``, ``j h_t``, or the parabolic
-length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
+over an admissible set of offsets ``(d, j)`` (spatial steps, time steps).  Its
+kind fixes that set and the separation (:func:`separation`): ``"space"``
+shifts keep the time and use the Euclidean ``|d h|``, ``"time"`` shifts keep
+the place and use ``j h_t``, ``"joint"`` shifts use the parabolic length
+``|d h| + (j h_t)^(1/2)``.  Node pairs are the order-1 case.  One engine
+serves them all:
 
 1. Every nearest-neighbour offset is swept; the best quotient seeds the search.
 2. No k-th difference exceeds ``amp = 2^(k-1) (max w - min w)``, so an offset
@@ -36,9 +38,11 @@ length ``|d h| + (j h_t)^(1/2)``.  One engine serves them all:
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
 shift reproduces the same quotient from a translated base node, so nothing is
-lost.  Among tied maxima the witness is the first in enumeration order: time
-offset outermost, then the spatial offsets lexicographically, then the base
-node.
+lost.  Every witness has one shape, ``base`` (node index), ``steps``,
+``time_step``, ``order`` and ``separation``: the quotient is the order-k
+difference at ``base`` along ``(steps, time_step)`` over ``separation^e``.
+Among tied maxima the witness is the first in enumeration order: time offset
+outermost, then the spatial offsets lexicographically, then the base node.
 """
 
 from __future__ import annotations
@@ -65,20 +69,14 @@ class SupOutcome:
     upper: float | None = None  # in mode "interval", a certified bound on the exact value
 
 
-def plength_steps(d: tuple[int, ...], j: int, h_x: tuple[float, ...], h_t: float) -> float:
-    return math.sqrt(sum((di * hi) ** 2 for di, hi in zip(d, h_x))) + math.sqrt(abs(j * h_t))
-
-
-def euclid_steps(d: tuple[int, ...], h_x: tuple[float, ...]) -> float:
-    return math.sqrt(sum((di * hi) ** 2 for di, hi in zip(d, h_x)))
-
-
-def _separation(kind: str, d, j: int, h_x, h_t: float) -> float:
-    if kind == "space":
-        return euclid_steps(d, h_x)
+def separation(kind: str, d, j: int, h_x, h_t: float) -> float:
+    """Separation of the offset ``(d, j)``: Euclidean ``|d h|`` for ``"space"``,
+    ``j h_t`` for ``"time"``, the parabolic length ``|d h| + (j h_t)^(1/2)``
+    for ``"joint"``."""
     if kind == "time":
         return j * h_t
-    return plength_steps(d, j, h_x, h_t)
+    sep = math.sqrt(sum((di * hi) ** 2 for di, hi in zip(d, h_x)))
+    return sep + math.sqrt(j * h_t) if kind == "joint" else sep
 
 
 # -- slabs ----------------------------------------------------------------------------
@@ -128,20 +126,15 @@ class _Problem:
     h_t: float
     exponent: float
     k: int
-    kind: str  # "space" | "time" | "kdiff"
-    allow_time: bool
+    kind: str  # "space" | "time" | "joint"
     store: dict | None = None  # moduli already computed from ``values``, see ``moduli``
 
     def __post_init__(self):
         n_sp, n_t = self.values.shape[:-1], self.values.shape[-1]
         k = self.k
-        if self.kind == "time":
-            self.limits = (0,) * len(n_sp)
-            self.j_lo, self.j_hi = 1, (n_t - 1) // k
-        else:
-            self.limits = tuple((n - 1) // k for n in n_sp)
-            self.j_lo = 0
-            self.j_hi = (n_t - 1) // k if self.kind == "kdiff" and self.allow_time else 0
+        self.limits = tuple(0 if self.kind == "time" else (n - 1) // k for n in n_sp)
+        self.j_lo = int(self.kind == "time")
+        self.j_hi = 0 if self.kind == "space" else (n_t - 1) // k
         self.coeffs = difference_coefficients(k)
         plane = math.prod(2 * m + 1 for m in self.limits)
         # canonical admissible offsets: all of the box but half the j = 0 plane
@@ -224,7 +217,7 @@ class _Problem:
         if self.kind == "time":
             return off[:, -1] * self.h_t
         sep = np.sqrt(np.sum((off[:, :-1] * np.asarray(self.h_x)) ** 2, axis=1))
-        if self.kind == "kdiff":
+        if self.kind == "joint":
             sep = sep + np.sqrt(off[:, -1] * self.h_t)
         return sep
 
@@ -237,7 +230,7 @@ class _Problem:
         arr = _kdiff_slab(self.values, lows, highs, off, self.k, self.coeffs)
         flat = arr.reshape(-1)
         at = int(flat.argmax())
-        denom = _separation(self.kind, off[:-1], off[-1], self.h_x, self.h_t) ** self.exponent
+        denom = separation(self.kind, off[:-1], off[-1], self.h_x, self.h_t) ** self.exponent
         q = float(flat[at]) / denom
         # a smaller difference earlier in the slab may round to the same
         # quotient; the witness is the first base that attains it.  Division
@@ -249,13 +242,10 @@ class _Problem:
 
     def witness(self, off: tuple[int, ...], where) -> dict:
         at, shape, lows = where
-        base = [int(a + lo) for a, lo in zip(np.unravel_index(at, shape), lows)]
         d, j = off[:-1], off[-1]
-        if self.kind == "kdiff" or self.k > 1:
-            return {"base": base, "steps": list(d), "time_step": int(j), "order": int(self.k),
-                    "plength": plength_steps(d, j, self.h_x, self.h_t)}
-        return {"a": [b + o for b, o in zip(base, off)], "b": base,
-                "separation": _separation(self.kind, d, j, self.h_x, self.h_t)}
+        return {"base": [int(a + lo) for a, lo in zip(np.unravel_index(at, shape), lows)],
+                "steps": list(d), "time_step": int(j), "order": int(self.k),
+                "separation": separation(self.kind, d, j, self.h_x, self.h_t)}
 
     def nearest_offsets(self) -> list[tuple[int, ...]]:
         """Unit offsets along each spatial axis, then along time."""
@@ -273,7 +263,7 @@ class _Problem:
         step = tuple(2 if m else 1 for m in self.limits + (self.j_hi,))
         values = np.ascontiguousarray(self.values[tuple(slice(None, None, s) for s in step)])
         return _Problem(values, tuple(s * h for s, h in zip(step, self.h_x)),
-                        step[-1] * self.h_t, self.exponent, self.k, self.kind, self.allow_time)
+                        step[-1] * self.h_t, self.exponent, self.k, self.kind)
 
     def around(self, off: tuple[int, ...]) -> list[tuple[int, ...]]:
         """``off``, then its admissible neighbours ``off -+ e_a`` along each
@@ -309,7 +299,7 @@ class _Problem:
                 r = float(np.float64(self.amp * (1.0 + 1e-12) / floor) ** (1.0 / self.exponent))
             limits = tuple(int(min(m, r / h + 1.0)) for m, h in zip(limits, self.h_x))
             if j_hi > 0:
-                reach = r * r if self.kind == "kdiff" else r
+                reach = r * r if self.kind == "joint" else r
                 j_hi = int(min(j_hi, reach / self.h_t + 1.0))
         if limit is not None and (sum(limits) + j_hi) * self.values.size > limit:
             return None
@@ -346,11 +336,13 @@ class _Best:
             self.q, self.key, self.off, self.where = q, key, off, where
 
 
-def _sup(prob: _Problem, limit: int | None, empty: str) -> SupOutcome:
-    """The outcome of :func:`_solve`; ``empty`` is the error raised when no
-    offset is admissible."""
+def _sup(prob: _Problem, limit: int | None) -> SupOutcome:
+    """The outcome of :func:`_solve`, or a ``ValueError`` when no offset is
+    admissible."""
     if not prob.nearest_offsets():
-        raise ValueError(empty)
+        raise ValueError(f"no admissible shift for {prob.kind} differences of order {prob.k}: "
+                         f"every axis they use has fewer than {prob.k} steps (grid has "
+                         f"{tuple(n - 1 for n in prob.values.shape)})")
     best, examined, upper = _solve(prob, limit)
     return SupOutcome(best.q, prob.witness(best.off, best.where), examined,
                       "exhaustive" if upper is None else "interval", upper)
@@ -418,14 +410,7 @@ def pair_quotient_sup_exhaustive(
 ) -> SupOutcome:
     """Max of the k-th difference quotient over same-time ("space") or
     same-place ("time") displacements."""
-    prob = _Problem(w, h_x, h_t, exponent, k, axes, axes == "time")
-    return _sup(prob, None, f"no admissible displacement of order {k} along {axes} on "
-                            f"grid {tuple(n - 1 for n in w.shape)}")
-
-
-def _kdiff_empty(values: np.ndarray, k: int) -> str:
-    return (f"no admissible shift for order-{k} differences: some axis needs at least {k} "
-            f"steps (grid has {tuple(n - 1 for n in values.shape)})")
+    return _sup(_Problem(w, h_x, h_t, exponent, k, axes), None)
 
 
 def kdiff_quotient_sup_exhaustive(
@@ -436,8 +421,7 @@ def kdiff_quotient_sup_exhaustive(
     k: int,
     allow_time: bool,
 ) -> SupOutcome:
-    prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time)
-    return _sup(prob, None, _kdiff_empty(values, k))
+    return _sup(_Problem(values, h_x, h_t, exponent, k, "joint" if allow_time else "space"), None)
 
 
 # -- public drivers ---------------------------------------------------------------
@@ -452,11 +436,7 @@ def pair_quotient_sup(
     store: dict | None = None,
 ) -> SupOutcome:
     """First-difference quotient supremum over space or time pairs."""
-    prob = _Problem(w, h_x, h_t, exponent, 1, axes, axes == "time", store)
-    empty = ("time-pair seminorm needs at least two time levels" if axes == "time" else
-             f"no admissible displacement of order 1 along space on grid "
-             f"{tuple(n - 1 for n in w.shape)}")
-    return _sup(prob, PAIR_LIMIT, empty)
+    return _sup(_Problem(w, h_x, h_t, exponent, 1, axes, store), PAIR_LIMIT)
 
 
 def kdiff_quotient_sup(
@@ -468,9 +448,10 @@ def kdiff_quotient_sup(
     allow_time: bool,
     store: dict | None = None,
 ) -> SupOutcome:
-    """Joint space-time k-th difference quotient supremum."""
-    prob = _Problem(values, h_x, h_t, exponent, k, "kdiff", allow_time, store)
-    return _sup(prob, PAIR_LIMIT, _kdiff_empty(values, k))
+    """Joint space-time k-th difference quotient supremum (space shifts only
+    unless ``allow_time``)."""
+    kind = "joint" if allow_time else "space"
+    return _sup(_Problem(values, h_x, h_t, exponent, k, kind, store), PAIR_LIMIT)
 
 
 def kdiff_time_quotient_sup(
@@ -482,6 +463,4 @@ def kdiff_time_quotient_sup(
     store: dict | None = None,
 ) -> SupOutcome:
     """Pure-time k-th difference quotient supremum (split-form time part)."""
-    prob = _Problem(values, h_x, h_t, exponent, k, "time", True, store)
-    return _sup(prob, PAIR_LIMIT,
-                f"no admissible pure-time shift of order {k}: need at least {k} time steps")
+    return _sup(_Problem(values, h_x, h_t, exponent, k, "time", store), PAIR_LIMIT)

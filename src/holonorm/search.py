@@ -209,7 +209,10 @@ def random_search(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     domain = domain or _default_domain(spec)
-    time_resolution = resolution if time_resolution is None else time_resolution
+    if domain.time_horizon == 0:
+        time_resolution = 0
+    elif time_resolution is None:
+        time_resolution = resolution
     rng = np.random.default_rng(seed)
     pspec = family.param_spec(spec, domain)
 

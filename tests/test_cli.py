@@ -70,6 +70,13 @@ class TestNormCommand:
             assert code == 2, args
             assert "finite" in err and out == ""
 
+    def test_dq_lt_without_k_is_honoured(self, capsys):
+        code, out, _ = run_cli(
+            ["norm", "--expr", "x1*t", "--T", "1", "--res", "8", "--kind", "dq",
+             "--form", "split", "--l", "1.5", "--lt", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["report"]["params"]["l_t"] == 3
+
     def test_missing_l2_named(self, capsys):
         code, _, err = run_cli(
             ["check", "--variant", "2.3.1", "--dim", "1", "--p", "2",
@@ -86,6 +93,15 @@ class TestCheckCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["reports"][0]["status"] == "trivial"
+
+    def test_csv_grid_with_dim(self, capsys, tmp_path):
+        # --dim sets the spec's N beside a CSV grid, so it is read, not rejected
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x1,u\n0.0,0.5\n0.5,1.0\n1.0,0.25\n")
+        code, out, _ = run_cli(["check", "--variant", "2.11", "--l2", "1.5", "--p", "2",
+                                "--csv", str(grid), "--dim", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["reports"][0]["resolution"]["spatial_steps"] == [2]
 
     def test_sweep_reports_and_csv(self, capsys, tmp_path):
         out_path = tmp_path / "check.json"
@@ -203,12 +219,37 @@ EFFECTLESS_FLAGS = {
                                   "--res", "16", "--tres", "4"]),
     "check-tres-without-T": ("--tres", ["check", "--variant", "2.11", "--l2", "1.5", "--p", "2",
                                         "--expr", "x1", "--T", "0", "--tres", "5"]),
+    "search-tres-elliptic-2.11": ("--tres", ["search", "--variant", "2.11", "--dim", "1",
+                                             "--l2", "1.5", "--p", "2", "--budget", "1",
+                                             "--res", "8", "--tres", "5"]),
+    "search-tres-elliptic-2.1": ("--tres", ["search", "--variant", "2.1", "--l", "0.75",
+                                            "--l2", "1.5", "--budget", "1", "--res", "8",
+                                            "--tres", "5"]),
+    "norm-sup-five-flags": ("--p", ["norm", "--expr", "x1", "--res", "8", "--kind", "sup",
+                                       "--beta", "1", "--alpha", "0.3", "--p", "3", "--k", "2",
+                                       "--form", "split"]),
+    "norm-lp-alpha": ("--alpha", ["norm", "--expr", "x1", "--res", "8", "--kind", "lp",
+                                  "--p", "2", "--alpha", "0.3"]),
+    "norm-holder-l-beside-alpha": ("--l", ["norm", "--expr", "x1", "--res", "8",
+                                           "--kind", "holder", "--alpha", "0.3", "--l", "0.5"]),
+    "norm-dq-exponent": ("--exponent", ["norm", "--expr", "x1", "--res", "8", "--kind", "dq",
+                                        "--l", "0.5", "--exponent", "0.5"]),
 }
+# with --csv the file fixes the grid; check still reads --dim for the spec's N
+for _cmd, _extra in (("norm", ["--kind", "sup"]),
+                     ("check", ["--variant", "2.11", "--l2", "1.5", "--p", "2"])):
+    for _flag, _value in (("--expr", "sin(x1)"), ("--box", "0,2"), ("--T", "1"), ("--res", "64"),
+                          ("--tres", "4")) + ((("--dim", "1"),) if _cmd == "norm" else ()):
+        EFFECTLESS_FLAGS[f"{_cmd}-csv{_flag}"] = (
+            _flag, [_cmd, "--csv", "{csv}", _flag, _value] + _extra)
 
 
 @pytest.mark.parametrize("flag, args", list(EFFECTLESS_FLAGS.values()),
                          ids=list(EFFECTLESS_FLAGS))
-def test_flag_without_effect_is_rejected(flag, args, capsys):
+def test_flag_without_effect_is_rejected(flag, args, capsys, tmp_path):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("x1,u\n0.0,0.5\n0.5,1.0\n1.0,0.25\n")
+    args = [str(grid) if a == "{csv}" else a for a in args]
     code, out, err = run_cli(args, capsys)
     assert code == 2
     assert f"error: {flag} " in err

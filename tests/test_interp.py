@@ -329,6 +329,18 @@ class TestReconstructionBound:
             assert bound >= abs(u.value_at((i, j))) * (1 - 1e-12)
             checked += 1
 
+    def test_interval_seminorm_bound_is_certain(self, monkeypatch):
+        # a one-pair budget makes the seminorm an interval whose floor, 1.3810,
+        # is below its exact value, 1.4646; the floor alone would bound |u| = 2
+        # at (16, 16) by 1.8894, the certified upper end keeps it certain
+        from holonorm import pairs
+        monkeypatch.setattr(pairs, "PAIR_LIMIT", 1)
+        u = sample_expr("x1*x1 + t", steps=16)
+        H = ParabolicShift((-0.75,), -1.0)
+        bound = pointwise_reconstruction_bound(u, 0.5, 1, (16, 16), H)
+        assert abs(u.value_at((16, 16))) == 2.0
+        assert bound == pytest.approx(10.6455, abs=1e-4)
+
     def test_out_of_box_rejected(self):
         u = sample_expr("x1*t", steps=4)
         H = ParabolicShift((0.25,), 0.0)

@@ -147,7 +147,7 @@ class TestHolderSeminorms:
         u = sample(lambda x, t: x[0] * t, T=1.0, steps=16)
         rep = holder_seminorm_time(u, 0.5)
         assert rep.value == 1.0
-        assert rep.witness["a"][0] == u.spatial_steps[0]  # attained at x = 1
+        assert rep.witness["base"][0] == u.spatial_steps[0]  # attained at x = 1
 
     def test_exponent_validation(self):
         u = sample(lambda x, t: x[0])
@@ -592,17 +592,37 @@ class TestIntervalMode:
 
 
 class TestWitnesses:
-    def test_witnesses_reevaluate(self):
+    def test_witnesses_reevaluate(self, monkeypatch):
+        import holonorm.pairs as pairs_mod
         u = _random_parabolic(31, steps=6, tsteps=6)
-        reports = [
-            sup_norm(u),
-            sup_t_lp_norm(u, 2),
-            holder_seminorm_space(u, 0.5, beta=(1,)),
-            holder_seminorm_time(u, 0.5),
-            diff_quotient_seminorm(u, 1.5),
+        e = GridFunction(Domain((0.0, 0.0), (1.0, 1.0), 0.0), (5, 5), 0,
+                         np.random.default_rng(32).uniform(-1, 1, (6, 6, 1)))
+        reports = [(u, sup_norm(u)), (u, sup_t_lp_norm(u, 2))]
+        quotients = [
+            (u, holder_seminorm_space(u, 0.5)),
+            (u, holder_seminorm_space(u, 0.5, beta=(1,))),
+            (e, holder_seminorm_space(e, 0.3, beta=(0, 1))),
+            (u, holder_seminorm_time(u, 0.5)),
+            (u, holder_seminorm_time(u, 0.25, beta=(1,), l_t=1)),
         ]
-        for rep in reports:
-            assert witness_value(u, rep) == pytest.approx(rep.value, rel=1e-12)
+        # joint k-th differences, k = 1 and 2; on (x + t)^2 their witnesses
+        # shift in space and time at once
+        p = sample(lambda x, t: (x[0] + t) ** 2, T=1.0, steps=6)
+        joint = {grid: [diff_quotient_seminorm(grid, 0.5, DiffSeminormSpec(1, 1)),
+                        diff_quotient_seminorm(grid, 1.5)] for grid in (p, e)}
+        assert all(rep.witness["time_step"] and rep.witness["steps"][0] for rep in joint[p])
+        quotients += [(grid, rep) for grid, reps in joint.items() for rep in reps]
+        # a one-pair budget makes a larger grid's supremum an interval
+        monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
+        big = _random_parabolic(33, steps=20, tsteps=20)
+        forced = diff_quotient_seminorm(big, 1.5)
+        assert forced.sampling.mode == "interval"
+        quotients.append((big, forced))
+        for grid, rep in quotients:
+            assert set(rep.witness) == {"base", "steps", "time_step", "order", "separation"}
+            assert rep.witness["order"] == rep.params.get("k", 1)
+        for grid, rep in reports + quotients:
+            assert witness_value(grid, rep) == rep.value, rep.kind
 
     def test_report_serialization(self):
         import json

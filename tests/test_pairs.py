@@ -34,10 +34,7 @@ def _profile_values(kind: str, shape, seed: int) -> np.ndarray:
 
 def _offset_of(witness) -> tuple[list[int], list[int], int]:
     """(base, spatial steps, time steps) of a supremum's witness."""
-    if "base" in witness:
-        return witness["base"], witness["steps"], witness["time_step"]
-    off = [a - b for a, b in zip(witness["a"], witness["b"])]
-    return witness["b"], off[:-1], off[-1]
+    return witness["base"], witness["steps"], witness["time_step"]
 
 
 def _reevaluate(values, out, kind, exponent, k, h_x, h_t) -> float:
@@ -65,11 +62,11 @@ def _check(engine, oracle, values, kind, exponent, k, h_x, h_t, forced=False):
         assert engine() == out  # the same input gives the same outcome
 
 
-def _assert_bounds_sound(values, h_x, h_t, e, k, kind, allow_time):
+def _assert_bounds_sound(values, h_x, h_t, e, k, kind):
     # every computed quotient lies at or below its offset's bound, as the
     # walk compares them, so skipping an offset whose bound is below the
     # running best never changes the result
-    prob = pairs._Problem(values, h_x, h_t, e, k, kind, allow_time)
+    prob = pairs._Problem(values, h_x, h_t, e, k, kind)
     if prob.nearest_offsets():
         table, bounds = prob.certified(0.0, None)
         assert len(table) == prob.count
@@ -96,43 +93,43 @@ def grids(draw):
 def test_pruned_engines_equal_brute_force(grid, k, exponent, forced):
     values, h_x, h_t = grid
     e = exponent
-    # (kind, problem kind, allow_time, brute-force (value, witness), engines);
+    # (kind, brute-force (value, witness), engines);
     # the dispatchers walk grids this small exactly, unless a zero pair budget
     # forces an interval, which holds the oracle, or is exact again once every
     # admissible offset has been seen
     cases = [
-        ("space", "space", False, oracles.kdiff_argsup_loops(values, h_x, h_t, e, k, "space"),
+        ("space", oracles.kdiff_argsup_loops(values, h_x, h_t, e, k, "space"),
          [lambda: pairs.pair_quotient_sup_exhaustive(values, h_x, h_t, e, "space", k)]
          + [lambda: pairs.pair_quotient_sup(values, h_x, h_t, e, "space")] * (k == 1)),
     ]
     for allow_time in (False, True):
         cases.append(
-            ("joint" if allow_time else "space", "kdiff", allow_time,
+            ("joint" if allow_time else "space",
              oracles.kdiff_argsup_loops(values, h_x, h_t, e, k,
                                         "joint" if allow_time else "space"),
              [lambda a=allow_time: pairs.kdiff_quotient_sup_exhaustive(values, h_x, h_t, e, k, a),
               lambda a=allow_time: pairs.kdiff_quotient_sup(values, h_x, h_t, e, k, a)]))
     if h_t:
         cases.append(
-            ("time", "time", True, oracles.kdiff_argsup_loops(values, h_x, h_t, e, k, "time"),
+            ("time", oracles.kdiff_argsup_loops(values, h_x, h_t, e, k, "time"),
              [lambda: pairs.pair_quotient_sup_exhaustive(values, h_x, h_t, e, "time", k),
               lambda: pairs.kdiff_time_quotient_sup(values, h_x, h_t, e, k)]
              + [lambda: pairs.pair_quotient_sup(values, h_x, h_t, e, "time")] * (k == 1)))
     if k == 1:
-        assert cases[0][3][0] == oracles.holder_space_sup_loops(values, h_x, e)
+        assert cases[0][1][0] == oracles.holder_space_sup_loops(values, h_x, e)
         if h_t:
-            assert cases[-1][3][0] == oracles.holder_time_sup_loops(values, h_t, e)
-    for _, kind, allow_time, _, _ in cases:
-        _assert_bounds_sound(values, h_x, h_t, e, k, kind, allow_time)
+            assert cases[-1][1][0] == oracles.holder_time_sup_loops(values, h_t, e)
+    for kind, _, _ in cases:
+        _assert_bounds_sound(values, h_x, h_t, e, k, kind)
     with pytest.MonkeyPatch.context() as mp:
         if forced:
             mp.setattr(pairs, "PAIR_LIMIT", 0)
-        for kind, _, _, expect, engines in cases:
+        for kind, expect, engines in cases:
             for i, engine in enumerate(engines):
                 _check(engine, expect, values, kind, e, k, h_x, h_t, forced and i > 0)
 
 
-@given(grid=grids(), kind=st.sampled_from(["space", "time", "kdiff"]),
+@given(grid=grids(), kind=st.sampled_from(["space", "time", "joint"]),
        reaches=st.lists(st.integers(0, 8), min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches):
@@ -143,9 +140,9 @@ def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches):
         return
     store, tops = {}, [0] * values.ndim
     for r in reaches:
-        grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, True, store)
+        grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, store)
         reach = tuple(min(r, m) for m in grown.limits) + (min(r, grown.j_hi),)
-        alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, True).moduli(reach)
+        alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind).moduli(reach)
         got = grown.moduli(reach)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
         tops = [max(t, s) for t, s in zip(tops, reach)]
@@ -186,7 +183,7 @@ def test_ties_made_by_rounding_go_to_first_base():
     assert expect[1] == ([0, 1], [1], 0)
     for out in (pairs.pair_quotient_sup_exhaustive(values, (0.5,), 0.5, 0.9, "space", 1),
                 pairs.pair_quotient_sup(values, (0.5,), 0.5, 0.9, "space")):
-        assert (out.value, out.witness["b"], out.witness["a"]) == (expect[0], [0, 1], [1, 1])
+        assert (out.value, *_offset_of(out.witness)) == (expect[0], [0, 1], [1], 0)
 
 
 def test_res32_2d_space_pairs_are_exact():
@@ -202,7 +199,7 @@ def _global_bound_pairs(u, l, k) -> int:
     """Pairs in the offsets whose global bound ``amp / sep^l`` reaches the
     nearest-neighbour seed: the work the engine certified before it had
     per-offset bounds."""
-    prob = pairs._Problem(u.values, u.h_x, u.h_t, l, k, "kdiff", True)
+    prob = pairs._Problem(u.values, u.h_x, u.h_t, l, k, "joint")
     seed = max(prob.evaluate(off)[0] for off in prob.nearest_offsets())
     off, _ = prob.certified(0.0, None)
     off = off[prob.amp / prob.separations(off) ** l >= seed]
@@ -298,11 +295,11 @@ def test_table_guards_stop_before_building_much(monkeypatch):
     # 3+1-D, 17 nodes per axis: a table of 3 chunks, all of whose offsets
     # reach a zero floor; the second chunk passes the row guard
     values = np.random.default_rng(5).uniform(size=(17, 17, 17, 17))
-    prob = pairs._Problem(values, (1 / 16,) * 3, 1 / 16, 0.5, 1, "kdiff", True)
+    prob = pairs._Problem(values, (1 / 16,) * 3, 1 / 16, 0.5, 1, "joint")
     assert prob.certified(0.0, pairs.PAIR_LIMIT) is None
     assert len(chunks) == 2
     # 33 nodes per axis: the moduli would take 1.5e8 pairs
     values = np.random.default_rng(5).uniform(size=(33, 33, 33, 33))
-    prob = pairs._Problem(values, (1 / 32,) * 3, 1 / 32, 0.5, 1, "kdiff", True)
+    prob = pairs._Problem(values, (1 / 32,) * 3, 1 / 32, 0.5, 1, "joint")
     assert prob.certified(0.0, pairs.PAIR_LIMIT) is None
     assert len(chunks) == 2

@@ -72,6 +72,13 @@ class TestRandomSearch:
         with pytest.raises(ValueError, match="budget"):
             random_search(SPEC_231, Family(kind="trig"), budget=0, seed=0)
 
+    def test_spatial_domain_records_no_time_steps(self):
+        # a T = 0 domain has no time steps, whatever time resolution is asked for
+        for tres in (None, 5):
+            res = random_search(SPEC_211, Family(kind="trig"), budget=1, seed=0, resolution=8,
+                                time_resolution=tres)
+            assert res.resolution["time_resolution"] == 0
+
     def test_rough_family_runs(self):
         res = random_search(SPEC_231, Family(kind="rough"), budget=5, seed=3, resolution=24)
         assert res.best_ratio > 0
