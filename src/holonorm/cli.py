@@ -204,6 +204,8 @@ def cmd_norm(args: argparse.Namespace) -> int:
     for key in flags:
         if cfg.get(key) is not None and key not in reads:
             raise InputError(f"--{key} has no effect with --kind {kind}")
+    if kind == "dq" and cfg.get("lt") is not None and _opt(cfg, "form", "joint") != "split":
+        raise InputError("--lt has no effect with --kind dq unless --form split")
     u = _build_input(cfg)
     beta = cfg.get("beta")
     beta = None if beta is None else tuple(int(b) for b in str(beta).split(","))

@@ -12,8 +12,9 @@ reported value; the Hoelder and difference quotients share the witness of
 
 Each pair supremum is computed once per grid and engine and kept in the
 grid's memo; every call gets its own copy, and ``pairs_examined`` counts the
-pairs evaluated to obtain the value, repeated call or not.  The suprema of
-one derivative field share its moduli store, which changes no outcome.
+pairs decided to obtain the value (evaluated, or certified below the running
+best), repeated call or not.  The suprema of one derivative field share its
+moduli store, which changes no outcome.
 """
 
 from __future__ import annotations
@@ -220,14 +221,15 @@ def _trapezoid_pattern(n: int) -> np.ndarray:
     return w
 
 
-def _weighted_power_sum(values: np.ndarray, p: float, axes_n: Sequence[int]) -> float:
+def _weighted_powers(values: np.ndarray, p: float, axes_n: Sequence[int]) -> np.ndarray:
+    """``|values|^p`` times the trapezoid weights along the leading axes."""
     w = np.abs(values) ** p
     for axis, n in enumerate(axes_n):
         pattern = _trapezoid_pattern(n).reshape(
             (1,) * axis + (n,) + (1,) * (values.ndim - axis - 1)
         )
         w = w * pattern
-    return float(np.sum(w))
+    return w
 
 
 def _lebesgue_exponent(p) -> float:
@@ -237,10 +239,13 @@ def _lebesgue_exponent(p) -> float:
     return p
 
 
-def _slice_lp(u: GridFunction, j: int, p: float) -> float:
-    """Tensor-trapezoidal spatial Lp norm of time level ``j``."""
-    s = _weighted_power_sum(u.values[..., j], p, u.n_spatial)
-    return (math.prod(u.h_x) * s) ** (1.0 / p)
+def _level_lp(u: GridFunction, p: float) -> list[float]:
+    """Tensor-trapezoidal spatial Lp norm of every time level: each level's
+    weighted powers are summed as one contiguous row."""
+    w = _weighted_powers(u.values, p, u.n_spatial)
+    sums = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T).sum(axis=1)
+    scale = math.prod(u.h_x)
+    return [(scale * s) ** (1.0 / p) for s in sums.tolist()]
 
 
 def lp_norm(u: GridFunction, p: float) -> NormReport:
@@ -248,9 +253,9 @@ def lp_norm(u: GridFunction, p: float) -> NormReport:
     time as well when the time horizon is positive)."""
     p = _lebesgue_exponent(p)
     if u.is_elliptic:
-        value = _slice_lp(u, 0, p)
+        value = _level_lp(u, p)[0]
     else:
-        s = _weighted_power_sum(u.values, p, u.n_spatial + (u.n_time,))
+        s = float(np.sum(_weighted_powers(u.values, p, u.n_spatial + (u.n_time,))))
         value = (math.prod(u.h_x) * u.h_t * s) ** (1.0 / p)
     return NormReport("lp", value, p, u.values.size, SamplingInfo("exhaustive"), None, {"p": p})
 
@@ -260,11 +265,9 @@ def sup_t_lp_norm(u: GridFunction, p: float) -> NormReport:
     p = _lebesgue_exponent(p)
     if u.is_elliptic:
         raise ValueError("sup-in-time norm needs a positive time horizon")
-    best, best_j = -math.inf, 0
-    for j in range(u.n_time):
-        v = _slice_lp(u, j, p)
-        if v > best:
-            best, best_j = v, j
+    levels = _level_lp(u, p)
+    best_j = max(range(u.n_time), key=levels.__getitem__)  # the first maximum
+    best = levels[best_j]
     witness = {"time_level": best_j, "t": float(u.time_coords()[best_j])}
     return NormReport("sup_t_lp", best, p, u.values.size, SamplingInfo("exhaustive"), witness,
                       {"p": p})
@@ -490,7 +493,7 @@ def witness_value(u: GridFunction, report: NormReport) -> float:
     if report.kind == "sup":
         return float(abs(u.values[tuple(w["node"])]))
     if report.kind == "sup_t_lp":
-        return _slice_lp(u, w["time_level"], report.params["p"])
+        return _level_lp(u, report.params["p"])[w["time_level"]]
     if report.kind in ("holder_space", "holder_time", "diff_quotient"):
         # "joint" separates an offset with no time step as "space" does
         kind = {"holder_space": "space", "holder_time": "time"}.get(report.kind, "joint")

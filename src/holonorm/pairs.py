@@ -22,8 +22,13 @@ serves them all:
 4. The offsets whose bound reaches the seed are walked best bound first, and
    the walk stops at the first bound below the running best: every offset
    skipped is certified to lie below it, so the value is exact (mode
-   ``"exhaustive"``).
-5. The dispatchers give the walk a budget of ``PAIR_LIMIT`` evaluated pairs.
+   ``"exhaustive"``).  Each visited offset is evaluated only on a window of
+   its slab: the base rows of axis 0 and the base time levels whose pairs
+   can still reach the running best, by the max and the min of the values
+   on the hyperplanes they touch.  The window is a slice along each axis,
+   evaluated in place into one scratch buffer, and only a maximum that can
+   reach the best pays for the scalar ``sep^e`` and the tie scan.
+5. The dispatchers give the walk a budget of ``PAIR_LIMIT`` decided pairs.
    Past it, or when the moduli alone would cost more than the budget or more
    than ``_TABLE_ROWS`` offsets reach the seed, the value is a floor and the
    outcome a certified interval (mode ``"interval"``): the floor comes from
@@ -33,7 +38,9 @@ serves them all:
    are evaluated on the full grid.  ``upper`` is the bound at the cut, or with
    no table ``amp / (nearest separation)^e``.  A walk that has seen every
    admissible offset is exact, whichever way it got there.  ``examined``
-   counts the pairs evaluated, coarse levels included, store or not.
+   counts the pairs decided, coarse levels included, store or not: every
+   pair of each visited offset's slab, whether evaluated or certified below
+   the running best by its window.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -54,8 +61,9 @@ import numpy as np
 
 from .grid import difference_coefficients
 
-PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may evaluate
+PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may decide
 DEFAULT_SEED = 1729  # nothing draws from it; kept only for perfbench/refs.py, which imports it
+_WINDOW_MIN = 1024  # values below which a walk evaluates whole slabs, see ``_walk``
 _TABLE_ROWS = 262_144  # offsets per chunk of the offset table; a dispatcher keeps no more
 _EPS = np.finfo(float).eps
 
@@ -84,28 +92,7 @@ def separation(kind: str, d, j: int, h_x, h_t: float) -> float:
 
 def _base_slices(offset: tuple[int, ...], dims: tuple[int, ...], k: int):
     """Base-region bounds such that all translates i = 0..k stay inside."""
-    lows, highs = [], []
-    for d, n in zip(offset, dims):
-        if d >= 0:
-            lows.append(0)
-            highs.append(n - k * d)
-        else:
-            lows.append(-k * d)
-            highs.append(n)
-    return lows, highs
-
-
-def _translate_view(arr: np.ndarray, lows, highs, offset, i: int):
-    sl = tuple(slice(lo + i * d, hi + i * d) for lo, hi, d in zip(lows, highs, offset))
-    return arr[sl]
-
-
-def _kdiff_slab(arr: np.ndarray, lows, highs, offset, k: int, coeffs) -> np.ndarray:
-    u0 = _translate_view(arr, lows, highs, offset, 0)
-    s = coeffs[0] * _translate_view(arr, lows, highs, offset, 1)
-    for i in range(2, k + 1):
-        s += coeffs[i - 1] * _translate_view(arr, lows, highs, offset, i)
-    return np.abs(u0 - s)
+    return [k * max(-d, 0) for d in offset], [n - k * max(d, 0) for d, n in zip(offset, dims)]
 
 
 # -- the offset table -------------------------------------------------------------------
@@ -140,6 +127,10 @@ class _Problem:
         # canonical admissible offsets: all of the box but half the j = 0 plane
         self.count = (self.j_hi - self.j_lo + 1) * plane - (plane + 1) // 2 * (self.j_lo == 0)
         self.amp, self.slack = self._amplitude()
+        n = len(n_sp)
+        self.margin = 1.0 + (2.0 * self.exponent * (n + 4) + n + 12) * _EPS  # see ``staircase``
+        self.scratch = None  # see ``evaluate``
+        self.profiles = None  # see ``windows``
 
     def _amplitude(self) -> tuple[float, float]:
         """An upper bound on every computed ``|k-th difference|`` of
@@ -181,8 +172,8 @@ class _Problem:
                 v = np.ascontiguousarray(np.moveaxis(self.values, axis, 0))
                 diff = np.empty_like(v)
                 for s in range(len(have), top + 1):
-                    d = np.subtract(v[s:], v[:-s], out=diff[s:])
-                    omega[s] = np.abs(d, out=d).max()
+                    d = np.subtract(v[s:], v[:-s], out=diff[s:]).reshape(-1)
+                    omega[s] = d[np.abs(d, out=d).argmax()]
                 store[axis] = omega
             out.append(omega[:top + 1])
         return out
@@ -203,14 +194,12 @@ class _Problem:
         ``_amplitude``'s absolute term and its factor ``1 + u``; adding that
         term and applying the margin round twice more.  This is a relative
         ``(N + 4) u``; with the ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s
-        comparison of ``D`` with ``D'``, twice the sum gives the factor below.
+        comparison of ``D`` with ``D'``, twice the sum gives ``margin``.
         """
         stair = moduli[-1][off[:, -1]]
         for axis, omega in enumerate(moduli[:-1]):
             stair = stair + omega[np.abs(off[:, axis])]
-        n = len(moduli) - 1
-        margin = 1.0 + (2.0 * self.exponent * (n + 4) + n + 12) * _EPS
-        return np.minimum(self.amp, (2.0 ** (self.k - 1) * stair + self.slack) * margin)
+        return np.minimum(self.amp, (2.0 ** (self.k - 1) * stair + self.slack) * self.margin)
 
     def separations(self, off: np.ndarray) -> np.ndarray:
         """Separations of offset rows ``(d, j)`` with ``j >= 0``."""
@@ -221,24 +210,109 @@ class _Problem:
             sep = sep + np.sqrt(off[:, -1] * self.h_t)
         return sep
 
+    # -- windows --------------------------------------------------------------------
+
+    def windows(self, off: np.ndarray, floor: float) -> list:
+        """``(lows, highs, denom, pairs)`` for each offset row ``(d, j)``: its
+        base box, cut along axis 0 and along time to the indices whose pairs
+        can reach ``floor``, the row's vectorised ``sep^e``, and the pairs of
+        its whole slab.
+
+        Along an axis whose offset component is ``d``, a pair based at index
+        ``i`` touches the hyperplanes ``i, i + d, ..., i + k d`` only, so its
+        exact ``|k-th difference|`` is at most ``2^(k-1) (hi - lo)``, with
+        ``hi`` and ``lo`` the max and the min of the values on those
+        hyperplanes (see ``_amplitude``).  Rounding, as in ``staircase`` with
+        one subtraction in place of its sum of moduli: the computed
+        ``(2^(k-1) (hi - lo) + slack) margin / D'``, with ``D'`` the
+        vectorised ``sep^e``, is at least every computed quotient there.
+        Indices from the first to the last whose bound reaches ``floor`` are
+        kept, so ties with ``floor`` survive and the window stays one slice
+        per axis; an empty slice means the offset needs no slab.
+        """
+        if self.profiles is None:  # max and min over each row of axis 0 and each time level
+            v = self.values
+            rest = tuple(range(1, v.ndim)), tuple(range(v.ndim - 1))
+            self.profiles = [(v.max(axis=a), v.min(axis=a)) for a in rest]
+        denom = self.separations(off) ** self.exponent
+        lows = -self.k * np.minimum(off, 0)
+        highs = np.asarray(self.values.shape) - self.k * np.maximum(off, 0)
+        pairs = np.prod(highs - lows, axis=1)
+        for axis, (top, bottom) in zip((0, -1), self.profiles):
+            lows[:, axis], highs[:, axis] = self._span(
+                top, bottom, off[:, axis], lows[:, axis], highs[:, axis], denom, floor)
+        return list(zip(lows.tolist(), highs.tolist(), denom.tolist(), pairs.tolist()))
+
+    def _span(self, top, bottom, d, first, stop, denom, floor):
+        """(start, stop) of the base indices in ``first..stop`` along one
+        axis whose bound, from the per-index ``top`` and ``bottom`` of the
+        values, reaches ``floor`` at offset components ``d``."""
+        n, k = len(top), self.k
+        base = np.arange(n)
+        hi, lo = top, bottom
+        for m in range(1, k + 1):
+            at = np.clip(base + m * d[:, None], 0, n - 1)
+            hi, lo = np.maximum(hi, top[at]), np.minimum(lo, bottom[at])
+        reach = (2.0 ** (k - 1) * (hi - lo) + self.slack) * self.margin / denom[:, None] >= floor
+        reach &= (base >= first[:, None]) & (base < stop[:, None])
+        start = reach.argmax(axis=1)
+        return start, np.where(reach.any(axis=1), n - reach[:, ::-1].argmax(axis=1), start)
+
     # -- one offset ---------------------------------------------------------------
 
-    def evaluate(self, off: tuple[int, ...]):
-        """(quotient, where: flat argmax, slab shape, base lows, pairs) of one
-        offset's slab."""
-        lows, highs = _base_slices(off, self.values.shape, self.k)
-        arr = _kdiff_slab(self.values, lows, highs, off, self.k, self.coeffs)
-        flat = arr.reshape(-1)
-        at = int(flat.argmax())
+    def evaluate(self, off: tuple[int, ...], window=None, floor: float = -math.inf):
+        """(quotient, where: flat argmax, slab shape, base lows, pairs decided)
+        of one offset's slab, computed in ``scratch``.
+
+        With a ``window`` (see ``windows``) only its base box is evaluated,
+        the pairs decided are those of the whole slab, and the quotient and
+        ``where`` are ``None`` when nothing in the window can reach
+        ``floor``: the box is empty, or its largest difference, raised by
+        ``margin``, over the vectorised ``sep^e`` is below ``floor``, which
+        the comparison terms of ``_amplitude`` make a bound on the quotient.
+        Only a window that can reach ``floor`` pays for the scalar ``sep^e``
+        and the tie scan."""
+        if window is None:
+            lows, highs = _base_slices(off, self.values.shape, self.k)
+        else:
+            lows, highs, table_denom, pairs = window
+        shape = [hi - lo for lo, hi in zip(lows, highs)]
+        size = math.prod(shape)
+        if window is None:
+            pairs = size
+        elif size <= 0:
+            return None, None, pairs
+        if self.scratch is None:  # the output, and for k >= 3 the partial products
+            self.scratch = np.empty(self.values.size * (1 if self.k <= 2 else 2))
+        flat = self.scratch[:size]
+        out = flat.reshape(shape)
+        view = [self.values[tuple([slice(lo + i * d, hi + i * d)
+                                   for lo, hi, d in zip(lows, highs, off)])]
+                for i in range(self.k + 1)]
+        if self.k == 1:  # c_1 = 1.0
+            np.subtract(view[0], view[1], out=out)
+        else:  # u_0 - sum_i c_i u_i, summed in that order; c_i u_i is exact at c_i = -+1
+            np.multiply(view[1], self.coeffs[0], out=out)
+            for c, v in zip(self.coeffs[1:], view[2:]):
+                if abs(c) == 1.0:
+                    (np.add if c > 0 else np.subtract)(out, v, out=out)
+                else:
+                    part = self.scratch[size:2 * size].reshape(shape)
+                    np.add(out, np.multiply(v, c, out=part), out=out)
+            np.subtract(view[0], out, out=out)
+        at = int(np.abs(flat, out=flat).argmax())  # argmax costs less than max here
+        top = float(flat[at])
+        if window is not None and top * self.margin / table_denom < floor:
+            return None, None, pairs
         denom = separation(self.kind, off[:-1], off[-1], self.h_x, self.h_t) ** self.exponent
-        q = float(flat[at]) / denom
+        q = top / denom
         # a smaller difference earlier in the slab may round to the same
         # quotient; the witness is the first base that attains it.  Division
         # rounds monotonically, so no earlier base ties unless the next
         # smaller float does.
-        if at and float(np.nextafter(flat[at], 0.0)) / denom == q:
+        if at and float(np.nextafter(top, 0.0)) / denom == q:
             at = int(np.argmax(flat[:at + 1] / denom == q))
-        return q, (at, arr.shape, lows), arr.size
+        return q, (at, tuple(shape), lows), pairs
 
     def witness(self, off: tuple[int, ...], where) -> dict:
         at, shape, lows = where
@@ -349,42 +423,44 @@ def _sup(prob: _Problem, limit: int | None) -> SupOutcome:
 
 
 def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]:
-    """(best, pairs evaluated, upper bound or ``None`` when exact).
+    """(best, pairs decided, upper bound or ``None`` when exact).
 
     The nearest-neighbour sweep, then one walk over the certified table best
     bound first, stopping at the first bound below the running best (exact).
-    Once the walk has evaluated ``limit`` pairs (``None``: never), or when
-    there is no table, the coarsened problem is solved the same way, with the
-    same budget, down to a level that is exact or has no admissible offset;
-    its witness offset, doubled, and its neighbours (:meth:`_Problem.around`)
-    are evaluated here.  Seeing every admissible offset makes any walk
-    exact."""
+    Each offset the walk visits is evaluated on its window at the running
+    best (:func:`_walk`).  Once the walk has decided ``limit`` pairs
+    (``None``: never), or when there is no table, the coarsened problem is
+    solved the same way, with the same budget, down to a level that is exact
+    or has no admissible offset; its witness offset, doubled, and its
+    neighbours (:meth:`_Problem.around`) are evaluated here.  Seeing every
+    admissible offset makes any walk exact."""
     nearest = prob.nearest_offsets()
     best, seen, examined = _Best(), set(), 0
 
-    def visit(off: tuple[int, ...]):
+    def visit(off: tuple[int, ...], window=None):
         nonlocal examined
         seen.add(off)
-        q, where, n = prob.evaluate(off)
+        q, where, n = prob.evaluate(off, window, best.q)
         examined += n
-        best.offer(q, off, where)
+        if where is not None:
+            best.offer(q, off, where)
 
     for off in nearest:
         visit(off)
+    prob.scratch = None  # not held while the table, the peak of memory, is built
     table = prob.certified(best.q, limit)
     if table is None:
         cut = float(np.max(prob.amp / prob.separations(np.asarray(nearest)) ** prob.exponent))
     else:
         cut, budget = None, math.inf if limit is None else limit
-        for row, bound in zip(*table):
+        for off, bound, window in _walk(prob, table, best):
             if bound < best.q or len(seen) == prob.count:
                 break
             if examined >= budget:
                 cut = float(bound)
                 break
-            off = tuple(int(v) for v in row)
             if off not in seen:
-                visit(off)
+                visit(off, window)
     if cut is None or len(seen) == prob.count:
         return best, examined, None
     coarse = prob.coarsened()
@@ -395,6 +471,24 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
             if off not in seen:
                 visit(off)
     return best, examined, max(best.q, cut)
+
+
+def _walk(prob: _Problem, table, best: _Best):
+    """The table's rows as (offset, bound, window), in order.
+
+    Rows come in chunks of 8 up to 128, each with its windows
+    (:meth:`_Problem.windows`) at the running best of the chunk's start;
+    the best only rises, so they hold for the whole chunk.  Below
+    ``_WINDOW_MIN`` values the windows cost more than they save, and every
+    slab is evaluated whole."""
+    offs, bounds = table
+    start, size = 0, 8
+    while start < len(bounds):
+        rows = offs[start:start + size]
+        windows = (prob.windows(rows, best.q) if prob.values.size >= _WINDOW_MIN
+                   else [None] * len(rows))
+        yield from zip(map(tuple, rows.tolist()), bounds[start:start + size], windows)
+        start, size = start + size, min(2 * size, 128)
 
 
 # -- exhaustive engines ---------------------------------------------------------

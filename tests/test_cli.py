@@ -234,6 +234,10 @@ EFFECTLESS_FLAGS = {
                                            "--kind", "holder", "--alpha", "0.3", "--l", "0.5"]),
     "norm-dq-exponent": ("--exponent", ["norm", "--expr", "x1", "--res", "8", "--kind", "dq",
                                         "--l", "0.5", "--exponent", "0.5"]),
+    # the joint form takes k-th differences along space-time shifts; only the
+    # split form reads the time-difference order
+    "norm-dq-lt-joint": ("--lt", ["norm", "--expr", "x1*t", "--T", "1", "--res", "8",
+                                  "--kind", "dq", "--l", "0.5", "--lt", "3"]),
 }
 # with --csv the file fixes the grid; check still reads --dim for the spec's N
 for _cmd, _extra in (("norm", ["--kind", "sup"]),

@@ -120,6 +120,29 @@ class TestSupTLp:
         with pytest.raises(ValueError, match="time horizon"):
             sup_t_lp_norm(sample(lambda x, t: x[0]), 2)
 
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.5])
+    def test_levels_match_a_loop_over_levels(self, p):
+        # all levels summed in one pass give, bit for bit, the value and the
+        # first maximal level of a loop that sums each level's weighted
+        # powers on its own; levels 0, 4 and 8 of the 1-D grid tie exactly
+        grids = [sample(lambda x, t: np.sin(np.pi * x[0]) * np.cos(2 * np.pi * t) ** 2,
+                        steps=8, T=1.0),
+                 make_grid_function(Domain((0.0, 0.0), (1.0, 2.0), 1.0), (12, 7), 9,
+                                    lambda x, t: x[0] * np.exp(x[1] - t) + np.sin(5 * t))]
+        for u in grids:
+            levels = []
+            for j in range(u.n_time):
+                w = np.abs(u.values[..., j]) ** p
+                for axis, n in enumerate(u.n_spatial):
+                    pattern = np.ones(n)
+                    pattern[[0, -1]] = 0.5
+                    w = w * pattern.reshape((1,) * axis + (n,) + (1,) * (u.N - axis - 1))
+                levels.append((math.prod(u.h_x) * float(np.sum(w))) ** (1.0 / p))
+            rep = sup_t_lp_norm(u, p)
+            first = levels.index(max(levels))
+            assert (rep.value, rep.witness["time_level"]) == (levels[first], first)
+            assert witness_value(u, rep) == rep.value
+
 
 class TestHolderSeminorms:
     def test_constant_is_zero(self):

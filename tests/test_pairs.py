@@ -62,16 +62,49 @@ def _check(engine, oracle, values, kind, exponent, k, h_x, h_t, forced=False):
         assert engine() == out  # the same input gives the same outcome
 
 
+def _slab_quotients(prob, off):
+    """(base lows, array of every pair's computed quotient over the base box)
+    of one offset, from the oracle."""
+    d, j = off[:-1], off[-1]
+    denom = pairs.separation(prob.kind, d, j, prob.h_x, prob.h_t) ** prob.exponent
+    lows, highs = pairs._base_slices(off, prob.values.shape, prob.k)
+    q = np.array([abs(oracles.kdiff_scalar(prob.values, base, off, prob.k)) / denom
+                  for base in itertools.product(*map(range, lows, highs))])
+    return lows, q.reshape([hi - lo for lo, hi in zip(lows, highs)])
+
+
 def _assert_bounds_sound(values, h_x, h_t, e, k, kind):
     # every computed quotient lies at or below its offset's bound, as the
     # walk compares them, so skipping an offset whose bound is below the
     # running best never changes the result
     prob = pairs._Problem(values, h_x, h_t, e, k, kind)
-    if prob.nearest_offsets():
-        table, bounds = prob.certified(0.0, None)
-        assert len(table) == prob.count
-        for row, bound in zip(table, bounds):
-            assert prob.evaluate(tuple(int(v) for v in row))[0] <= bound
+    if not prob.nearest_offsets():
+        return
+    table, bounds = prob.certified(0.0, None)
+    assert len(table) == prob.count
+    offsets = [tuple(int(v) for v in row) for row in table]
+    slabs = [_slab_quotients(prob, off) for off in offsets]
+    for off, (_, q), bound in zip(offsets, slabs, bounds):
+        assert prob.evaluate(off)[0] == q.max() <= bound
+    # windows: at the exact value and at each offset's own max as the floor,
+    # every pair outside an offset's window is below the floor, the window
+    # decides the whole slab, and a window that may hold the floor gives the
+    # offset's quotient and witness
+    for floor in {max(q.max() for _, q in slabs)} | {q.max() for _, q in slabs}:
+        for off, (base, q), window in zip(offsets, slabs, prob.windows(table, floor)):
+            lows, highs, _, n = window
+            assert n == q.size
+            inside = np.zeros(q.shape, dtype=bool)
+            inside[tuple(slice(max(lo - b, 0), max(hi - b, 0))
+                         for lo, hi, b in zip(lows, highs, base))] = True
+            assert np.all(q[~inside] < floor)
+            value, where, n = prob.evaluate(off, window, floor)
+            assert n == q.size
+            if where is None:
+                assert q.max() < floor
+            elif q.max() >= floor:
+                whole, at = prob.evaluate(off)[:2]
+                assert (value, prob.witness(off, where)) == (whole, prob.witness(off, at))
 
 
 @st.composite
@@ -88,9 +121,9 @@ def grids(draw):
 
 
 @given(grid=grids(), k=st.integers(1, 3), exponent=st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.5]),
-       forced=st.booleans())
+       forced=st.booleans(), windowed=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_pruned_engines_equal_brute_force(grid, k, exponent, forced):
+def test_pruned_engines_equal_brute_force(grid, k, exponent, forced, windowed):
     values, h_x, h_t = grid
     e = exponent
     # (kind, brute-force (value, witness), engines);
@@ -124,6 +157,8 @@ def test_pruned_engines_equal_brute_force(grid, k, exponent, forced):
     with pytest.MonkeyPatch.context() as mp:
         if forced:
             mp.setattr(pairs, "PAIR_LIMIT", 0)
+        if windowed:  # grids this small walk whole slabs unless the size gate is lowered
+            mp.setattr(pairs, "_WINDOW_MIN", 0)
         for kind, expect, engines in cases:
             for i, engine in enumerate(engines):
                 _check(engine, expect, values, kind, e, k, h_x, h_t, forced and i > 0)
@@ -148,6 +183,58 @@ def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches):
         tops = [max(t, s) for t, s in zip(tops, reach)]
     # the store holds the separations asked for so far, and no more
     assert {a: len(o) for a, o in store.items()} == {a: t + 1 for a, t in enumerate(tops) if t}
+
+
+@pytest.mark.parametrize("profile", ["random", "smooth", "cusp", "ties", "constant"])
+@pytest.mark.parametrize("kind, k", [("space", 1), ("time", 2), ("joint", 1), ("joint", 2)])
+def test_windows_are_sound(profile, kind, k):
+    for shape, h_x in (((9, 6), (1 / 8,)), ((5, 4, 4), (1 / 4, 1 / 3))):
+        _assert_bounds_sound(_profile_values(profile, shape, 7), h_x, 1 / (shape[-1] - 1), 0.5,
+                             k, kind)
+
+
+# SupOutcomes recorded before slabs were cut to windows: value, witness, the
+# pairs decided, the mode and the upper end all stay as they were
+_SMOOTH = "sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)"
+_CUSP = "((x1-0.5)^2+(x2-0.5)^2)^0.3*exp(-t)"
+_PINNED = [
+    (_SMOOTH, 16, "space", 0.5, 1, 3.017377917938286, ([4, 5, 0], [0, 6], 0, 0.375), 202266),
+    (_SMOOTH, 16, "time", 0.5, 1, 0.6321205588285577, ([4, 4, 0], [0, 0], 16, 1.0), 4913),
+    (_SMOOTH, 16, "joint", 0.5, 1, 3.017377917938286, ([4, 5, 0], [0, 6], 0, 0.375), 206890),
+    (_SMOOTH, 16, "joint", 1.5, 2, 16.0, ([4, 8, 0], [0, 4], 0, 0.25), 145435),
+    (_CUSP, 32, "space", 0.5, 1, 0.9659363289248454,
+     ([0, 32, 0], [16, -16], 0, 0.7071067811865476), 11817036),
+    (_CUSP, 32, "time", 0.5, 1, 0.5134414386945387, ([0, 0, 0], [0, 0], 32, 1.0), 35937),
+    (_CUSP, 32, "joint", 0.5, 1, 0.9659363289248454,
+     ([0, 32, 0], [16, -16], 0, 0.7071067811865476), 45456548),
+    (_CUSP, 32, "joint", 1.5, 2, 45.25483399593904, ([16, 15, 0], [0, 1], 0, 0.03125), 164703),
+]
+
+
+def _pinned_outcome(source, res, kind, e, k):
+    u = make_grid_function(Domain((0.0, 0.0), (1.0, 1.0), 1.0), res, res,
+                           as_grid_callable(parse(source, 2)))
+    if kind == "joint":
+        return pairs.kdiff_quotient_sup(u.values, u.h_x, u.h_t, e, k, True)
+    return pairs.pair_quotient_sup(u.values, u.h_x, u.h_t, e, kind)
+
+
+def _witness(base, steps, time_step, separation, order):
+    return {"base": base, "steps": steps, "time_step": time_step, "order": order,
+            "separation": separation}
+
+
+@pytest.mark.parametrize("source, res, kind, e, k, value, witness, examined", _PINNED)
+def test_outcomes_are_pinned(source, res, kind, e, k, value, witness, examined):
+    assert _pinned_outcome(source, res, kind, e, k) == pairs.SupOutcome(
+        value, _witness(*witness, k), examined, "exhaustive")
+
+
+def test_interval_outcome_is_pinned(monkeypatch):
+    monkeypatch.setattr(pairs, "PAIR_LIMIT", 1_000_000)
+    assert _pinned_outcome(_CUSP, 32, "joint", 0.5, 1) == pairs.SupOutcome(
+        0.9659363289248454, _witness([0, 32, 0], [16, -16], 0, 0.7071067811865476, 1),
+        1038437, "interval", 4.594793419988157)
 
 
 def test_ties_go_to_first_offset_in_enumeration_order():
