@@ -2,8 +2,9 @@
 sweeps, and ratio searches; emit JSON reports and CSV plot series.
 
 Exit codes: 0 success, 1 an inequality-violation flag was raised, 2 input
-error.  Flags override values from an optional JSON config file, and every
-output embeds the tool version and the resolved configuration.
+error, a setting that changes nothing included.  Flags override values from an
+optional JSON config file, which is parsed as flags are, and every output
+embeds the tool version and the resolved configuration.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 from . import __version__
 from . import expr as expr_mod
 from .grid import Domain, GridFunction, grid_from_csv, make_grid_function
-from .interp import CheckReport, InterpSpec, Variant, check
+from .interp import InterpSpec, Variant, check
 from .norms import (
     DiffSeminormSpec,
     diff_quotient_seminorm,
@@ -123,93 +124,93 @@ def _parse_res(text: str, n_dim: int) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _opt(cfg: dict, key: str, default):
-    """``cfg[key]``, or ``default`` when the key is missing or null; a 0 is a
-    value like any other."""
-    val = cfg.get(key)
-    return default if val is None else val
+def _reject(cfg: dict, keys, why: str) -> None:
+    """A setting that changes nothing would still be echoed under ``config``:
+    the first of ``keys`` that is given exits 2, named by its flag."""
+    for key in keys:
+        if key in cfg:
+            raise InputError(f"--{key} has no effect {why}")
 
 
-def _build_input(cfg: dict, reads_dim: bool = False) -> GridFunction:
-    """The grid of ``--expr`` or of ``--csv``, whose file fixes the lattice; a
-    caller that ``reads_dim`` reads ``--dim`` beside it for the spec's N."""
-    if cfg.get("csv"):
-        for key in ("expr", "box", "T", "res", "tres") + ("dim",) * (not reads_dim):
-            if cfg.get(key) is not None:
-                raise InputError(f"--{key} has no effect with --csv, whose file fixes the grid")
+_LATTICE_KEYS = ["expr", "box", "T", "res", "tres"]
+_WITH_CSV = "with --csv, whose file fixes the grid"
+
+
+def _build_input(cfg: dict) -> GridFunction:
+    """The grid of ``--csv``, or of ``--expr`` on the lattice its flags set."""
+    if "csv" in cfg:
         return grid_from_csv(cfg["csv"])
     if not cfg.get("expr"):
         raise InputError("provide --expr (with --dim/--box/--res) or --csv")
-    n_dim = int(_opt(cfg, "dim", 1))
-    lows, highs = _parse_box(_opt(cfg, "box", "0,1"), n_dim)
-    horizon = float(_opt(cfg, "T", 0.0))
-    res = _parse_res(str(_opt(cfg, "res", 64)), n_dim)
-    if horizon <= 0 and cfg.get("tres") is not None:
-        raise InputError("--tres needs a positive --T; a grid with T = 0 has no time steps")
-    tres = int(_opt(cfg, "tres", res[0])) if horizon > 0 else 0
+    n_dim = cfg.get("dim", 1)
+    lows, highs = _parse_box(cfg.get("box", "0,1"), n_dim)
+    horizon = cfg.get("T", 0.0)
+    res = _parse_res(cfg.get("res", "64"), n_dim)
+    if horizon <= 0:
+        _reject(cfg, ["tres"], "without a positive --T; a grid with T = 0 has no time steps")
+    tres = cfg.get("tres", res[0]) if horizon > 0 else 0
     tree = expr_mod.parse(cfg["expr"], n_dim)
     return make_grid_function(Domain(lows, highs, horizon), res, tres,
                               expr_mod.as_grid_callable(tree))
 
 
-def _resolved(args: argparse.Namespace, keys: list[str]) -> dict:
-    """Merge the config file (if any) with flags; flags win.  A config key
-    outside ``keys`` would be echoed without effect, so it is an error."""
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise InputError("config file must hold a JSON object")
-        unknown = [key for key in loaded if key not in keys]
-        if unknown:
-            raise InputError(f"config key {unknown[0]!r} is not read by {args.command}; "
+def _config_tokens(args: argparse.Namespace) -> list[str]:
+    """The ``--config`` file as ``--key=value`` tokens, so that its values get
+    the same ``type`` and ``choices`` as the flags.  A key the subcommand does
+    not read would be echoed without effect, so it is an error."""
+    with open(args.config) as fh:
+        loaded = json.load(fh)
+    if not isinstance(loaded, dict):
+        raise InputError("config file must hold a JSON object")
+    keys = list(_settings(args))
+    tokens = []
+    for key, val in loaded.items():
+        if key not in keys:
+            raise InputError(f"config key {key!r} is not read by {args.command}; "
                              f"it reads {', '.join(keys)}")
-        cfg.update(loaded)
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+        if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+            raise InputError(f"config key {key!r} must be a number or a string in the "
+                             f"syntax of --{key}, got {json.dumps(val)}")
+        tokens.append(f"--{key}={val}")
+    return tokens
+
+
+def _settings(args: argparse.Namespace) -> dict:
+    """Flag name to value for every setting of the subcommand, given or not."""
+    return {dest.replace("_", "-"): val for dest, val in vars(args).items()
+            if dest not in ("command", "func", "config")}
 
 
 # -- subcommands ---------------------------------------------------------------------
 
 
-_INPUT_KEYS = ["expr", "dim", "box", "T", "res", "tres", "csv"]
-_SPEC_KEYS = ["variant", "l1", "l", "l2", "p"]  # the flags of _add_spec_flags
-
-
 def _need(cfg: dict, key: str, why: str) -> float:
-    if cfg.get(key) is None:
+    if key not in cfg:
         raise InputError(f"--{key} is required {why}")
-    return float(cfg[key])
+    return cfg[key]
 
 
 # the flags each norm kind reads; --l stands in for a missing Hoelder exponent
-_NORM_FLAGS = {"sup": [], "lp": ["p"], "sup-t-lp": ["p"], "holder": ["alpha", "beta", "lt"],
+_NORM_FLAGS = ["l", "p", "alpha", "exponent", "beta", "lt", "k", "form"]
+_NORM_READS = {"sup": [], "lp": ["p"], "sup-t-lp": ["p"], "holder": ["alpha", "beta", "lt"],
                "holder-time": ["exponent", "beta", "lt"], "parabolic": ["l"], "elliptic": ["l"],
                "dq": ["l", "k", "lt", "form"]}
 
 
-def cmd_norm(args: argparse.Namespace) -> int:
-    flags = ["l", "p", "alpha", "exponent", "beta", "lt", "k", "form"]
-    cfg = _resolved(args, _INPUT_KEYS + ["kind"] + flags + ["out"])
-    kind = _opt(cfg, "kind", "sup")
-    if kind not in _NORM_FLAGS:
-        raise InputError(f"unknown norm kind {kind!r}")
-    reads = _NORM_FLAGS[kind]
-    if kind.startswith("holder") and cfg.get(reads[0]) is None:
+def cmd_norm(cfg: dict) -> int:
+    kind = cfg.get("kind", "sup")
+    reads = _NORM_READS[kind]
+    if kind.startswith("holder") and reads[0] not in cfg:
         reads = ["l"] + reads[1:]
-    for key in flags:
-        if cfg.get(key) is not None and key not in reads:
-            raise InputError(f"--{key} has no effect with --kind {kind}")
-    if kind == "dq" and cfg.get("lt") is not None and _opt(cfg, "form", "joint") != "split":
-        raise InputError("--lt has no effect with --kind dq unless --form split")
+    _reject(cfg, [key for key in _NORM_FLAGS if key not in reads], f"with --kind {kind}")
+    if kind == "dq" and cfg.get("form") != "split":
+        _reject(cfg, ["lt"], "with --kind dq unless --form split")
+    if "csv" in cfg:
+        _reject(cfg, _LATTICE_KEYS + ["dim"], _WITH_CSV)
     u = _build_input(cfg)
     beta = cfg.get("beta")
-    beta = None if beta is None else tuple(int(b) for b in str(beta).split(","))
-    lt = int(_opt(cfg, "lt", 0))
+    beta = None if beta is None else tuple(int(b) for b in beta.split(","))
+    lt = cfg.get("lt", 0)
 
     if kind == "sup":
         report = sup_norm(u)
@@ -217,16 +218,11 @@ def cmd_norm(args: argparse.Namespace) -> int:
         report = lp_norm(u, _need(cfg, "p", "for --kind lp"))
     elif kind == "sup-t-lp":
         report = sup_t_lp_norm(u, _need(cfg, "p", "for --kind sup-t-lp"))
-    elif kind == "holder":
-        alpha = _opt(cfg, "alpha", cfg.get("l"))
-        if alpha is None:
-            raise InputError("--alpha (or --l) is required for --kind holder")
-        report = holder_seminorm_space(u, float(alpha), beta, lt)
-    elif kind == "holder-time":
-        exp_t = _opt(cfg, "exponent", cfg.get("l"))
-        if exp_t is None:
-            raise InputError("--exponent (or --l) is required for --kind holder-time")
-        report = holder_seminorm_time(u, float(exp_t), beta, lt)
+    elif kind.startswith("holder"):
+        seminorm = holder_seminorm_space if kind == "holder" else holder_seminorm_time
+        if reads[0] not in cfg:
+            raise InputError(f"--{_NORM_READS[kind][0]} (or --l) is required for --kind {kind}")
+        report = seminorm(u, cfg[reads[0]], beta, lt)
     elif kind == "parabolic":
         report = parabolic_norm(u, _need(cfg, "l", "for --kind parabolic"))
     elif kind == "elliptic":
@@ -234,45 +230,41 @@ def cmd_norm(args: argparse.Namespace) -> int:
     else:  # dq
         l_val = _need(cfg, "l", "for --kind dq")
         default = DiffSeminormSpec.default_for(l_val)
-        spec = DiffSeminormSpec(int(_opt(cfg, "k", default.k)), int(_opt(cfg, "lt", default.l_t)))
-        report = diff_quotient_seminorm(u, l_val, spec, _opt(cfg, "form", "joint"))
+        spec = DiffSeminormSpec(cfg.get("k", default.k), cfg.get("lt", default.l_t))
+        report = diff_quotient_seminorm(u, l_val, spec, cfg.get("form", "joint"))
 
     _emit(_envelope(cfg, {"report": report.to_json_dict()}), cfg.get("out"))
     return 0
 
 
 def _spec_from_cfg(cfg: dict) -> InterpSpec:
-    variant = str(_opt(cfg, "variant", ""))
+    """The inequality of the spec flags; ``InterpSpec`` rejects a field its
+    variant does not read."""
+    variant = cfg.get("variant", "")
     if variant not in VARIANTS:
         raise InputError(f"--variant must be one of {VARIANTS}, got {variant!r}")
     return InterpSpec(
         variant=Variant(variant),
-        l1=float(_opt(cfg, "l1", 0.0)),
+        l1=cfg.get("l1", 0.0),
         l=cfg.get("l"),
         l2=_need(cfg, "l2", "for inequality checks"),
         p=cfg.get("p"),
-        N=int(_opt(cfg, "dim", 1)),
+        N=cfg.get("dim", 1),
     )
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _resolved(args, _INPUT_KEYS + _SPEC_KEYS + ["sweep", "out", "csv-out"])
+def cmd_check(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
-
+    if "csv" in cfg:
+        _reject(cfg, ["sweep"] + _LATTICE_KEYS, _WITH_CSV)
     sweep = cfg.get("sweep")
-    sweep = None if sweep is None else [int(r) for r in str(sweep).split(",")]
-    for key in ("res", "tres"):
-        if sweep and cfg.get(key) is not None:
-            raise InputError(f"--{key} has no effect with --sweep, which sets the steps "
-                             "of each grid")
-    reports: list[CheckReport] = []
-    if sweep:
-        for res in sweep:
-            sub = dict(cfg)
-            sub["res"] = str(res)
-            reports.append(check(spec, _build_input(sub, reads_dim=True)))
+    if sweep is None:
+        _reject(cfg, ["csv-out"], "without --sweep, whose (resolution, ratio) series it holds")
+        reports = [check(spec, _build_input(cfg))]
     else:
-        reports.append(check(spec, _build_input(cfg, reads_dim=True)))
+        _reject(cfg, ["res", "tres"], "with --sweep, which sets the steps of each grid")
+        sweep = [int(r) for r in sweep.split(",")]
+        reports = [check(spec, _build_input({**cfg, "res": str(res)})) for res in sweep]
 
     body = {"reports": [r.to_json_dict() for r in reports]}
     if sweep:
@@ -290,30 +282,25 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 1 if any(r.violation for r in reports) else 0
 
 
-def cmd_search(args: argparse.Namespace) -> int:
-    cfg = _resolved(args, _SPEC_KEYS + ["dim", "family", "budget", "seed", "res", "tres",
-                                        "refine-steps", "step-scale", "out", "history-csv"])
+def cmd_search(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
-    seed = int(_opt(cfg, "seed", 0))
-    family = Family(kind=str(_opt(cfg, "family", "trig")))
-    res = str(_opt(cfg, "res", 64))
+    seed = cfg.get("seed", 0)
+    family = Family(kind=cfg.get("family", "trig"))
+    res = cfg.get("res", "64")
     if "," in res:
         raise InputError(f"--res of search takes one number of steps for every axis, "
                          f"got {res!r}")
-    resolution = int(res)
-    tres = cfg.get("tres")
-    if tres is not None and spec.is_elliptic:
-        raise InputError(f"--tres has no effect with variant {spec.variant.value}, whose "
-                         "search grids have T = 0")
+    if spec.is_elliptic:
+        _reject(cfg, ["tres"], f"with variant {spec.variant.value}, whose search grids "
+                               "have T = 0")
+    refine_steps = cfg.get("refine-steps", 0)
+    if not refine_steps:
+        _reject(cfg, ["step-scale"], "without a nonzero --refine-steps")
 
-    result = random_search(
-        spec, family, int(_opt(cfg, "budget", 100)), seed,
-        resolution=resolution, time_resolution=None if tres is None else int(tres),
-    )
-    refine_steps = int(_opt(cfg, "refine-steps", 0))
+    result = random_search(spec, family, cfg.get("budget", 100), seed, resolution=int(res),
+                           time_resolution=cfg.get("tres"))
     if refine_steps:
-        result = refine_search(result, family, refine_steps,
-                               float(_opt(cfg, "step-scale", 0.1)), seed)
+        result = refine_search(result, family, refine_steps, cfg.get("step-scale", 0.1), seed)
 
     probe = _constant_probe(spec, result)
     body = {
@@ -406,11 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (InputError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        if args.config:
+            # config values go first, so that a flag given as well wins
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
+        return args.func({key: val for key, val in _settings(args).items() if val is not None})
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

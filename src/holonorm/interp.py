@@ -66,8 +66,9 @@ _ELLIPTIC_VARIANTS = (Variant.HOLDER_HOLDER_ELLIPTIC, Variant.ELLIPTIC)
 class InterpSpec:
     """Parameters of one inequality check.
 
-    ``l`` is the intermediate index used only by the 2.1/2.2 variants;
-    ``p`` is unused there.  The sup-norm variants fix ``l1 = 0``.
+    ``l`` is the intermediate index, read only by the 2.1/2.2 variants;
+    ``p`` is read by every other variant.  A field the variant does not
+    read is a ``ValueError``.  The sup-norm variants fix ``l1 = 0``.
     """
 
     variant: Variant
@@ -100,6 +101,10 @@ class InterpSpec:
             raise ValueError(f"l1 must be nonnegative, got {self.l1}")
         if not self.l1 < self.l2:
             raise ValueError(f"need l1 < l2, got l1={self.l1}, l2={self.l2}")
+        unread = "p" if v in _HOLDER_VARIANTS else "l"
+        if getattr(self, unread) is not None:
+            raise ValueError(f"{unread} has no effect on variant {v.value}, which does not "
+                             "read it")
         if v in _SUP_VARIANTS and self.l1 != 0.0:
             raise ValueError(f"variant {v.value} bounds the sup norm; l1 must be 0")
         if v in _HOLDER_VARIANTS:
@@ -115,6 +120,10 @@ class InterpSpec:
     @property
     def is_elliptic(self) -> bool:
         return self.variant in _ELLIPTIC_VARIANTS
+
+    def to_json_dict(self) -> dict:
+        return {"variant": self.variant.value, "l1": self.l1, "l": self.l, "l2": self.l2,
+                "p": self.p, "N": self.N}
 
 
 def exponent(spec: InterpSpec) -> float:
@@ -160,12 +169,7 @@ class CheckReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "variant": self.spec.variant.value,
-            "l1": self.spec.l1,
-            "l": self.spec.l,
-            "l2": self.spec.l2,
-            "p": self.spec.p,
-            "N": self.spec.N,
+            **self.spec.to_json_dict(),
             "omega": self.omega,
             "lhs": self.lhs,
             "factor_high": self.factor_high,

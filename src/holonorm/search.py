@@ -19,7 +19,7 @@ are reproducible and schedule independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,14 +151,7 @@ class SearchResult:
             "best_expression": self.best_expression,
             "history": self.history,
             "evaluations": self.evaluations,
-            "spec": {
-                "variant": self.spec.variant.value,
-                "l1": self.spec.l1,
-                "l": self.spec.l,
-                "l2": self.spec.l2,
-                "p": self.spec.p,
-                "N": self.spec.N,
-            },
+            "spec": self.spec.to_json_dict(),
             "seed": self.seed,
             "family": self.family_kind,
             "resolution": self.resolution,
@@ -321,14 +314,6 @@ def refine_search(
             best_expression = source
         history.append(best_ratio)
 
-    return SearchResult(
-        best_ratio=best_ratio,
-        best_params=best_params,
-        best_expression=best_expression,
-        history=history,
-        evaluations=evaluations,
-        spec=spec,
-        seed=start.seed,
-        family_kind=start.family_kind,
-        resolution=dict(start.resolution),
-    )
+    return replace(start, best_ratio=best_ratio, best_params=best_params,
+                   best_expression=best_expression, history=history, evaluations=evaluations,
+                   resolution=dict(start.resolution))

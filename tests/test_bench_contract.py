@@ -1,0 +1,63 @@
+"""The parts of holonorm that the benchmark harness under ``perfbench/``
+reaches by name.  The harness is loaded from its files, read-only: a library
+change that breaks it fails here, not only in a benchmark run."""
+
+import importlib.util
+import os
+
+import pytest
+
+from holonorm import Domain, InterpSpec, interp, make_grid_function, pairs
+from holonorm.expr import as_grid_callable, parse
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+checks = _load("checks")
+
+
+@pytest.mark.parametrize("module, attr", [(m, a) for m, a, _ in tracer.TARGETS],
+                         ids=[f"{m.__name__}.{a}" for m, a, _ in tracer.TARGETS])
+def test_every_traced_target_is_callable(module, attr):
+    assert callable(getattr(module, attr, None))
+
+
+def _grid(source, n, elliptic):
+    domain = Domain((0.0,) * n, (1.0,) * n, 0.0 if elliptic else 1.0)
+    return make_grid_function(domain, (6,) * n, 0 if elliptic else 6,
+                              as_grid_callable(parse(source, n)))
+
+
+SPECS = {
+    "2.2": (InterpSpec(variant="2.2", l1=0.0, l=0.75, l2=1.5, N=1), "sin(3*x1)*exp(-t)"),
+    "2.3.1": (InterpSpec(variant="2.3.1", l2=1.5, p=2, N=2), "sin(3*x1)*cos(2*x2)*exp(-t)"),
+    "2.11": (InterpSpec(variant="2.11", l1=0.5, l2=1.5, p=2, N=1), "abs(x1-0.4)^0.7"),
+}
+
+
+@pytest.mark.parametrize("spec, source", list(SPECS.values()), ids=list(SPECS))
+def test_exact_check_routes_every_supremum_through_the_exhaustive_engines(
+        spec, source, monkeypatch):
+    calls = []
+    for name in ("pair_quotient_sup_exhaustive", "kdiff_quotient_sup_exhaustive"):
+        def counted(*args, _engine=getattr(pairs, name), **kwargs):
+            calls.append(_engine)
+            return _engine(*args, **kwargs)
+        monkeypatch.setattr(pairs, name, counted)
+    exact = checks.exact_check(spec, _grid(source, spec.N, spec.is_elliptic), None)
+    report = exact.to_json_dict()
+    # each supremum term of a report is one engine call on a fresh grid
+    assert len(calls) == len(checks.sup_terms(report)) > 0
+    # the grid is small enough for the default engines to be exact as well
+    default = interp.check(spec, _grid(source, spec.N, spec.is_elliptic)).to_json_dict()
+    assert report == default

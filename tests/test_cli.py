@@ -238,6 +238,23 @@ EFFECTLESS_FLAGS = {
     # split form reads the time-difference order
     "norm-dq-lt-joint": ("--lt", ["norm", "--expr", "x1*t", "--T", "1", "--res", "8",
                                   "--kind", "dq", "--l", "0.5", "--lt", "3"]),
+    # the CSV series is written only for a sweep
+    "check-csv-out-without-sweep": ("--csv-out", ["check", "--variant", "2.3.1", "--l2", "1.5",
+                                                  "--p", "2", "--expr", "x1*exp(-t)", "--T", "1",
+                                                  "--res", "8", "--csv-out", "{csv}"]),
+    "check-sweep-with-csv": ("--sweep", ["check", "--csv", "{csv}", "--sweep", "8,16",
+                                         "--variant", "2.11", "--l2", "1.5", "--p", "2"]),
+    "search-step-scale-without-refine": ("--step-scale", ["search", "--variant", "2.11",
+                                                          "--l2", "1.5", "--p", "2",
+                                                          "--budget", "1", "--res", "8",
+                                                          "--step-scale", "0.5"]),
+    # InterpSpec names the field that its variant does not read
+    "check-l-on-2.3.1": ("l", ["check", "--variant", "2.3.1", "--l2", "1.5", "--p", "2",
+                               "--l", "0.7", "--expr", "x1*exp(-t)", "--T", "1", "--res", "8"]),
+    "check-p-on-2.2": ("p", ["check", "--variant", "2.2", "--l", "0.7", "--l2", "1.5",
+                             "--p", "2", "--expr", "x1*exp(-t)", "--T", "1", "--res", "8"]),
+    "search-l-on-2.11": ("l", ["search", "--variant", "2.11", "--l", "0.7", "--l2", "1.5",
+                               "--p", "2", "--budget", "1", "--res", "8"]),
 }
 # with --csv the file fixes the grid; check still reads --dim for the spec's N
 for _cmd, _extra in (("norm", ["--kind", "sup"]),
@@ -353,6 +370,54 @@ class TestConfigFile:
         code, out, _ = run_cli(["check", "--config", str(cfg)], capsys)
         assert code == 0
         assert key not in json.loads(out)["config"]
+
+
+def exit_and_error(args, capsys):
+    """The exit code of ``main`` and its stderr, whether it returns the code
+    or argparse raises it."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+class TestConfigTyping:
+    # (config key, value, command): each value fails exactly as its flag does
+    BAD = [("k", 2.7, ["norm", "--expr", "x1", "--res", "8", "--kind", "dq", "--l", "0.5"]),
+           ("budget", 2.9, ["search", "--variant", "2.11", "--l2", "1.5", "--p", "2",
+                            "--res", "8"]),
+           ("kind", "sups", ["norm", "--expr", "x1", "--res", "8"])]
+
+    @pytest.mark.parametrize("key, value, args", BAD, ids=[b[0] for b in BAD])
+    def test_value_fails_as_its_flag_does(self, key, value, args, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        from_flag = exit_and_error(args + [f"--{key}", str(value)], capsys)
+        from_config = exit_and_error(args + ["--config", str(cfg)], capsys)
+        assert from_flag[0] == from_config[0] == 2
+        assert f"argument --{key}: invalid" in from_flag[1]
+        assert from_config[1] == from_flag[1]
+
+    @pytest.mark.parametrize("value", [True, [1], None, {"n": 1}],
+                             ids=["true", "list", "null", "object"])
+    def test_value_that_is_no_number_or_string_exits_2(self, value, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": value}))
+        code, err = exit_and_error(["norm", "--expr", "x1", "--res", "8", "--config",
+                                    str(cfg)], capsys)
+        assert code == 2
+        assert "config key 'dim'" in err
+
+    def test_value_is_echoed_with_its_flags_type(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"expr": "-x1*t", "T": 1, "res": 8, "kind": "sup"}))
+        code, out, _ = run_cli(["norm", "--config", str(cfg)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["config"] == {"expr": "-x1*t", "T": 1.0, "res": "8", "kind": "sup"}
+        assert isinstance(payload["config"]["T"], float)
+        assert payload["report"]["value"] == 1.0
 
 
 class TestEntryPoint:

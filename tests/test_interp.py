@@ -75,6 +75,17 @@ class TestExponent:
         with pytest.raises(ValueError, match="intermediate"):
             InterpSpec(variant="2.2", l1=0.0, l2=1.5, N=1)
 
+    @pytest.mark.parametrize("variant, kwargs, field", [
+        ("2.3.1", dict(l2=1.5, p=2, l=0.7), "l"),
+        ("2.11", dict(l1=0.5, l2=1.5, p=2, l=0.7), "l"),
+        ("2.1", dict(l=0.7, l2=1.5, p=2), "p"),
+        ("2.2", dict(l1=0.1, l=0.7, l2=1.4, p=2), "p"),
+    ], ids=["2.3.1-l", "2.11-l", "2.1-p", "2.2-p"])
+    def test_field_the_variant_does_not_read_is_rejected(self, variant, kwargs, field):
+        # the report would carry the field although no norm of the check reads it
+        with pytest.raises(ValueError, match=f"^{field} has no effect on variant {variant},"):
+            InterpSpec(variant=variant, N=1, **kwargs)
+
 
 class TestCheck:
     def test_zero_function_trivial(self):
