@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,6 +22,19 @@ import numpy as np
 MAX_VALUES = 100_000_000
 ALIGN_RTOL = 1e-9
 LATTICE_RTOL = 1e-9
+
+
+def as_int(value, name: str) -> int:
+    """``value`` as a Python int when it is integral, whatever its numeric type
+    (``8``, ``8.0``, ``np.int64(8)``); a ``ValueError`` naming ``name``
+    otherwise, instead of truncating."""
+    try:
+        return operator.index(value)  # int, numpy integers
+    except TypeError:
+        pass
+    if isinstance(value, numbers.Real) and math.isfinite(value) and value == math.floor(value):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class GridAlignmentError(ValueError):
@@ -88,7 +102,7 @@ class MultiIndex:
     beta: tuple[int, ...]
 
     def __post_init__(self):
-        beta = tuple(int(b) for b in self.beta)
+        beta = tuple(as_int(b, "multi-index component") for b in self.beta)
         object.__setattr__(self, "beta", beta)
         if any(b < 0 for b in beta):
             raise ValueError(f"multi-index components must be nonnegative, got {beta}")
@@ -121,8 +135,8 @@ class ParabolicShift:
 def _lattice_shape(domain: Domain, spatial_steps: Sequence[int], time_steps: int):
     """Validated ``(spatial_steps, time_steps, values shape)`` of a lattice on
     ``domain``; rejects shapes above the ``MAX_VALUES`` cap."""
-    spatial_steps = tuple(int(s) for s in spatial_steps)
-    time_steps = int(time_steps)
+    spatial_steps = tuple(as_int(s, "spatial step count") for s in spatial_steps)
+    time_steps = as_int(time_steps, "time_steps")
     if len(spatial_steps) != domain.N:
         raise ValueError(
             f"got {len(spatial_steps)} step counts for a {domain.N}-dimensional box"
@@ -216,7 +230,7 @@ class GridFunction:
 
     def normalize_index(self, index: Sequence[int]) -> tuple[int, ...]:
         """Accept an (N+1)-index, or an N-index on elliptic grids (time 0)."""
-        idx = tuple(int(i) for i in index)
+        idx = tuple(as_int(i, "index component") for i in index)
         if len(idx) == self.N and self.is_elliptic:
             idx = idx + (0,)
         if len(idx) != self.N + 1:
@@ -290,7 +304,7 @@ def make_grid_function(
     Non-finite samples are rejected with the offending node named.  The
     lattice is validated before ``f`` is called.
     """
-    if isinstance(spatial_steps, numbers.Integral):
+    if isinstance(spatial_steps, numbers.Real):
         spatial_steps = (spatial_steps,) * domain.N
     spatial_steps, time_steps, shape = _lattice_shape(domain, spatial_steps, time_steps)
     axes, taxis = _lattice_axes(domain, spatial_steps, time_steps)
@@ -340,7 +354,7 @@ def shift_eval(
     """
     idx = u.normalize_index(index)
     steps, j = u.steps_of_shift(shift)
-    i = int(multiplier)
+    i = as_int(multiplier, "multiplier")
     target = tuple(b + i * d for b, d in zip(idx, steps + (j,)))
     for pos, n in zip(target, u.values.shape):
         if not 0 <= pos < n:
@@ -366,7 +380,7 @@ def kth_difference(
     Computed in the factored form ``(-1)^k * (u0 - sum_i c_i u_i)`` so the
     reconstruction identity holds to a few ulps.
     """
-    k = int(k)
+    k = as_int(k, "k")
     if k < 1:
         raise ValueError(f"difference order must be >= 1, got {k}")
     idx = u.normalize_index(index)
@@ -388,7 +402,7 @@ def kth_difference(
 
 def coarsen(u: GridFunction, factor: int = 2) -> GridFunction:
     """Subgrid keeping every ``factor``-th node along every axis."""
-    factor = int(factor)
+    factor = as_int(factor, "factor")
     if factor < 1:
         raise ValueError(f"coarsening factor must be >= 1, got {factor}")
     if any(s % factor for s in u.spatial_steps) or (u.time_steps % factor and u.time_steps):

@@ -33,7 +33,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import norms as norms_mod
-from .grid import GridFunction, ParabolicShift, kth_difference, shift_eval
+from .grid import GridFunction, ParabolicShift, as_int, kth_difference, shift_eval
 from .norms import (
     DiffSeminormSpec,
     HoelderIndex,
@@ -82,7 +82,7 @@ class InterpSpec:
         object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "l2", float(self.l2))
         object.__setattr__(self, "l1", float(self.l1))
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", as_int(self.N, "N"))
         if self.p is not None:
             object.__setattr__(self, "p", float(self.p))
         if self.l is not None:
@@ -342,7 +342,7 @@ def pointwise_reconstruction_bound(
     at every admissible node.
     """
     idx = norms_mod._as_index(l)
-    k = int(k)
+    k = as_int(k, "k")
     if k < 1:
         raise ValueError(f"difference order must be >= 1, got {k}")
     if seminorm is None:
@@ -363,7 +363,14 @@ def time_seminorm_bound(u: GridFunction, l) -> dict:
     """Compare the time seminorm sum against the space seminorm sum plus the
     top pure-time term; returns both sides and their ratio."""
     idx = norms_mod._as_index(l)
-    space_sum, time_sum, breakdown, _, _ = norms_mod.parabolic_seminorm_parts(u, idx)
+    norms_mod._require_fractional(idx, "parabolic seminorm")
+    if u.is_elliptic:
+        raise ValueError("parabolic seminorm needs a positive time horizon")
+    terms = norms_mod._quotient_terms(u, idx)
+    space_sum, time_sum = (
+        norms_mod._composite("parabolic", idx.l, {"l": idx.l}, {}, 0,
+                             [term for term in terms if term[1] == axis]).value
+        for axis in ("space", "time"))
     m, alpha = idx.m, idx.alpha
     top_lt = m // 2
     top_exp = (m - 2 * top_lt + alpha) / 2.0
@@ -375,5 +382,5 @@ def time_seminorm_bound(u: GridFunction, l) -> dict:
         "top_time_term": top.value,
         "rhs": rhs,
         "ratio": time_sum / rhs if rhs > 0 else (0.0 if time_sum == 0 else math.inf),
-        "breakdown": breakdown,
+        "breakdown": {label: term.value for label, _, term in terms},
     }

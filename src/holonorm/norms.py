@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import pairs
-from .grid import GridFunction, MultiIndex, kth_difference
+from .grid import GridFunction, MultiIndex, as_int, kth_difference
 from .pairs import SupOutcome
 
 
@@ -77,6 +77,10 @@ class DiffSeminormSpec:
 
     k: int
     l_t: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "k", as_int(self.k, "k"))
+        object.__setattr__(self, "l_t", as_int(self.l_t, "l_t"))
 
     @classmethod
     def default_for(cls, l) -> "DiffSeminormSpec":
@@ -170,18 +174,29 @@ def _first_derivative(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def derivative_field(u: GridFunction, beta: Sequence[int] | MultiIndex, l_t: int = 0) -> np.ndarray:
-    """Samples of ``D_t^{l_t} D_x^beta u`` on the full grid."""
-    if isinstance(beta, MultiIndex):
+def _orders(u: GridFunction, beta, l_t) -> tuple[tuple[int, ...], int]:
+    """``beta`` as a tuple of ints and ``l_t`` as an int, checked against the
+    grid.  ``beta`` is ``None`` (the zero multi-index), a :class:`MultiIndex`,
+    a sequence or an array."""
+    if beta is None:
+        beta = (0,) * u.N
+    elif isinstance(beta, MultiIndex):
         beta = beta.beta
-    beta = tuple(int(b) for b in beta)
+    beta = tuple(as_int(b, "multi-index component") for b in beta)
+    l_t = as_int(l_t, "l_t")
     if len(beta) != u.N:
         raise ValueError(f"multi-index {beta} has wrong length for dimension {u.N}")
-    l_t = int(l_t)
     if l_t < 0 or any(b < 0 for b in beta):
         raise ValueError("derivative orders must be nonnegative")
     if l_t > 0 and u.time_steps == 0:
         raise ValueError("time derivative requested on a purely spatial grid")
+    return beta, l_t
+
+
+def derivative_field(u: GridFunction, beta: Sequence[int] | MultiIndex | None,
+                     l_t: int = 0) -> np.ndarray:
+    """Samples of ``D_t^{l_t} D_x^beta u`` on the full grid."""
+    beta, l_t = _orders(u, beta, l_t)
     arr = u.values
     for axis, order in enumerate(beta):
         for _ in range(order):
@@ -308,7 +323,7 @@ def holder_seminorm_time(
 def _pair_seminorm(u: GridFunction, axes: str, name: str, exponent: float, beta,
                    l_t: int) -> NormReport:
     """Pair supremum of the requested derivative field along ``axes``."""
-    beta = tuple(beta.beta if isinstance(beta, MultiIndex) else (beta or (0,) * u.N))
+    beta, l_t = _orders(u, beta, l_t)
     out = _field_sup(u, pairs.pair_quotient_sup, beta, l_t, exponent, axes)
     params = {name: exponent, "beta": list(beta), "l_t": l_t}
     return _report_from_outcome(f"holder_{axes}", out, exponent, params)
@@ -321,70 +336,55 @@ def _beta_label(beta: tuple[int, ...], l_t: int) -> str:
     return f"dt^{l_t} dx^{beta}"
 
 
-def _lower_order_terms(u: GridFunction, m: int, parabolic: bool):
-    """Max-of-derivative terms |Dt^l Dx^beta u| for |beta| + 2l <= m."""
-    terms = {}
-    count = 0
-    lt_range = range(m // 2 + 1) if parabolic else (0,)
-    for l_t in lt_range:
-        for r in range(m - 2 * l_t + 1):
-            for beta in multiindices(u.N, r):
-                w = derivative_field(u, beta, l_t)
-                terms[f"max |{_beta_label(beta, l_t)} u|"] = float(np.max(np.abs(w)))
-                count += w.size
-    return terms, count
-
-
-def _seminorm_band(m: int, n_dim: int, parabolic: bool):
-    """(beta, l_t) of the quotient seminorms: ``0 <= m - |beta| - 2 l_t <= 1``
-    on space-time grids, ``|beta| = m`` on purely spatial ones."""
+def _fields(m: int, n_dim: int, parabolic: bool):
+    """Every ``(beta, l_t, in_band)`` with ``|beta| + 2 l_t <= m`` (``l_t = 0``
+    on purely spatial grids), ``l_t`` then ``|beta|`` ascending.  ``in_band``
+    marks the fields that carry quotient seminorms: ``0 <= m - |beta| - 2 l_t
+    <= 1`` on space-time grids, ``|beta| = m`` on purely spatial ones."""
     for l_t in (range(m // 2 + 1) if parabolic else (0,)):
         top = m - 2 * l_t
-        for r in range(max(0, top - 1) if parabolic else top, top + 1):
+        for r in range(top + 1):
             for beta in multiindices(n_dim, r):
-                yield beta, l_t
+                yield beta, l_t, r >= (top - 1 if parabolic else top)
 
 
-def _seminorm_terms(u: GridFunction, idx: HoelderIndex, parabolic: bool):
-    """Space quotient seminorms over the band, each followed on space-time grids
-    by its time seminorm: (space sum, time sum, per-term breakdown, pairs
-    examined, the engine modes that ran)."""
+def _quotient_terms(u: GridFunction, idx: HoelderIndex) -> list:
+    """``(label, axis, report)`` of the quotient seminorms of a noninteger
+    index: the space seminorm of each band field, followed on space-time grids
+    by its time seminorm."""
     m, alpha = idx.m, idx.alpha
-    space_sum, time_sum = 0.0, 0.0
-    breakdown: dict[str, float] = {}
-    examined = 0
-    modes = set()
-    for beta, l_t in _seminorm_band(m, u.N, parabolic):
-        rep = holder_seminorm_space(u, alpha, beta, l_t)
-        space_sum += rep.value
-        breakdown[f"<{_beta_label(beta, l_t)} u>_x^({alpha})"] = rep.value
-        parts = [rep]
-        if parabolic:
+    terms = []
+    for beta, l_t, in_band in _fields(m, u.N, not u.is_elliptic):
+        if not in_band:
+            continue
+        label = _beta_label(beta, l_t)
+        terms.append((f"<{label} u>_x^({alpha})", "space",
+                      holder_seminorm_space(u, alpha, beta, l_t)))
+        if not u.is_elliptic:
             t_exp = (m - sum(beta) - 2 * l_t + alpha) / 2.0
-            rep_t = holder_seminorm_time(u, t_exp, beta, l_t)
-            time_sum += rep_t.value
-            breakdown[f"<{_beta_label(beta, l_t)} u>_t^({t_exp})"] = rep_t.value
-            parts.append(rep_t)
-        examined += sum(r.pairs_examined for r in parts)
-        modes.update(r.sampling.mode for r in parts)
-    return space_sum, time_sum, breakdown, examined, modes
+            terms.append((f"<{label} u>_t^({t_exp})", "time",
+                          holder_seminorm_time(u, t_exp, beta, l_t)))
+    return terms
 
 
-def _sampling_of(modes) -> SamplingInfo:
-    """Sampling info of a composite whose parts ran in ``modes``: an
-    interval when any part is."""
-    return SamplingInfo("interval" if "interval" in modes else "exhaustive")
+def _composite(kind: str, index: float, params: dict, maxima: dict[str, float],
+               values_read: int, terms: list) -> NormReport:
+    """The report of a norm that sums exact derivative ``maxima``, which read
+    ``values_read`` values, and quotient ``terms``, an ordered list of
+    ``(label, axis, report)`` with ``axis`` ``"space"`` or ``"time"``.
 
-
-def parabolic_seminorm_parts(u: GridFunction, l):
-    """Space and time seminorm sums of the anisotropic Hoelder norm, with the
-    per-term breakdown.  Requires a noninteger index and a space-time grid."""
-    idx = _as_index(l)
-    _require_fractional(idx, "parabolic seminorm")
-    if u.is_elliptic:
-        raise ValueError("parabolic seminorm needs a positive time horizon")
-    space_sum, time_sum, breakdown, examined, modes = _seminorm_terms(u, idx, True)
-    return space_sum, time_sum, breakdown, examined, "interval" in modes
+    The value is ``fsum(maxima)``, plus the space terms summed in order, plus
+    the time terms summed in order; the breakdown lists the maxima, then the
+    terms.  The norm is an interval when any term is; its ``upper`` is left
+    unset, since only a single supremum carries one."""
+    sums = {"space": 0.0, "time": 0.0}
+    for _, axis, term in terms:
+        sums[axis] += term.value
+    interval = any(term.sampling.mode == "interval" for _, _, term in terms)
+    return NormReport(kind, math.fsum(maxima.values()) + sums["space"] + sums["time"], index,
+                      values_read + sum(term.pairs_examined for _, _, term in terms),
+                      SamplingInfo("interval" if interval else "exhaustive"), None, params,
+                      {**maxima, **{label: term.value for label, _, term in terms}})
 
 
 def holder_norm(u: GridFunction, l) -> NormReport:
@@ -392,22 +392,17 @@ def holder_norm(u: GridFunction, l) -> NormReport:
 
     The derivative maxima ``|Dt^l_t Dx^beta u|`` with ``|beta| + 2 l_t <= m``
     (``l_t = 0`` on purely spatial grids), plus, for a noninteger index, the
-    quotient seminorms of exponent ``alpha`` over the band of
-    :func:`_seminorm_band`.  Integer indices (including 0) give the plain sum
-    of derivative maxima.
+    quotient seminorms of exponent ``alpha`` over the band of :func:`_fields`.
+    Integer indices (including 0) give the plain sum of derivative maxima.
     """
     idx = _as_index(l)
     parabolic = not u.is_elliptic
-    lower, count = _lower_order_terms(u, idx.m, parabolic)
-    if idx.is_integer:
-        space_sum, time_sum, terms, examined, modes = 0.0, 0.0, {}, 0, ()
-    else:
-        space_sum, time_sum, terms, examined, modes = _seminorm_terms(u, idx, parabolic)
-    value = math.fsum(lower.values()) + space_sum + time_sum
-    examined += count
-    return NormReport("parabolic" if parabolic else "elliptic", value, idx.l, examined,
-                      _sampling_of(modes), None, {"l": idx.l},
-                      {**lower, **terms})
+    maxima = {f"max |{_beta_label(beta, l_t)} u|":
+              float(np.max(np.abs(derivative_field(u, beta, l_t))))
+              for beta, l_t, _ in _fields(idx.m, u.N, parabolic)}
+    terms = [] if idx.is_integer else _quotient_terms(u, idx)
+    return _composite("parabolic" if parabolic else "elliptic", idx.l, {"l": idx.l}, maxima,
+                      len(maxima) * u.values.size, terms)
 
 
 def parabolic_norm(u: GridFunction, l) -> NormReport:
@@ -466,20 +461,12 @@ def diff_quotient_seminorm(
     if u.is_elliptic:
         raise ValueError("split form needs a positive time horizon; "
                          "use the joint form on purely spatial grids")
-    out_x = _field_sup(u, pairs.kdiff_quotient_sup, zero, 0, idx.l, spec.k, False)
-    out_t = _field_sup(u, pairs.kdiff_time_quotient_sup, zero, 0, idx.l / 2.0, spec.l_t)
-    value = out_x.value + out_t.value
-    examined = out_x.examined + out_t.examined
-    return NormReport(
-        "diff_quotient_split",
-        value,
-        idx.l,
-        examined,
-        _sampling_of((out_x.mode, out_t.mode)),
-        None,
-        {"l": idx.l, "k": spec.k, "l_t": spec.l_t, "form": "split"},
-        {"space": out_x.value, "time": out_t.value},
-    )
+    params = {"l": idx.l, "k": spec.k, "l_t": spec.l_t, "form": "split"}
+    space = _field_sup(u, pairs.kdiff_quotient_sup, zero, 0, idx.l, spec.k, False)
+    time = _field_sup(u, pairs.kdiff_time_quotient_sup, zero, 0, idx.l / 2.0, spec.l_t)
+    terms = [(axis, axis, _report_from_outcome("diff_quotient_split", out, idx.l, params))
+             for axis, out in (("space", space), ("time", time))]
+    return _composite("diff_quotient_split", idx.l, params, {}, 0, terms)
 
 
 # -- witness re-evaluation ------------------------------------------------------------
@@ -498,7 +485,7 @@ def witness_value(u: GridFunction, report: NormReport) -> float:
         # "joint" separates an offset with no time step as "space" does
         kind = {"holder_space": "space", "holder_time": "time"}.get(report.kind, "joint")
         p, steps, j = report.params, w["steps"], w["time_step"]
-        field_u = u.with_values(derivative_field(u, p.get("beta", (0,) * u.N), p.get("l_t", 0)))
+        field_u = u.with_values(derivative_field(u, p.get("beta"), p.get("l_t", 0)))
         diff = kth_difference(field_u, w["base"], u.shift_from_steps(steps, j), w["order"])
         return abs(diff) / pairs.separation(kind, steps, j, u.h_x, u.h_t) ** report.index
     raise ValueError(f"no witness re-evaluation for kind {report.kind!r}")

@@ -12,8 +12,12 @@ Candidates come from three parametric families rendered as expression source
   stays bounded under refinement.
 
 The search is derivative free: seeded random sampling plus coordinatewise
-hill climbing.  Proposals are generated up front from the seed, so results
-are reproducible and schedule independent.
+hill climbing.  Each search draws from one generator seeded by its ``seed``
+(``refine_search`` also mixes in the start result's seed) inside its loop,
+one draw per evaluation: a whole parameter set in ``random_search``,
+including those that replace members without a ratio, and one normal step
+of one coordinate in ``refine_search``.  The same arguments give the same
+result.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import expr as expr_mod
-from .grid import Domain, GridFunction, make_grid_function
+from .grid import Domain, GridFunction, as_int, make_grid_function
 from .interp import InterpSpec, check
 from .pairs import DEFAULT_SEED
 
@@ -198,7 +202,7 @@ def random_search(
     result.  Members whose amplitude is below tolerance are resampled; if the
     family cannot produce a usable member the search is rejected.
     """
-    budget = int(budget)
+    budget = as_int(budget, "budget")
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     domain = domain or _default_domain(spec)
@@ -274,7 +278,7 @@ def refine_search(
     Only improvements are accepted, so the refined ratio never drops below
     the starting one.
     """
-    steps = int(steps)
+    steps = as_int(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if family.kind != start.family_kind:

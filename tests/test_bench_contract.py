@@ -61,3 +61,19 @@ def test_exact_check_routes_every_supremum_through_the_exhaustive_engines(
     # the grid is small enough for the default engines to be exact as well
     default = interp.check(spec, _grid(source, spec.N, spec.is_elliptic)).to_json_dict()
     assert report == default
+
+
+def test_traced_names_are_reached():
+    # an assembly that binds a seminorm or engine directly, not through its
+    # module attribute, would bypass the wrappers and zero per-layer metrics
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.begin("2.2")
+        spec, source = SPECS["2.2"]
+        interp.check(spec, _grid(source, spec.N, spec.is_elliptic))
+    finally:
+        t.uninstall()
+    names = {span[1] for span in t.spans}
+    assert {"norms.holder_norm", "norms.holder_seminorm_space", "norms.holder_seminorm_time",
+            "norms.derivative_field", "pairs.pair_quotient_sup"} <= names

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,19 +8,28 @@ from hypothesis import strategies as st
 
 from holonorm import (
     CsvFormatError,
+    DiffSeminormSpec,
     Domain,
+    Family,
     GridAlignmentError,
     GridSizeError,
     GridFunction,
+    InterpSpec,
+    MultiIndex,
     ParabolicShift,
     coarsen,
+    diff_quotient_seminorm,
     grid_from_csv,
     kth_difference,
     make_grid_function,
     parabolic_dilate,
+    pointwise_reconstruction_bound,
+    random_search,
+    refine_search,
     shift_eval,
 )
 from holonorm.grid import difference_coefficients
+from holonorm.norms import derivative_field
 
 
 def unit_interval(T=0.0):
@@ -303,3 +313,49 @@ class TestImmutability:
         u = make_grid_function(unit_interval(), 4, 0, lambda x, t: x[0])
         with pytest.raises(ValueError):
             u.values[0, 0] = 5.0
+
+
+H4 = ParabolicShift((0.25,))
+TWO_11 = dict(variant="2.11", l1=0.5, l2=1.5, p=2)
+
+
+def _trig_search(budget):
+    return random_search(InterpSpec(N=1, **TWO_11), Family("trig", n_terms=1), budget, 0,
+                         resolution=8)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("spatial step count", lambda u: make_grid_function(u.domain, (8.5,), 8, lambda x, t: 0.0)),
+    ("spatial step count", lambda u: make_grid_function(u.domain, 8.5, 8, lambda x, t: 0.0)),
+    ("time_steps", lambda u: make_grid_function(u.domain, 8, 4.5, lambda x, t: 0.0)),
+    ("k", lambda u: pointwise_reconstruction_bound(u, 0.5, 1.5, (0, 0), H4, 1.0)),
+    ("N", lambda u: InterpSpec(N=1.5, **TWO_11)),
+    ("k", lambda u: kth_difference(u, (0, 0), H4, 2.5)),
+    ("factor", lambda u: coarsen(u, 2.7)),
+    ("multiplier", lambda u: shift_eval(u, (0, 0), H4, 1.5)),
+    ("index component", lambda u: u.normalize_index((1.7, 0))),
+    ("l_t", lambda u: derivative_field(u, (0,), 1.5)),
+    ("budget", lambda u: _trig_search(2.5)),
+    ("steps", lambda u: refine_search(_trig_search(1), Family("trig", n_terms=1), 2.5)),
+    ("k", lambda u: DiffSeminormSpec(2.5, 1)),
+    ("multi-index component", lambda u: MultiIndex((1.5,))),
+], ids=["make_grid_function-steps", "make_grid_function-scalar-steps",
+        "make_grid_function-time_steps",
+        "pointwise_reconstruction_bound-k", "InterpSpec-N", "kth_difference-k", "coarsen",
+        "shift_eval", "normalize_index", "derivative_field-l_t", "random_search",
+        "refine_search", "DiffSeminormSpec", "MultiIndex"])
+def test_non_integral_argument_is_rejected_by_name(name, call):
+    u = make_grid_function(unit_interval(1.0), 4, 4, lambda x, t: x[0] * t)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(u)
+
+
+def test_integral_values_of_any_numeric_type_become_ints():
+    u = make_grid_function(unit_interval(1.0), (8.0,), np.int64(8), lambda x, t: x[0] * t)
+    assert (u.spatial_steps, u.time_steps) == ((8,), 8)
+    assert make_grid_function(unit_interval(), 8.0, 0, lambda x, t: x[0]).spatial_steps == (8,)
+    assert type(InterpSpec(N=np.int64(1), **TWO_11).N) is int
+    spec = DiffSeminormSpec(np.int64(2), np.float64(1.0))
+    assert (type(spec.k), type(spec.l_t)) == (int, int)
+    rep = diff_quotient_seminorm(u, 1.5, spec=spec, form="split")
+    assert json.loads(json.dumps(rep.to_json_dict()))["params"]["k"] == 2

@@ -17,6 +17,7 @@ from holonorm import (
     exponent,
     make_grid_function,
     parabolic_dilate,
+    parabolic_norm,
     pointwise_reconstruction_bound,
     time_seminorm_bound,
     two_term_value,
@@ -374,6 +375,17 @@ class TestTimeSeminormBound:
         u = sample_expr("sin(2*x1)", steps=12)
         out = time_seminorm_bound(u, 1.5)
         assert out["lhs_time_sum"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, l", [(1, 2.5), (2, 1.5)])
+    def test_sums_are_the_parabolic_norms_quotient_terms(self, n, l):
+        source = "sin(2*x1+1)*exp(-t)+x1*t*t" + ("*cos(x2)" if n == 2 else "")
+        u = sample_expr(source, n=n, steps=6)
+        out = time_seminorm_bound(u, l)
+        quotients = [(k, v) for k, v in parabolic_norm(u, l).breakdown.items()
+                     if k.startswith("<")]
+        assert list(out["breakdown"].items()) == quotients
+        assert out["space_sum"] == sum(v for k, v in quotients if "_x^(" in k)
+        assert out["lhs_time_sum"] == sum(v for k, v in quotients if "_t^(" in k)
 
 
 # The benchmark's sup-variant terms that the pair budget once left sampled:

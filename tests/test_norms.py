@@ -24,6 +24,7 @@ from holonorm import (
     parabolic_norm,
     sup_norm,
     sup_t_lp_norm,
+    time_seminorm_bound,
     witness_value,
 )
 from holonorm.norms import derivative_field
@@ -326,6 +327,51 @@ class TestNormAssembly:
         assert rep.sampling == SamplingInfo("interval")
         assert rep.to_json_dict()["sampling"] == {"mode": "interval"}
 
+    def test_split_difference_quotient(self):
+        import holonorm.pairs as pairs_mod
+        u = _random_parabolic(45, steps=8, tsteps=7)
+        rep = diff_quotient_seminorm(u, 1.5, spec=DiffSeminormSpec(2, 1), form="split")
+        space = pairs_mod.kdiff_quotient_sup(u.values, u.h_x, u.h_t, 1.5, 2, False)
+        time = pairs_mod.kdiff_time_quotient_sup(u.values, u.h_x, u.h_t, 0.75, 1)
+        assert list(rep.breakdown.items()) == [("space", space.value), ("time", time.value)]
+        assert rep.value == space.value + time.value
+        assert rep.pairs_examined == space.examined + time.examined
+        assert (rep.kind, rep.index, rep.witness) == ("diff_quotient_split", 1.5, None)
+        assert rep.params == {"l": 1.5, "k": 2, "l_t": 1, "form": "split"}
+        assert rep.sampling == SamplingInfo("exhaustive")
+
+    def test_interval_term_marks_the_split_interval(self, monkeypatch):
+        import holonorm.pairs as pairs_mod
+        u = _random_parabolic(46, steps=12, tsteps=12)
+        monkeypatch.setattr(pairs_mod, "PAIR_LIMIT", 1)
+        rep = diff_quotient_seminorm(u, 0.5, spec=DiffSeminormSpec(1, 1), form="split")
+        space = pairs_mod.kdiff_quotient_sup(u.values, u.h_x, u.h_t, 0.5, 1, False)
+        assert space.mode == "interval"
+        assert rep.breakdown["space"] == space.value
+        assert rep.sampling == SamplingInfo("interval")
+        assert rep.to_json_dict()["sampling"] == {"mode": "interval"}
+
+
+class TestMultiIndexArguments:
+    """A multi-index is normalised once to a tuple of ints, whatever its
+    container and integer type."""
+
+    def test_array_on_a_2d_grid(self):
+        u = GridFunction(Domain((0.0, 0.0), (1.0, 1.0)), (4, 4), 0,
+                         np.random.default_rng(47).uniform(-1, 1, (5, 5, 1)))
+        rep = holder_seminorm_space(u, 0.5, np.array([1, 0]))
+        assert rep == holder_seminorm_space(u, 0.5, (1, 0))
+
+    def test_empty_multi_index_rejected(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            holder_seminorm_space(sample(lambda x, t: x[0] ** 2), 0.5, ())
+
+    def test_numpy_integers_serialise(self):
+        import json
+        rep = holder_seminorm_space(sample(lambda x, t: x[0] ** 2), 0.5, (np.int64(1),),
+                                    np.int64(0))
+        assert json.loads(json.dumps(rep.to_json_dict()))["params"]["beta"] == [1]
+
 
 class TestDiffQuotient:
     def test_polynomial_annihilation(self):
@@ -503,8 +549,8 @@ class TestProperties:
         for steps in (16, 32, 64):
             u = sample(lambda x, t: np.sin(2 * np.pi * x[0]) * np.exp(-t),
                        T=1.0, steps=steps)
-            from holonorm.norms import parabolic_seminorm_parts
-            space_sum, time_sum, _, _, _ = parabolic_seminorm_parts(u, 1.5)
+            out = time_seminorm_bound(u, 1.5)
+            space_sum, time_sum = out["space_sum"], out["lhs_time_sum"]
             dq = diff_quotient_seminorm(u, 1.5).value
             ratios.append(dq / (space_sum + time_sum))
         assert abs(ratios[1] / ratios[0] - 1) < 0.2
