@@ -224,9 +224,11 @@ class _Parser:
             return Expr("num", value=_CONSTANTS[name])
         if name == "t":
             return Expr("var", name="t")
-        if name.startswith("x") and name[1:].isdigit():
-            k = int(name[1:])
-            if 1 <= k <= self.n_dim:
+        digits = name[1:]
+        if name[0] == "x" and digits.isascii() and digits.isdigit():
+            # an axis x1..xN: ASCII digits, no leading zero, at most N
+            in_range = len(digits) <= len(str(self.n_dim)) and int(digits) <= self.n_dim
+            if digits[0] != "0" and in_range:
                 return Expr("var", name=name)
             raise ExprNameError(
                 f"unknown identifier {name!r} at offset {off}: "

@@ -122,6 +122,10 @@ class ParabolicShift:
     def __post_init__(self):
         object.__setattr__(self, "h", tuple(float(v) for v in self.h))
         object.__setattr__(self, "dt", float(self.dt))
+        for a, v in enumerate(self.h + (self.dt,)):
+            if not math.isfinite(v):
+                what = "time shift" if a == len(self.h) else f"shift component on axis {a + 1}"
+                raise ValueError(f"{what} must be finite, got {v}")
 
     @property
     def plength(self) -> float:
@@ -157,13 +161,34 @@ def _lattice_shape(domain: Domain, spatial_steps: Sequence[int], time_steps: int
     return spatial_steps, time_steps, shape
 
 
-def _lattice_axes(domain: Domain, spatial_steps: tuple[int, ...], time_steps: int):
-    """Node coordinates per spatial axis, and the time levels."""
-    axes = tuple(
-        np.linspace(domain.space_lower[i], domain.space_upper[i], spatial_steps[i] + 1)
-        for i in range(domain.N)
-    )
-    return axes, np.linspace(0.0, domain.time_horizon, time_steps + 1)
+def _lattice_coords(domain: Domain, spatial_steps: tuple[int, ...], time_steps: int):
+    """Node coordinates along each spatial axis, then the time levels."""
+    lower = domain.space_lower + (0.0,)
+    upper = domain.space_upper + (domain.time_horizon,)
+    steps = spatial_steps + (time_steps,)
+    return tuple(np.linspace(lo, hi, s + 1) for lo, hi, s in zip(lower, upper, steps))
+
+
+def _coords_at(coords, idx) -> tuple[tuple[float, ...], float]:
+    """``(x, t)`` of the node ``idx``, read from the per-axis ``coords``."""
+    *x, t = (float(c[i]) for c, i in zip(coords, idx))
+    return tuple(x), t
+
+
+def _whole_steps(v: float, h: float, axis: int | None) -> int:
+    """``v`` in whole steps ``h`` along spatial ``axis`` (counted from 0), or
+    along time when ``axis`` is None; a ``GridAlignmentError`` otherwise."""
+    if h == 0.0:  # the single time level of a purely spatial grid
+        if v != 0.0:
+            raise GridAlignmentError("nonzero time shift on a purely spatial grid")
+        return 0
+    r = v / h
+    k = round(r)
+    if abs(r - k) > ALIGN_RTOL * max(1.0, abs(r)):
+        what = f"time shift {v}" if axis is None else f"shift component {v} on axis {axis + 1}"
+        unit = "time step" if axis is None else "spacing"
+        raise GridAlignmentError(f"{what} is not a whole multiple of the {unit} {h}")
+    return k
 
 
 class GridFunction:
@@ -171,27 +196,29 @@ class GridFunction:
 
     ``values`` has shape ``(*spatial_points, time_points)``; the elliptic case
     keeps a single time level.  Node coordinates come from per-axis linspace
-    arrays, so box endpoints are hit exactly.  ``_memo`` keeps what
+    arrays, time last, so box endpoints are hit exactly.  ``_memo`` keeps what
     :mod:`holonorm.norms` computed on this grid; each new grid starts empty.
     """
 
-    __slots__ = ("domain", "spatial_steps", "time_steps", "values", "_axes", "_taxis", "_memo")
+    __slots__ = ("domain", "spatial_steps", "time_steps", "values", "_coords", "_memo")
 
     def __init__(self, domain: Domain, spatial_steps: Sequence[int], time_steps: int, values):
         spatial_steps, time_steps, shape = _lattice_shape(domain, spatial_steps, time_steps)
         vals = np.ascontiguousarray(values, dtype=float)
         if vals.shape != shape:
             raise ValueError(f"values shape {vals.shape} does not match grid shape {shape}")
-        if not np.all(np.isfinite(vals)):
-            idx = tuple(int(v) for v in np.argwhere(~np.isfinite(vals))[0])
-            raise ValueError(f"non-finite value {vals[idx]!r} at node index {idx}")
+        coords = _lattice_coords(domain, spatial_steps, time_steps)
+        if not np.isfinite(vals).all():
+            idx = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
+            x, t = _coords_at(coords, idx)
+            raise ValueError(f"non-finite value {float(vals[idx])!r} at node {idx}, x={x}, t={t}")
         vals.setflags(write=False)
 
         self.domain = domain
         self.spatial_steps = spatial_steps
         self.time_steps = time_steps
         self.values = vals
-        self._axes, self._taxis = _lattice_axes(domain, spatial_steps, time_steps)
+        self._coords = coords
         self._memo = {}
 
     # -- geometry ----------------------------------------------------------
@@ -223,10 +250,10 @@ class GridFunction:
         return self.time_steps + 1
 
     def axis_coords(self, axis: int) -> np.ndarray:
-        return self._axes[axis]
+        return self._coords[axis]
 
     def time_coords(self) -> np.ndarray:
-        return self._taxis
+        return self._coords[-1]
 
     def normalize_index(self, index: Sequence[int]) -> tuple[int, ...]:
         """Accept an (N+1)-index, or an N-index on elliptic grids (time 0)."""
@@ -241,9 +268,7 @@ class GridFunction:
         return idx
 
     def node_coords(self, index: Sequence[int]) -> tuple[tuple[float, ...], float]:
-        idx = self.normalize_index(index)
-        x = tuple(float(self._axes[a][idx[a]]) for a in range(self.N))
-        return x, float(self._taxis[idx[-1]])
+        return _coords_at(self._coords, self.normalize_index(index))
 
     def value_at(self, index: Sequence[int]) -> float:
         return float(self.values[self.normalize_index(index)])
@@ -254,28 +279,9 @@ class GridFunction:
             raise GridAlignmentError(
                 f"shift has {len(shift.h)} spatial components, grid has {self.N}"
             )
-        steps = []
-        for a, (v, h) in enumerate(zip(shift.h, self.h_x)):
-            r = v / h
-            k = round(r)
-            if abs(r - k) > ALIGN_RTOL * max(1.0, abs(r)):
-                raise GridAlignmentError(
-                    f"shift component {v} on axis {a + 1} is not a whole multiple "
-                    f"of the spacing {h}"
-                )
-            steps.append(int(k))
-        if self.time_steps == 0:
-            if shift.dt != 0.0:
-                raise GridAlignmentError("nonzero time shift on a purely spatial grid")
-            j = 0
-        else:
-            r = shift.dt / self.h_t
-            j = round(r)
-            if abs(r - j) > ALIGN_RTOL * max(1.0, abs(r)):
-                raise GridAlignmentError(
-                    f"time shift {shift.dt} is not a whole multiple of the time step {self.h_t}"
-                )
-            j = int(j)
+        *steps, j = map(
+            _whole_steps, shift.h + (shift.dt,), self.h_x + (self.h_t,), [*range(self.N), None]
+        )
         return tuple(steps), j
 
     def shift_from_steps(self, steps: Sequence[int], j: int = 0) -> ParabolicShift:
@@ -301,38 +307,27 @@ def make_grid_function(
 
     ``f`` is first offered coordinate arrays (vectorized evaluation); if that
     fails or produces the wrong shape, it is called node by node with floats.
-    Non-finite samples are rejected with the offending node named.  The
-    lattice is validated before ``f`` is called.
+    Non-finite samples are rejected by :class:`GridFunction`, with the
+    offending node named.  The lattice is validated before ``f`` is called.
     """
     if isinstance(spatial_steps, numbers.Real):
         spatial_steps = (spatial_steps,) * domain.N
     spatial_steps, time_steps, shape = _lattice_shape(domain, spatial_steps, time_steps)
-    axes, taxis = _lattice_axes(domain, spatial_steps, time_steps)
+    coords = _lattice_coords(domain, spatial_steps, time_steps)
 
     vals = None
     try:
-        mesh = np.meshgrid(*axes, taxis, indexing="ij")
+        mesh = np.meshgrid(*coords, indexing="ij")
         raw = f(tuple(mesh[:-1]), mesh[-1])
-        arr = np.asarray(raw, dtype=float)
-        vals = np.ascontiguousarray(np.broadcast_to(arr, shape)).copy()
+        vals = np.array(np.broadcast_to(np.asarray(raw, dtype=float), shape), order="C")
     except (TypeError, ValueError, IndexError):
         # f is not vectorizable (or returned an incompatible shape): sample
         # node by node instead.  Arithmetic errors propagate unchanged.
-        vals = None
+        pass
     if vals is None:
         vals = np.empty(shape)
         for idx in np.ndindex(shape):
-            x = tuple(float(axes[a][idx[a]]) for a in range(domain.N))
-            vals[idx] = float(f(x, float(taxis[idx[-1]])))
-
-    bad = np.argwhere(~np.isfinite(vals))
-    if bad.size:
-        idx = tuple(int(v) for v in bad[0])
-        x = tuple(float(axes[a][idx[a]]) for a in range(domain.N))
-        raise ValueError(
-            f"f produced non-finite sample {vals[idx]!r} at node {idx}, "
-            f"x={x}, t={float(taxis[idx[-1]])}"
-        )
+            vals[idx] = float(f(*_coords_at(coords, idx)))
     return GridFunction(domain, spatial_steps, time_steps, vals)
 
 
@@ -344,6 +339,22 @@ def parabolic_dilate(u: GridFunction, lam: float) -> GridFunction:
     return GridFunction(u.domain.dilated(lam), u.spatial_steps, u.time_steps, u.values)
 
 
+def _translates(
+    u: GridFunction, index: Sequence[int], shift: ParabolicShift, i: int
+) -> list[tuple[int, ...]] | None:
+    """The nodes ``index + m * (steps, j)`` of the grid-aligned ``shift`` for
+    ``m = 0..i`` (counting down when ``i < 0``), or ``None`` when they leave
+    the box.  ``normalize_index`` checks the first node and the box is convex,
+    so checking the last is enough."""
+    base = u.normalize_index(index)
+    steps, j = u.steps_of_shift(shift)
+    full, step = steps + (j,), 1 if i >= 0 else -1
+    nodes = [tuple(b + m * d for b, d in zip(base, full)) for m in range(0, i + step, step)]
+    if all(0 <= p < n for p, n in zip(nodes[-1], u.values.shape)):
+        return nodes
+    return None
+
+
 def shift_eval(
     u: GridFunction, index: Sequence[int], shift: ParabolicShift, multiplier: int = 1
 ) -> float | None:
@@ -352,14 +363,8 @@ def shift_eval(
     Returns ``None`` when the displaced node leaves the box.  The shift must be
     grid aligned.
     """
-    idx = u.normalize_index(index)
-    steps, j = u.steps_of_shift(shift)
-    i = as_int(multiplier, "multiplier")
-    target = tuple(b + i * d for b, d in zip(idx, steps + (j,)))
-    for pos, n in zip(target, u.values.shape):
-        if not 0 <= pos < n:
-            return None
-    return float(u.values[target])
+    nodes = _translates(u, index, shift, as_int(multiplier, "multiplier"))
+    return None if nodes is None else float(u.values[nodes[-1]])
 
 
 def difference_coefficients(k: int) -> tuple[float, ...]:
@@ -383,21 +388,13 @@ def kth_difference(
     k = as_int(k, "k")
     if k < 1:
         raise ValueError(f"difference order must be >= 1, got {k}")
-    idx = u.normalize_index(index)
-    steps, j = u.steps_of_shift(shift)
-    full = steps + (j,)
-    shape = u.values.shape
-    for i in range(k + 1):
-        for b, d, n in zip(idx, full, shape):
-            if not 0 <= b + i * d < n:
-                return None
-    coeffs = difference_coefficients(k)
-    u0 = float(u.values[idx])
+    nodes = _translates(u, index, shift, k)
+    if nodes is None:
+        return None
     s = 0.0
-    for i in range(1, k + 1):
-        target = tuple(b + i * d for b, d in zip(idx, full))
-        s += coeffs[i - 1] * float(u.values[target])
-    return (-1.0) ** k * (u0 - s)
+    for c, node in zip(difference_coefficients(k), nodes[1:]):
+        s += c * float(u.values[node])
+    return (-1.0) ** k * (float(u.values[nodes[0]]) - s)
 
 
 def coarsen(u: GridFunction, factor: int = 2) -> GridFunction:
@@ -405,16 +402,15 @@ def coarsen(u: GridFunction, factor: int = 2) -> GridFunction:
     factor = as_int(factor, "factor")
     if factor < 1:
         raise ValueError(f"coarsening factor must be >= 1, got {factor}")
-    if any(s % factor for s in u.spatial_steps) or (u.time_steps % factor and u.time_steps):
+    full = u.spatial_steps + (u.time_steps,)
+    if any(s % factor for s in full):
         raise ValueError(
             f"step counts {u.spatial_steps} x {u.time_steps} are not divisible by {factor}"
         )
-    sl = (slice(None, None, factor),) * u.N + (
-        slice(None, None, factor) if u.time_steps else slice(None),
-    )
-    steps = tuple(s // factor for s in u.spatial_steps)
-    tsteps = u.time_steps // factor if u.time_steps else 0
-    return GridFunction(u.domain, steps, tsteps, u.values[sl])
+    *steps, tsteps = (s // factor for s in full)
+    # the single time level of a purely spatial grid survives the same slice
+    every = (slice(None, None, factor),) * len(full)
+    return GridFunction(u.domain, steps, tsteps, u.values[every])
 
 
 # -- CSV ingestion -----------------------------------------------------------
@@ -423,11 +419,12 @@ def coarsen(u: GridFunction, factor: int = 2) -> GridFunction:
 def grid_from_csv(path) -> GridFunction:
     """Load a complete uniform lattice from ``x1,...,xN[,t],u`` rows.
 
-    The time column is absent for purely spatial data.  Spacing must be
-    uniform to relative tolerance 1e-9; incomplete or irregular lattices are
-    rejected with the offending row named (rows counted including the header).
+    The file is UTF-8, with or without a byte-order mark.  The time column is
+    absent for purely spatial data.  Spacing must be uniform to relative
+    tolerance 1e-9; incomplete or irregular lattices are rejected with the
+    offending row named (lines counted from 1 at the header).
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -436,100 +433,77 @@ def grid_from_csv(path) -> GridFunction:
         header = [c.strip() for c in header]
         if len(header) < 2 or header[-1] != "u":
             raise CsvFormatError(f"header must end with 'u', got {header}")
-        coord_names = header[:-1]
-        has_time = coord_names and coord_names[-1] == "t"
-        if has_time:
-            coord_names = coord_names[:-1]
-        n_dim = len(coord_names)
-        expected = [f"x{i + 1}" for i in range(n_dim)]
-        if n_dim == 0 or coord_names != expected:
+        labels = header[:-1]
+        has_time = labels[-1] == "t"
+        n_dim = len(labels) - has_time
+        if n_dim == 0 or labels[:n_dim] != [f"x{i + 1}" for i in range(n_dim)]:
             raise CsvFormatError(
                 f"header must read x1,...,xN{',t' if has_time else ''},u; got {header}"
             )
 
-        cols: list[list[float]] = [[] for _ in range(n_dim + (1 if has_time else 0) + 1)]
+        rows, row_nos = [], []
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
-            if len(row) != len(cols):
-                raise CsvFormatError(f"row {row_no}: expected {len(cols)} fields, got {len(row)}")
+            if len(row) != len(header):
+                raise CsvFormatError(
+                    f"row {row_no}: expected {len(header)} fields, got {len(row)}"
+                )
             try:
                 parsed = [float(c) for c in row]
             except ValueError as exc:
                 raise CsvFormatError(f"row {row_no}: {exc}") from None
             if not all(math.isfinite(v) for v in parsed):
                 raise CsvFormatError(f"row {row_no}: non-finite value")
-            for c, v in zip(cols, parsed):
-                c.append(v)
+            rows.append(parsed)
+            row_nos.append(row_no)
 
-    if not cols[0]:
+    if not rows:
         raise CsvFormatError("no data rows")
-    coords = [np.asarray(c) for c in cols[:-1]]
-    uvals = np.asarray(cols[-1])
-
-    def axis_lattice(vals: np.ndarray, label: str) -> tuple[float, float, int]:
+    data = np.asarray(rows).T
+    # (lower, step, step count) and the node index of every row, per axis
+    lattice, indices = [], []
+    for label, vals in zip(labels, data[:-1]):
         uniq = np.unique(vals)
         if len(uniq) < 2:
             raise CsvFormatError(f"column {label} needs at least two distinct values")
         h = (uniq[-1] - uniq[0]) / (len(uniq) - 1)
         if h <= 0 or np.max(np.abs(np.diff(uniq) - h)) > LATTICE_RTOL * h:
             raise CsvFormatError(f"column {label} is not uniformly spaced (tolerance 1e-9)")
-        return float(uniq[0]), float(h), len(uniq) - 1
-
-    lattice = [axis_lattice(coords[a], f"x{a + 1}") for a in range(n_dim)]
-    if has_time:
-        t_lo, t_h, t_steps = axis_lattice(coords[n_dim], "t")
-        if abs(t_lo) > LATTICE_RTOL * t_h:
-            raise CsvFormatError(f"time column must start at 0, got {t_lo}")
-        t_lo = 0.0
-    else:
-        t_h, t_steps = 0.0, 0
-
-    shape = tuple(s + 1 for _, _, s in lattice) + (t_steps + 1,)
-    if len(uvals) != math.prod(shape):
-        raise CsvFormatError(
-            f"expected {math.prod(shape)} lattice rows, got {len(uvals)}: lattice incomplete"
-        )
-
-    def to_index(vals: np.ndarray, lo: float, h: float, n: int, label: str) -> np.ndarray:
+        lo = float(uniq[0])
+        if label == "t":
+            if abs(lo) > LATTICE_RTOL * h:
+                raise CsvFormatError(f"time column must start at 0, got {lo}")
+            lo = 0.0
         off = (vals - lo) / h
         idx = np.rint(off).astype(int)
         bad = np.abs(off - idx) > LATTICE_RTOL * np.maximum(1.0, np.abs(off))
         if np.any(bad):
-            row = int(np.argmax(bad)) + 2
+            row = row_nos[np.argmax(bad)]
             raise CsvFormatError(f"row {row}: {label} value off the inferred lattice")
-        if np.any(idx < 0) or np.any(idx > n):
-            row = int(np.argmax((idx < 0) | (idx > n))) + 2
-            raise CsvFormatError(f"row {row}: {label} value outside the inferred box")
-        return idx
+        lattice.append((lo, float(h), len(uniq) - 1))
+        indices.append(idx)
+    if not has_time:
+        lattice.append((0.0, 0.0, 0))
+        indices.append(np.zeros(len(rows), dtype=int))
 
-    indices = [
-        to_index(coords[a], lattice[a][0], lattice[a][1], lattice[a][2], f"x{a + 1}")
-        for a in range(n_dim)
-    ]
-    if has_time:
-        indices.append(to_index(coords[n_dim], 0.0, t_h, t_steps, "t"))
-    else:
-        indices.append(np.zeros(len(uvals), dtype=int))
-
-    values = np.full(shape, np.nan)
-    flat = tuple(indices)
-    lin = np.ravel_multi_index(flat, shape)
-    uniq, first_pos, counts = np.unique(lin, return_index=True, return_counts=True)
+    shape = tuple(s + 1 for _, _, s in lattice)
+    if len(rows) != math.prod(shape):
+        raise CsvFormatError(
+            f"expected {math.prod(shape)} lattice rows, got {len(rows)}: lattice incomplete"
+        )
+    # Every index lies in its axis' range and there are as many rows as nodes,
+    # so without a duplicate the rows fill the lattice one to one.
+    lin = np.ravel_multi_index(tuple(indices), shape)
+    uniq, counts = np.unique(lin, return_counts=True)
     if np.any(counts > 1):
-        dup_lin = uniq[counts > 1][0]
-        row = int(np.nonzero(lin == dup_lin)[0][1]) + 2
-        raise CsvFormatError(f"row {row}: duplicate lattice node")
-    if len(uniq) != math.prod(shape):
-        seen = np.zeros(shape, dtype=bool)
-        seen[flat] = True
-        missing = tuple(int(v) for v in np.argwhere(~seen)[0])
-        raise CsvFormatError(f"lattice incomplete: no row for node index {missing}")
-    values[flat] = uvals
+        dup = np.nonzero(lin == uniq[counts > 1][0])[0][1]
+        raise CsvFormatError(f"row {row_nos[dup]}: duplicate lattice node")
+    values = np.full(shape, np.nan)
+    values[tuple(indices)] = data[-1]
 
+    *space, (_, t_h, t_steps) = lattice
     domain = Domain(
-        tuple(lo for lo, _, _ in lattice),
-        tuple(lo + h * s for lo, h, s in lattice),
-        t_h * t_steps,
+        tuple(lo for lo, _, _ in space), tuple(lo + h * s for lo, h, s in space), t_h * t_steps
     )
-    return GridFunction(domain, tuple(s for _, _, s in lattice), t_steps, values)
+    return GridFunction(domain, tuple(s for _, _, s in space), t_steps, values)

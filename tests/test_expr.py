@@ -35,6 +35,16 @@ class TestParse:
         with pytest.raises(ExprNameError, match="x3"):
             parse("x3", 2)
 
+    @pytest.mark.parametrize("source, n, message", [
+        ("x01 + 1", 1, "unknown identifier 'x01' at offset 0: dimension 1 defines x1..x1 and t"),
+        ("1 + x\u0661", 2, "unknown identifier 'x\u0661' at offset 4"),
+        ("t * x\u00b2", 2, "unknown identifier 'x\u00b2' at offset 4"),
+    ], ids=["leading-zero", "arabic-indic-digit", "superscript-two"])
+    def test_malformed_variable_name(self, source, n, message):
+        with pytest.raises(ExprNameError) as info:
+            parse(source, n)
+        assert str(info.value) == message
+
     def test_unknown_function(self):
         with pytest.raises(ExprNameError, match="tan"):
             parse("tan(x1)", 1)

@@ -83,6 +83,13 @@ class TestMakeGridFunction:
             make_grid_function(unit_interval(), 4, 0,
                                lambda x, t: 1.0 / (x[0] - 0.5) if x[0] != 0.5 else math.inf)
 
+    def test_direct_nonfinite_value_names_node_and_coordinates(self):
+        vals = np.zeros((3, 2))
+        vals[1, 1] = np.nan
+        with pytest.raises(ValueError) as info:
+            GridFunction(Domain((0.0,), (1.0,), 2.0), (2,), 1, vals)
+        assert str(info.value) == "non-finite value nan at node (1, 1), x=(0.5,), t=2.0"
+
     def test_size_cap(self):
         with pytest.raises(GridSizeError):
             make_grid_function(Domain((0.0, 0.0), (1.0, 1.0), 1.0),
@@ -136,6 +143,50 @@ class TestShiftEval:
         with pytest.raises(GridAlignmentError):
             shift_eval(self.u, (0,), ParabolicShift((0.25,), 0.5), 1)
 
+    @pytest.mark.parametrize("index, multiplier, expected", [
+        ((3,), -1, 0.5), ((3,), -2, 0.25), ((2,), -2, 0.0), ((1,), -2, None), ((0,), -1, None),
+    ])
+    def test_negative_multiplier(self, index, multiplier, expected):
+        assert shift_eval(self.u, index, ParabolicShift((0.25,)), multiplier) == expected
+
+    def test_space_time_translate(self):
+        u = make_grid_function(Domain((0.0, 0.0), (1.0, 1.0), 1.0), (4, 2), 2,
+                               lambda x, t: x[0] + 10 * x[1] + 100 * t)
+        H = ParabolicShift((0.25, 0.5), 0.5)
+        assert shift_eval(u, (1, 0, 0), H, 2) == 0.75 + 10.0 + 100.0
+        assert shift_eval(u, (3, 2, 2), H, -2) == 0.25
+        assert shift_eval(u, (3, 2, 1), H, -2) is None  # time leaves the box
+        assert shift_eval(u, (2, 1, 0), H, 2) is None  # x2 leaves the box
+
+
+class TestAlignment:
+    def setup_method(self):
+        self.u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 5, 4, lambda x, t: x[0] * t)
+
+    @pytest.mark.parametrize("shift, message", [
+        (ParabolicShift((0.3,)),
+         "shift component 0.3 on axis 1 is not a whole multiple of the spacing 0.2"),
+        (ParabolicShift((-0.31,), 0.25),
+         "shift component -0.31 on axis 1 is not a whole multiple of the spacing 0.2"),
+        (ParabolicShift((0.2,), 0.1),
+         "time shift 0.1 is not a whole multiple of the time step 0.25"),
+        (ParabolicShift((0.2, 0.2)), "shift has 2 spatial components, grid has 1"),
+    ])
+    def test_message(self, shift, message):
+        with pytest.raises(GridAlignmentError) as info:
+            self.u.steps_of_shift(shift)
+        assert str(info.value) == message
+
+    def test_time_shift_on_spatial_grid_message(self):
+        u = make_grid_function(unit_interval(), 4, 0, lambda x, t: x[0])
+        with pytest.raises(GridAlignmentError) as info:
+            u.steps_of_shift(ParabolicShift((0.25,), 0.5))
+        assert str(info.value) == "nonzero time shift on a purely spatial grid"
+
+    def test_whole_steps(self):
+        assert self.u.steps_of_shift(ParabolicShift((-0.4,), 0.75)) == ((-2,), 3)
+        assert self.u.steps_of_shift(ParabolicShift((0.0,), -0.0)) == ((0,), 0)
+
 
 class TestKthDifference:
     def test_quadratic_second_difference(self):
@@ -152,6 +203,37 @@ class TestKthDifference:
     def test_out_of_domain(self):
         u = make_grid_function(unit_interval(), 4, 0, lambda x, t: x[0])
         assert kth_difference(u, (3,), ParabolicShift((0.25,)), 2) is None
+
+    def test_last_translate_on_the_box_edge(self):
+        u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 4, 4, lambda x, t: x[0] ** 2 + t)
+        H = ParabolicShift((0.25,), 0.25)
+        assert kth_difference(u, (2, 2), H, 2) == pytest.approx(2 * 0.25 ** 2, rel=1e-12)
+        assert kth_difference(u, (3, 2), H, 2) is None  # x one step beyond
+        assert kth_difference(u, (2, 3), H, 2) is None  # t one step beyond
+        back = ParabolicShift((-0.25,), -0.25)
+        assert kth_difference(u, (2, 2), back, 2) == pytest.approx(2 * 0.25 ** 2, rel=1e-12)
+        assert kth_difference(u, (1, 2), back, 2) is None
+
+    def test_matches_direct_indexing(self):
+        rng = np.random.default_rng(5)
+        vals = rng.uniform(-1.0, 1.0, size=(4, 3, 3))
+        u = GridFunction(Domain((0.0, 0.0), (1.0, 1.0), 1.0), (3, 2), 2, vals)
+        for d1, d2, j in np.ndindex(7, 5, 5):
+            full = (d1 - 3, d2 - 2, j - 2)
+            H = u.shift_from_steps(full[:2], full[2])
+            for base in np.ndindex(vals.shape):
+                nodes = [tuple(b + m * d for b, d in zip(base, full)) for m in range(4)]
+                inside = [all(0 <= p < n for p, n in zip(node, vals.shape)) for node in nodes]
+                for k in (1, 2, 3):
+                    c = difference_coefficients(k)
+                    want = ((-1.0) ** k * (vals[base] - sum(c[i - 1] * vals[nodes[i]]
+                                                            for i in range(1, k + 1)))
+                            if all(inside[:k + 1]) else None)
+                    assert kth_difference(u, base, H, k) == want
+                for m in (-1, 2):
+                    node = tuple(b + m * d for b, d in zip(base, full))
+                    ok = all(0 <= p < n for p, n in zip(node, vals.shape))
+                    assert shift_eval(u, base, H, m) == (vals[node] if ok else None)
 
     @given(k=st.integers(1, 4), coeffs=st.lists(
         st.floats(-3, 3, allow_nan=False), min_size=1, max_size=4))
@@ -207,6 +289,16 @@ class TestKthDifference:
 
 
 class TestPlengthAndDilation:
+    @pytest.mark.parametrize("h, dt, message", [
+        ((math.inf,), 0.0, "shift component on axis 1 must be finite, got inf"),
+        ((0.25, math.nan), 0.0, "shift component on axis 2 must be finite, got nan"),
+        ((0.25,), -math.inf, "time shift must be finite, got -inf"),
+    ], ids=["inf-space", "nan-space", "inf-time"])
+    def test_nonfinite_shift_rejected(self, h, dt, message):
+        with pytest.raises(ValueError) as info:
+            ParabolicShift(h, dt)
+        assert str(info.value) == message
+
     def test_plength_positive_definite(self):
         assert ParabolicShift((0.0,), 0.0).plength == 0.0
         assert ParabolicShift((0.1,), 0.0).plength > 0.0
@@ -301,10 +393,59 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="row 3"):
             grid_from_csv(self._write(tmp_path, text))
 
+    def test_roundtrip_parabolic_2d(self, tmp_path):
+        u = make_grid_function(Domain((0.0, -1.0), (2.0, 1.0), 0.75), (4, 3), 3,
+                               lambda x, t: np.sin(x[0]) * x[1] + t)
+        lines = ["x1,x2,t,u"]
+        for idx in reversed(list(np.ndindex(u.values.shape))):
+            x, t = u.node_coords(idx)
+            lines.append(f"{x[0]!r},{x[1]!r},{t!r},{u.value_at(idx)!r}")
+        v = grid_from_csv(self._write(tmp_path, "\n".join(lines) + "\n"))
+        assert v.domain == u.domain
+        assert (v.spatial_steps, v.time_steps) == ((4, 3), 3)
+        assert np.array_equal(v.values, u.values)
+
+    def test_off_lattice_row_named(self, tmp_path):
+        # t starts within 1e-9 h_t of 0 and drifts by less than 1e-9 h_t per
+        # step, but the row-4 node lies 1.6e-9 steps off the lattice from 0
+        text = ("x1,t,u\n0,4e-10,1\n1,4e-10,1\n0,0.5000000008,1\n1,0.5000000008,1\n"
+                "0,1.0000000004,1\n1,1.0000000004,1\n")
+        with pytest.raises(CsvFormatError, match="^row 4: t value off the inferred lattice$"):
+            grid_from_csv(self._write(tmp_path, text))
+
+    def test_time_must_start_at_zero(self, tmp_path):
+        text = "x1,t,u\n0.0,0.5,1\n1.0,0.5,2\n0.0,1.0,3\n1.0,1.0,4\n"
+        with pytest.raises(CsvFormatError, match="^time column must start at 0, got 0.5$"):
+            grid_from_csv(self._write(tmp_path, text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,u\n0.0,1\n1.0,nan\n", "row 3: non-finite value"),
+        ("x1,t,u\n0,0,1\ninf,0,2\n", "row 3: non-finite value"),
+        ("x1,u\n0.0,1\n1.0,2,3\n", "row 3: expected 2 fields, got 3"),
+        ("x1,t,u\n0.0,0.0,1\n1.0,1\n", "row 3: expected 3 fields, got 2"),
+    ], ids=["nan-value", "inf-coordinate", "extra-field", "missing-field"])
+    def test_bad_row_message(self, tmp_path, text, message):
+        with pytest.raises(CsvFormatError) as info:
+            grid_from_csv(self._write(tmp_path, text))
+        assert str(info.value) == message
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "grid.csv"
+        path.write_bytes("x1,u\n0.0,1\n0.5,2\n1.0,3\n".encode("utf-8-sig"))
+        v = grid_from_csv(str(path))
+        assert v.domain == Domain((0.0,), (1.0,))
+        assert list(v.values[:, 0]) == [1.0, 2.0, 3.0]
+
     def test_duplicate_node_named(self, tmp_path):
         # duplicate (0,1) hides the missing (1,1); the row count still matches
         text = "x1,x2,u\n0.0,0.0,1\n0.0,1.0,2\n1.0,0.0,3\n0.0,1.0,2\n"
         with pytest.raises(CsvFormatError, match="row 5: duplicate"):
+            grid_from_csv(self._write(tmp_path, text))
+
+
+    def test_row_numbers_count_blank_lines(self, tmp_path):
+        text = "x1,x2,u\n\n0.0,0.0,1\n0.0,1.0,2\n\n1.0,0.0,3\n0.0,1.0,2\n"
+        with pytest.raises(CsvFormatError, match="^row 7: duplicate lattice node$"):
             grid_from_csv(self._write(tmp_path, text))
 
 
