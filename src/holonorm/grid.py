@@ -471,17 +471,16 @@ def grid_from_csv(path) -> GridFunction:
         if h <= 0 or np.max(np.abs(np.diff(uniq) - h)) > LATTICE_RTOL * h:
             raise CsvFormatError(f"column {label} is not uniformly spaced (tolerance 1e-9)")
         lo = float(uniq[0])
-        if label == "t":
-            if abs(lo) > LATTICE_RTOL * h:
-                raise CsvFormatError(f"time column must start at 0, got {lo}")
-            lo = 0.0
+        if label == "t" and abs(lo) > LATTICE_RTOL * h:
+            raise CsvFormatError(f"time column must start at 0, got {lo}")
         off = (vals - lo) / h
         idx = np.rint(off).astype(int)
         bad = np.abs(off - idx) > LATTICE_RTOL * np.maximum(1.0, np.abs(off))
         if np.any(bad):
             row = row_nos[np.argmax(bad)]
             raise CsvFormatError(f"row {row}: {label} value off the inferred lattice")
-        lattice.append((lo, float(h), len(uniq) - 1))
+        # a time column within tolerance of 0 starts at 0
+        lattice.append((0.0 if label == "t" else lo, float(h), len(uniq) - 1))
         indices.append(idx)
     if not has_time:
         lattice.append((0.0, 0.0, 0))

@@ -345,14 +345,13 @@ def pointwise_reconstruction_bound(
     k = as_int(k, "k")
     if k < 1:
         raise ValueError(f"difference order must be >= 1, got {k}")
+    base = u.normalize_index(index)
+    if kth_difference(u, base, shift, k) is None:
+        raise ValueError(f"translates of node {base} along the shift leave the box")
     if seminorm is None:
         spec = DiffSeminormSpec(k, DiffSeminormSpec.default_for(idx).l_t)
         rep = diff_quotient_seminorm(u, idx, spec=spec)
         seminorm = rep.value if rep.sampling.upper is None else rep.sampling.upper
-    base = u.normalize_index(index)
-    diff = kth_difference(u, base, shift, k)
-    if diff is None:
-        raise ValueError(f"translates of node {base} along the shift leave the box")
     total = seminorm * shift.plength ** idx.l
     for i in range(1, k + 1):
         total += math.comb(k, i) * abs(shift_eval(u, base, shift, i))

@@ -236,15 +236,34 @@ def _trapezoid_pattern(n: int) -> np.ndarray:
     return w
 
 
-def _weighted_powers(values: np.ndarray, p: float, axes_n: Sequence[int]) -> np.ndarray:
-    """``|values|^p`` times the trapezoid weights along the leading axes."""
+# natural logs of the smallest normal float and of the largest float
+_LOG_TINY = math.log(np.finfo(float).tiny)
+_LOG_HUGE = math.log(np.finfo(float).max)
+
+
+def _weighted_powers(
+    values: np.ndarray, p: float, axes_n: Sequence[int]
+) -> tuple[np.ndarray, float]:
+    """``|values / top|^p`` times the trapezoid weights along the leading axes,
+    and ``top``, by which the caller multiplies the ``p``-th root.
+
+    ``top`` is 1 unless the power ``max|values|^p`` would leave the normal
+    range (underflow below the smallest normal number, or a sum of ``size``
+    such powers past the largest float); then it is ``max|values|``, so the
+    largest power is 1.
+    """
+    top = float(np.max(np.abs(values)))
+    if top > 0.0 and not (_LOG_TINY <= p * math.log(top) <= _LOG_HUGE - math.log(values.size)):
+        values = values / top
+    else:
+        top = 1.0
     w = np.abs(values) ** p
     for axis, n in enumerate(axes_n):
         pattern = _trapezoid_pattern(n).reshape(
             (1,) * axis + (n,) + (1,) * (values.ndim - axis - 1)
         )
         w = w * pattern
-    return w
+    return w, top
 
 
 def _lebesgue_exponent(p) -> float:
@@ -257,10 +276,10 @@ def _lebesgue_exponent(p) -> float:
 def _level_lp(u: GridFunction, p: float) -> list[float]:
     """Tensor-trapezoidal spatial Lp norm of every time level: each level's
     weighted powers are summed as one contiguous row."""
-    w = _weighted_powers(u.values, p, u.n_spatial)
+    w, top = _weighted_powers(u.values, p, u.n_spatial)
     sums = np.ascontiguousarray(w.reshape(-1, w.shape[-1]).T).sum(axis=1)
     scale = math.prod(u.h_x)
-    return [(scale * s) ** (1.0 / p) for s in sums.tolist()]
+    return [top * (scale * s) ** (1.0 / p) for s in sums.tolist()]
 
 
 def lp_norm(u: GridFunction, p: float) -> NormReport:
@@ -270,8 +289,8 @@ def lp_norm(u: GridFunction, p: float) -> NormReport:
     if u.is_elliptic:
         value = _level_lp(u, p)[0]
     else:
-        s = float(np.sum(_weighted_powers(u.values, p, u.n_spatial + (u.n_time,))))
-        value = (math.prod(u.h_x) * u.h_t * s) ** (1.0 / p)
+        w, top = _weighted_powers(u.values, p, u.n_spatial + (u.n_time,))
+        value = top * (math.prod(u.h_x) * u.h_t * float(np.sum(w))) ** (1.0 / p)
     return NormReport("lp", value, p, u.values.size, SamplingInfo("exhaustive"), None, {"p": p})
 
 

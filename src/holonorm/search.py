@@ -18,6 +18,12 @@ one draw per evaluation: a whole parameter set in ``random_search``,
 including those that replace members without a ratio, and one normal step
 of one coordinate in ``refine_search``.  The same arguments give the same
 result.
+
+Both searches evaluate candidates through one step, ``_offer``: it
+renders and checks the candidate, counts the evaluation, and keeps a
+strictly larger ratio in the ``SearchResult`` being built.  The searches
+differ only in how they propose parameters and when they append to the
+history.
 """
 
 from __future__ import annotations
@@ -170,21 +176,35 @@ def _default_domain(spec: InterpSpec) -> Domain:
 def build_candidate(
     source: str, spec: InterpSpec, domain: Domain, resolution: int, time_resolution: int
 ) -> GridFunction:
-    """Evaluate candidate expression source on the check grid."""
+    """Evaluate candidate expression source on the check grid.
+
+    ``time_resolution`` is the one a search result records: 0 on a T = 0 box.
+    """
     tree = expr_mod.parse(source, spec.N)
-    tsteps = 0 if domain.time_horizon == 0 else time_resolution
-    return make_grid_function(domain, resolution, tsteps, expr_mod.as_grid_callable(tree))
+    return make_grid_function(domain, resolution, time_resolution,
+                              expr_mod.as_grid_callable(tree))
 
 
-def _evaluate(
-    source: str, spec: InterpSpec, domain: Domain, resolution: int, time_resolution: int
-) -> float | None:
-    """The candidate's ratio, or ``None`` when the check forms none."""
-    u = build_candidate(source, spec, domain, resolution, time_resolution)
+def _offer(result: SearchResult, family: Family, params: dict[str, float]) -> float | None:
+    """Evaluate one candidate and keep it in ``result`` if its ratio is
+    strictly the best so far.
+
+    Returns the ratio, or ``None`` when the candidate is effectively the zero
+    function or its check forms no ratio.
+    """
+    spec, domain, res = result.spec, result.domain, result.resolution
+    source = family.expression(params, spec, domain)
+    u = build_candidate(source, spec, domain, res["resolution"], res["time_resolution"])
+    result.evaluations += 1
     if float(np.max(np.abs(u.values))) <= AMPLITUDE_TOL:
         return None  # degenerate: effectively the zero function
     report = check(spec, u)
-    return report.ratio if report.status == "ok" else None
+    if report.status != "ok":
+        return None
+    if report.ratio > result.best_ratio:
+        result.best_ratio, result.best_params, result.best_expression = (
+            report.ratio, params, source)
+    return report.ratio
 
 
 def random_search(
@@ -210,49 +230,9 @@ def random_search(
         time_resolution = 0
     elif time_resolution is None:
         time_resolution = resolution
-    rng = np.random.default_rng(seed)
-    pspec = family.param_spec(spec, domain)
-
-    def draw() -> dict[str, float]:
-        return {name: float(rng.uniform(lo, hi)) for name, lo, hi in pspec}
-
-    best_ratio = -math.inf
-    best_params: dict = {}
-    best_expression = ""
-    history: list[float] = []
-    evaluations = 0
-    failures = 0
-    done = 0
-    while done < budget:
-        params = draw()
-        source = family.expression(params, spec, domain)
-        ratio = _evaluate(source, spec, domain, resolution, time_resolution)
-        evaluations += 1
-        if ratio is None:
-            failures += 1
-            if failures >= _MAX_RESAMPLES and done == 0:
-                raise ValueError(
-                    f"family {family.kind!r} is degenerate: {failures} consecutive "
-                    "members below amplitude tolerance or without a ratio"
-                )
-            continue
-        failures = 0
-        done += 1
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_params = params
-            best_expression = source
-        history.append(best_ratio)
-
-    return SearchResult(
-        best_ratio=best_ratio,
-        best_params=best_params,
-        best_expression=best_expression,
-        history=history,
-        evaluations=evaluations,
-        spec=spec,
-        seed=seed,
-        family_kind=family.kind,
+    result = SearchResult(
+        best_ratio=-math.inf, best_params={}, best_expression="", history=[], evaluations=0,
+        spec=spec, seed=seed, family_kind=family.kind,
         resolution={
             "resolution": resolution,
             "time_resolution": time_resolution,
@@ -264,6 +244,22 @@ def random_search(
             "check_seed": DEFAULT_SEED,  # unused; perfbench/workloads.py reads it
         },
     )
+    rng = np.random.default_rng(seed)
+    pspec = family.param_spec(spec, domain)
+    failures = 0
+    while len(result.history) < budget:
+        params = {name: float(rng.uniform(lo, hi)) for name, lo, hi in pspec}
+        if _offer(result, family, params) is None:
+            failures += 1
+            if failures >= _MAX_RESAMPLES and not result.history:
+                raise ValueError(
+                    f"family {family.kind!r} is degenerate: {failures} consecutive "
+                    "members below amplitude tolerance or without a ratio"
+                )
+            continue
+        failures = 0
+        result.history.append(result.best_ratio)
+    return result
 
 
 def refine_search(
@@ -286,38 +282,16 @@ def refine_search(
             f"refinement family {family.kind!r} does not match the start "
             f"result's family {start.family_kind!r}"
         )
-    spec = start.spec
-    res = start.resolution
-    domain = start.domain
-    resolution = res["resolution"]
-    time_resolution = res["time_resolution"]
-    pspec = family.param_spec(spec, domain)
-    names = [name for name, _, _ in pspec]
-    bounds = {name: (lo, hi) for name, lo, hi in pspec}
-
+    result = replace(start, best_params=dict(start.best_params), history=list(start.history),
+                     resolution=dict(start.resolution))
+    pspec = family.param_spec(start.spec, start.domain)
     rng = np.random.default_rng([seed, start.seed])
-    best_ratio = start.best_ratio
-    best_params = dict(start.best_params)
-    best_expression = start.best_expression
-    history = list(start.history)
-    evaluations = start.evaluations
-
     for step in range(steps):
-        name = names[step % len(names)]
-        lo, hi = bounds[name]
-        proposal = dict(best_params)
+        name, lo, hi = pspec[step % len(pspec)]
+        proposal = dict(result.best_params)
         proposal[name] = float(
-            np.clip(best_params[name] + rng.normal(0.0, step_scale * (hi - lo)), lo, hi)
+            np.clip(proposal[name] + rng.normal(0.0, step_scale * (hi - lo)), lo, hi)
         )
-        source = family.expression(proposal, spec, domain)
-        ratio = _evaluate(source, spec, domain, resolution, time_resolution)
-        evaluations += 1
-        if ratio is not None and ratio > best_ratio:
-            best_ratio = ratio
-            best_params = proposal
-            best_expression = source
-        history.append(best_ratio)
-
-    return replace(start, best_ratio=best_ratio, best_params=best_params,
-                   best_expression=best_expression, history=history, evaluations=evaluations,
-                   resolution=dict(start.resolution))
+        _offer(result, family, proposal)
+        result.history.append(result.best_ratio)
+    return result

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from holonorm import Domain, InterpSpec, interp, make_grid_function, pairs
+from holonorm import Domain, InterpSpec, cli, interp, make_grid_function, pairs
 from holonorm.expr import as_grid_callable, parse
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -42,6 +42,7 @@ SPECS = {
     "2.2": (InterpSpec(variant="2.2", l1=0.0, l=0.75, l2=1.5, N=1), "sin(3*x1)*exp(-t)"),
     "2.3.1": (InterpSpec(variant="2.3.1", l2=1.5, p=2, N=2), "sin(3*x1)*cos(2*x2)*exp(-t)"),
     "2.11": (InterpSpec(variant="2.11", l1=0.5, l2=1.5, p=2, N=1), "abs(x1-0.4)^0.7"),
+    "2.3.3": (InterpSpec(variant="2.3.3", l2=1.5, p=2, N=1), "sin(3*x1)*exp(-t)"),
 }
 
 
@@ -63,17 +64,36 @@ def test_exact_check_routes_every_supremum_through_the_exhaustive_engines(
     assert report == default
 
 
-def test_traced_names_are_reached():
-    # an assembly that binds a seminorm or engine directly, not through its
+def test_traced_names_are_reached(tmp_path):
+    # an assembly that binds a seminorm or engine directly, or a search that
+    # binds ``check`` or ``make_grid_function`` directly, not through its
     # module attribute, would bypass the wrappers and zero per-layer metrics
     t = tracer.Tracer()
     t.install()
     try:
-        t.begin("2.2")
-        spec, source = SPECS["2.2"]
-        interp.check(spec, _grid(source, spec.N, spec.is_elliptic))
+        for key, (spec, source) in SPECS.items():
+            t.begin(key)
+            interp.check(spec, _grid(source, spec.N, spec.is_elliptic))
+        t.begin("search")
+        argv = ["search", "--variant", "2.10.1", "--dim", "1", "--l1", "0.5", "--l2", "1.5",
+                "--p", "2", "--family", "trig", "--budget", "2", "--refine-steps", "2",
+                "--res", "6", "--out", str(tmp_path / "search.json")]
+        assert cli.main(argv) == 0
     finally:
         t.uninstall()
     names = {span[1] for span in t.spans}
-    assert {"norms.holder_norm", "norms.holder_seminorm_space", "norms.holder_seminorm_time",
+    assert {f"norms.{f}" for f in tracer.NORM_CALLS} <= names
+    assert {"norms.holder_seminorm_space", "norms.holder_seminorm_time",
             "norms.derivative_field", "pairs.pair_quotient_sup"} <= names
+
+    def nested_in(name):
+        # spans are appended when they start, so a parent precedes its children
+        ids, inner = {sid for sid, span_name, *_ in t.spans if span_name == name}, set()
+        for sid, span_name, _, _, parent, *_ in t.spans:
+            if parent in ids:
+                ids.add(sid)
+                inner.add(span_name)
+        return inner
+
+    for search in ("search.random_search", "search.refine_search"):
+        assert {"interp.check", "grid.make_grid_function", "expr.parse"} <= nested_in(search)

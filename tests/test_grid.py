@@ -405,13 +405,16 @@ class TestCsv:
         assert (v.spatial_steps, v.time_steps) == ((4, 3), 3)
         assert np.array_equal(v.values, u.values)
 
-    def test_off_lattice_row_named(self, tmp_path):
+    def test_time_measured_from_its_own_minimum(self, tmp_path):
         # t starts within 1e-9 h_t of 0 and drifts by less than 1e-9 h_t per
-        # step, but the row-4 node lies 1.6e-9 steps off the lattice from 0
+        # step; measured from 0 the row-4 node would lie 1.6e-9 steps off the
+        # lattice, measured from the column's minimum it lies on it
         text = ("x1,t,u\n0,4e-10,1\n1,4e-10,1\n0,0.5000000008,1\n1,0.5000000008,1\n"
                 "0,1.0000000004,1\n1,1.0000000004,1\n")
-        with pytest.raises(CsvFormatError, match="^row 4: t value off the inferred lattice$"):
-            grid_from_csv(self._write(tmp_path, text))
+        u = grid_from_csv(self._write(tmp_path, text))
+        assert u.time_steps == 2
+        assert u.time_coords() == pytest.approx([0.0, 0.5, 1.0], rel=1e-9, abs=1e-9)
+        assert u.time_coords()[0] == 0.0
 
     def test_time_must_start_at_zero(self, tmp_path):
         text = "x1,t,u\n0.0,0.5,1\n1.0,0.5,2\n0.0,1.0,3\n1.0,1.0,4\n"

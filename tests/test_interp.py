@@ -108,6 +108,22 @@ class TestCheck:
         for s in (-3.0, 1e-4, 7.0):
             assert check(spec, u.scaled(s)).ratio == pytest.approx(base, rel=1e-10)
 
+    @pytest.mark.parametrize("variant, kwargs", [
+        ("2.3.1", dict(l2=1.5)), ("2.3.3", dict(l2=1.5)), ("2.10", dict(l1=0.5, l2=1.5)),
+        ("2.10.1", dict(l1=0.5, l2=1.5)), ("2.11", dict(l1=0.5, l2=1.5))])
+    def test_ratio_kept_where_lp_powers_leave_float_range(self, variant, kwargs):
+        # with p = 40, |u|^p underflows at amplitude 1e-10 and overflows at
+        # 1e10; unscaled, these read as a violation and as trivial
+        spec = InterpSpec(variant=variant, p=40, N=1, **kwargs)
+        u = (sample_expr("sin(3*x1)", steps=8, T=0.0) if spec.is_elliptic
+             else sample_expr("sin(3*x1)*exp(-t)", steps=8))
+        base = check(spec, u)
+        assert base.status == "ok"
+        for s in (1e-10, 1e10):
+            rep = check(spec, u.scaled(s))
+            assert rep.status == "ok"
+            assert rep.ratio == pytest.approx(base.ratio, rel=1e-10)
+
     def test_ratio_reconstructs_lhs(self):
         u = sample_expr("sin(2*pi*x1)*exp(-t)", steps=16)
         spec = InterpSpec(variant="2.10", l1=0.5, l2=1.5, p=2, N=1)
@@ -358,6 +374,20 @@ class TestReconstructionBound:
         H = ParabolicShift((0.25,), 0.0)
         with pytest.raises(ValueError, match="leave the box"):
             pointwise_reconstruction_bound(u, 0.5, 3, (3, 0), H, seminorm=1.0)
+
+    def test_box_checked_before_the_seminorm(self, monkeypatch):
+        # a node whose translates leave the box is rejected without computing
+        # the order-k seminorm the bound would need
+        from holonorm import interp
+
+        def spy(*args, **kwargs):
+            raise AssertionError("seminorm computed for a node outside the box")
+
+        monkeypatch.setattr(interp, "diff_quotient_seminorm", spy)
+        u = sample_expr("x1*t", steps=4)
+        H = ParabolicShift((0.25,), 0.0)
+        with pytest.raises(ValueError, match="leave the box"):
+            pointwise_reconstruction_bound(u, 0.5, 3, (3, 0), H)
 
 
 class TestTimeSeminormBound:

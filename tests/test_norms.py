@@ -88,6 +88,16 @@ class TestLpNorm:
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
 
+    def test_powers_out_of_float_range(self):
+        # |u|^40 underflows to 0 at amplitude 1e-10 and overflows at 1e10;
+        # the norms stay homogeneous of degree one there
+        parabolic = sample(lambda x, t: np.sin(3 * x[0]) * np.exp(-t), steps=8, T=1.0)
+        spatial = sample(lambda x, t: np.sin(3 * x[0]), steps=8)
+        for norm, u in ((lp_norm, parabolic), (lp_norm, spatial), (sup_t_lp_norm, parabolic)):
+            base = norm(u, 40).value
+            for s in (1e-10, 1e10):
+                assert norm(u.scaled(s), 40).value == pytest.approx(s * base, rel=1e-12)
+
     def test_p_validation(self):
         with pytest.raises(ValueError, match="p > 1"):
             lp_norm(sample(lambda x, t: x[0]), 1.0)
