@@ -15,6 +15,10 @@ variant   left side                      high factor           low factor
 2.11      |u|^(l1)  (spatial grid)       |u|^(l2)              ||u||_p (spatial)
 ======== ============================== ===================== =====================
 
+``_ROWS`` holds this table, and every per-variant rule reads its row.  The
+sup variants are 2.10 and 2.10.1 at ``l1 = 0``, so two exponent formulas
+cover all seven.
+
 The sup-norm variants use the k-th difference quotient seminorm as the high
 factor: that is the quantity with exact scaling ``lam^(-l)`` under the
 parabolic dilation ``x -> lam x, t -> lam^2 t``, which is what makes the
@@ -28,7 +32,8 @@ high or low factor can raise the ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Sequence
 
@@ -57,9 +62,20 @@ class Variant(str, Enum):
     ELLIPTIC = "2.11"
 
 
-_SUP_VARIANTS = (Variant.SUP_VS_LP_PARABOLIC, Variant.SUP_VS_SUPLP)
-_HOLDER_VARIANTS = (Variant.HOLDER_HOLDER_ELLIPTIC, Variant.HOLDER_HOLDER_PARABOLIC)
-_ELLIPTIC_VARIANTS = (Variant.HOLDER_HOLDER_ELLIPTIC, Variant.ELLIPTIC)
+# One row per variant: the left side ("sup", or the field "l" or "l1" of its
+# Hoelder index), the low factor ("l1" Hoelder, "lp" or "sup_t_lp") and
+# whether the grid is purely spatial.  The high factor is the quotient
+# seminorm of index l2 when the left side is "sup", else the Hoelder norm.
+_Row = namedtuple("_Row", "lhs low elliptic")
+_ROWS = {
+    Variant.HOLDER_HOLDER_ELLIPTIC: _Row("l", "l1", True),
+    Variant.HOLDER_HOLDER_PARABOLIC: _Row("l", "l1", False),
+    Variant.SUP_VS_LP_PARABOLIC: _Row("sup", "lp", False),
+    Variant.SUP_VS_SUPLP: _Row("sup", "sup_t_lp", False),
+    Variant.GENERAL_PARABOLIC: _Row("l1", "lp", False),
+    Variant.GENERAL_SUPLP: _Row("l1", "sup_t_lp", False),
+    Variant.ELLIPTIC: _Row("l1", "lp", True),
+}
 
 
 @dataclass(frozen=True)
@@ -79,7 +95,11 @@ class InterpSpec:
     l: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Variant(self.variant))
+        try:
+            object.__setattr__(self, "variant", Variant(self.variant))
+        except ValueError:
+            raise ValueError(f"variant must be one of {', '.join(v.value for v in _ROWS)}, "
+                             f"got {self.variant!r}") from None
         object.__setattr__(self, "l2", float(self.l2))
         object.__setattr__(self, "l1", float(self.l1))
         object.__setattr__(self, "N", as_int(self.N, "N"))
@@ -90,7 +110,7 @@ class InterpSpec:
         self.validate()
 
     def validate(self) -> None:
-        v = self.variant
+        v, row = self.variant, _ROWS[self.variant]
         if self.N < 1:
             raise ValueError(f"dimension must be >= 1, got {self.N}")
         if not (math.isfinite(self.l2) and self.l2 > 0):
@@ -101,25 +121,24 @@ class InterpSpec:
             raise ValueError(f"l1 must be nonnegative, got {self.l1}")
         if not self.l1 < self.l2:
             raise ValueError(f"need l1 < l2, got l1={self.l1}, l2={self.l2}")
-        unread = "p" if v in _HOLDER_VARIANTS else "l"
+        holder = row.low == "l1"
+        unread = "p" if holder else "l"
         if getattr(self, unread) is not None:
             raise ValueError(f"{unread} has no effect on variant {v.value}, which does not "
                              "read it")
-        if v in _SUP_VARIANTS and self.l1 != 0.0:
+        if row.lhs == "sup" and self.l1 != 0.0:
             raise ValueError(f"variant {v.value} bounds the sup norm; l1 must be 0")
-        if v in _HOLDER_VARIANTS:
+        if holder:
             if self.l is None:
                 raise ValueError(f"variant {v.value} needs the intermediate index l")
             if not self.l1 < self.l < self.l2:
-                raise ValueError(
-                    f"need l1 < l < l2, got {self.l1}, {self.l}, {self.l2}"
-                )
+                raise ValueError(f"need l1 < l < l2, got {self.l1}, {self.l}, {self.l2}")
         elif self.p is None or not (math.isfinite(self.p) and self.p > 1.0):
             raise ValueError(f"variant {v.value} needs a finite Lebesgue exponent p > 1")
 
     @property
     def is_elliptic(self) -> bool:
-        return self.variant in _ELLIPTIC_VARIANTS
+        return _ROWS[self.variant].elliptic
 
     def to_json_dict(self) -> dict:
         return {"variant": self.variant.value, "l1": self.l1, "l": self.l, "l2": self.l2,
@@ -127,18 +146,16 @@ class InterpSpec:
 
 
 def exponent(spec: InterpSpec) -> float:
-    """The interpolation exponent (the power on the high factor)."""
-    v, l1, l2, p, n = spec.variant, spec.l1, spec.l2, spec.p, spec.N
-    if v in _HOLDER_VARIANTS:
-        return (spec.l - l1) / (l2 - l1)
-    if v == Variant.SUP_VS_LP_PARABOLIC:
-        return (n + 2) / (l2 * p + n + 2)
-    if v == Variant.SUP_VS_SUPLP:
-        return n / (l2 * p + n)
-    if v == Variant.GENERAL_PARABOLIC:
-        return (p * l1 + n + 2) / (p * l2 + n + 2)
-    # 2.10.1 and 2.11 share the spatial-decay exponent.
-    return (p * l1 + n) / (p * l2 + n)
+    """The interpolation exponent (the power on the high factor):
+    ``(l - l1) / (l2 - l1)`` for the Hoelder-Hoelder rows, else
+    ``(p l1 + N + two) / (p l2 + N + two)`` with ``two = 2`` for an ``lp`` low
+    factor over space-time, 0 otherwise; the sup variants are 2.10 and 2.10.1
+    at ``l1 = 0``.  Summing ``N + two`` first would change some last bits."""
+    row = _ROWS[spec.variant]
+    if row.low == "l1":
+        return (spec.l - spec.l1) / (spec.l2 - spec.l1)
+    two = 2 if row.low == "lp" and not row.elliptic else 0
+    return (spec.p * spec.l1 + spec.N + two) / (spec.p * spec.l2 + spec.N + two)
 
 
 @dataclass
@@ -168,17 +185,9 @@ class CheckReport:
         return self.status == "violation"
 
     def to_json_dict(self) -> dict:
-        return {
-            **self.spec.to_json_dict(),
-            "omega": self.omega,
-            "lhs": self.lhs,
-            "factor_high": self.factor_high,
-            "factor_low": self.factor_low,
-            "ratio": self.ratio,
-            "status": self.status,
-            "norms": self.norms,
-            "resolution": self.resolution,
-        }
+        # the spec's fields, then every other field in the order declared
+        return {**self.spec.to_json_dict(),
+                **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
 
 
 def _resolution_of(u: GridFunction) -> dict:
@@ -194,30 +203,25 @@ def _resolution_of(u: GridFunction) -> dict:
 def _check_compatible(spec: InterpSpec, u: GridFunction) -> None:
     if spec.N != u.N:
         raise ValueError(f"spec has N={spec.N} but the grid has N={u.N}")
-    if spec.is_elliptic and not u.is_elliptic:
-        raise ValueError(
-            f"variant {spec.variant.value} needs a purely spatial grid (time horizon 0)"
-        )
-    if not spec.is_elliptic and u.is_elliptic:
-        raise ValueError(
-            f"variant {spec.variant.value} needs a space-time grid (time horizon > 0)"
-        )
+    if spec.is_elliptic != u.is_elliptic:
+        grid = ("a purely spatial grid (time horizon 0)" if spec.is_elliptic
+                else "a space-time grid (time horizon > 0)")
+        raise ValueError(f"variant {spec.variant.value} needs {grid}")
 
 
 def _base_norms(spec: InterpSpec, u: GridFunction):
-    v = spec.variant
-    if v in _HOLDER_VARIANTS:
-        lhs = holder_norm(u, spec.l)
-        high = holder_norm(u, spec.l2)
-        low = holder_norm(u, spec.l1)
-    elif v in _SUP_VARIANTS:
-        lhs = sup_norm(u)
-        high = diff_quotient_seminorm(u, spec.l2)
-        low = lp_norm(u, spec.p) if v == Variant.SUP_VS_LP_PARABOLIC else sup_t_lp_norm(u, spec.p)
+    """The left side, high and low factor of the variant's row, in that order;
+    the norm functions are module attributes looked up at each call."""
+    row = _ROWS[spec.variant]
+    if row.lhs == "sup":
+        lhs, high = sup_norm(u), diff_quotient_seminorm(u, spec.l2)
     else:
-        lhs = holder_norm(u, spec.l1)
+        lhs = holder_norm(u, getattr(spec, row.lhs))
         high = holder_norm(u, spec.l2)
-        low = sup_t_lp_norm(u, spec.p) if v == Variant.GENERAL_SUPLP else lp_norm(u, spec.p)
+    if row.low == "l1":
+        low = holder_norm(u, spec.l1)
+    else:
+        low = (lp_norm if row.low == "lp" else sup_t_lp_norm)(u, spec.p)
     return lhs, high, low
 
 
@@ -233,23 +237,18 @@ def check(spec: InterpSpec, u: GridFunction, seed: int | None = None) -> CheckRe
     lhs_rep, high_rep, low_rep = _base_norms(spec, u)
     lhs, high, low = lhs_rep.value, high_rep.value, low_rep.value
 
-    scale = max(1.0, high, low)
-    if lhs <= TRIVIAL_RTOL * scale:
+    factor_high = high ** omega if high > 0.0 else 0.0
+    factor_low = low ** (1.0 - omega) if low > 0.0 else 0.0
+    if lhs <= TRIVIAL_RTOL * max(1.0, high, low):
         status, ratio = "trivial", 0.0
-        factor_high = high ** omega if high > 0 else 0.0
-        factor_low = low ** (1.0 - omega) if low > 0 else 0.0
     elif high > 0.0 and low > 0.0:
-        factor_high = high ** omega
-        factor_low = low ** (1.0 - omega)
         status, ratio = "ok", lhs / (factor_high * factor_low)
     elif high == 0.0 and low > 0.0:
         # Zero seminorm with a nonzero sup: the continuum bound degenerates
         # (send the balancing scale to infinity); no finite ratio exists.
         status, ratio = "seminorm_zero", None
-        factor_high, factor_low = 0.0, low ** (1.0 - omega)
     else:
-        status, ratio = "violation", None
-        factor_high, factor_low = 0.0, 0.0
+        status, ratio, factor_high = "violation", None, 0.0
 
     return CheckReport(
         spec=spec,
@@ -311,18 +310,15 @@ def balancing_epsilon(bound: TwoTermBound, p: float, N: int) -> float:
     which forces the bounded quantity to vanish.
     """
     p = float(p)
-    if abs(bound.q - (N + 2) / p) <= 1e-9 * bound.q:
-        denom = p * bound.l + N + 2
-    elif abs(bound.q - N / p) <= 1e-9 * bound.q:
-        denom = p * bound.l + N
+    for two in (2, 0):
+        if abs(bound.q - (N + two) / p) <= 1e-9 * bound.q:
+            break
     else:
-        raise ValueError(
-            f"decay exponent q={bound.q} matches neither (N+2)/p={(N + 2) / p} "
-            f"nor N/p={N / p}"
-        )
+        raise ValueError(f"decay exponent q={bound.q} matches neither "
+                         f"(N+2)/p={(N + 2) / p} nor N/p={N / p}")
     if bound.A == 0.0:
         return math.inf
-    return (bound.B / bound.A) ** (p / denom)
+    return (bound.B / bound.A) ** (p / (p * bound.l + N + two))
 
 
 def pointwise_reconstruction_bound(

@@ -122,8 +122,8 @@ def _reconstruction_sweep(vals: np.ndarray) -> float:
     v = vals.ravel()
     m_all = v.size
     cols = v[None, :]
-    for lo in range(0, m_all, 32):
-        a = v[lo:lo + 32][:, None]
+    for lo in range(0, m_all, 4):
+        a = v[lo:lo + 4][:, None]
         d = a - cols
         d += cols
         d -= a

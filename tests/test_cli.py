@@ -166,6 +166,8 @@ class TestCheckCommand:
             ["check", "--variant", "9.9", "--dim", "1", "--l2", "1.5", "--p", "2",
              "--expr", "x1", "--res", "8"], capsys)
         assert code == 2
+        assert ("variant must be one of 2.1, 2.2, 2.3.1, 2.3.3, 2.10, 2.10.1, 2.11, "
+                "got '9.9'") in err
 
     def test_violation_exit_code_mapping(self):
         # a violation report must map to exit code 1; the status itself is

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,7 +63,41 @@ class TestExponent:
         assert exponent(near0) < 1e-8
         assert exponent(near1) > 1 - 1e-8
 
+    # the README's closed forms, written out as they read there
+    CLOSED_FORMS = {
+        "2.1": lambda s: (s.l - s.l1) / (s.l2 - s.l1),
+        "2.2": lambda s: (s.l - s.l1) / (s.l2 - s.l1),
+        "2.3.1": lambda s: (s.N + 2) / (s.l2 * s.p + s.N + 2),
+        "2.3.3": lambda s: s.N / (s.l2 * s.p + s.N),
+        "2.10": lambda s: (s.p * s.l1 + s.N + 2) / (s.p * s.l2 + s.N + 2),
+        "2.10.1": lambda s: (s.p * s.l1 + s.N) / (s.p * s.l2 + s.N),
+        "2.11": lambda s: (s.p * s.l1 + s.N) / (s.p * s.l2 + s.N),
+    }
+
+    @pytest.mark.parametrize("variant", list(CLOSED_FORMS))
+    def test_exponent_equals_closed_form_bit_for_bit(self, variant):
+        # the approx tests above would not see a change in the last bit
+        holder, checked = variant in ("2.1", "2.2"), 0
+        for n in (1, 2, 3):
+            for l1 in ((0.0,) if variant in ("2.3.1", "2.3.3") else (0.0, 0.1, 0.35, 1.3)):
+                for l2 in (0.7, 1.5, 2.9, 3.45):
+                    if not l1 < l2:
+                        continue
+                    if holder:
+                        specs = [InterpSpec(variant=variant, l1=l1, l=l1 + f * (l2 - l1),
+                                            l2=l2, N=n) for f in (0.37, 0.5, 0.81)]
+                    else:
+                        specs = [InterpSpec(variant=variant, l1=l1, l2=l2, p=p, N=n)
+                                 for p in (1.1, 2.0, 3.3, 7.7, 41.9)]
+                    for spec in specs:
+                        assert exponent(spec) == self.CLOSED_FORMS[variant](spec), spec
+                        checked += 1
+        assert checked >= 60
+
     def test_validation_rejections(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "variant must be one of 2.1, 2.2, 2.3.1, 2.3.3, 2.10, 2.10.1, 2.11, got '9.9'")):
+            InterpSpec(variant="9.9", l2=1.5, p=2, N=1)
         with pytest.raises(ValueError, match="l1 < l2"):
             InterpSpec(variant="2.11", l1=1.0, l2=0.5, p=2, N=1)
         with pytest.raises(ValueError, match="noninteger"):
