@@ -17,13 +17,26 @@ serves them all:
    included): a staircase path from ``y`` to ``y + H`` stays in the box, and
    ``Delta^k = Delta^(k-1) Delta``, so no quotient at ``H`` exceeds
    ``min(amp, 2^(k-1) (sum_a omega_a(|d_a|) + omega_t(j))) / sep^e``.
-   The moduli depend on the values alone, so the dispatchers take a
-   caller-owned ``store`` of them that the suprema of one field share.
+   Each modulus costs a pass over the values, so only short lags get one up
+   front: ``s <= 16``, or every lag of an axis of at most 64 steps.  A longer
+   lag starts from a block bound: with the max and the min of each line over
+   blocks of 16 nodes, a pair ``(i, i + s)`` with ``i`` in block ``I`` has
+   ``i + s`` in block ``I + s // 16`` or the next, so the largest spread
+   between two such blocks bounds ``|w(i + s) - w(i)|``; subtraction rounds
+   monotonically, so it bounds the computed difference too.  The moduli
+   depend on the values alone, so the dispatchers take a caller-owned
+   ``store`` of them, with flags for the exact ones, that the suprema of one
+   field share: a lag made exact for one is exact for all.
 4. The offsets whose bound reaches the seed are walked best bound first, and
    the walk stops at the first bound below the running best: every offset
    skipped is certified to lie below it, so the value is exact (mode
-   ``"exhaustive"``).  Each visited offset is evaluated only on a window of
-   its slab: the base rows of axis 0 and the base time levels whose pairs
+   ``"exhaustive"``).  Before the walk reads an offset whose bound uses a
+   block bound, it refines those lags to exact moduli and recomputes the
+   bound; the offset then waits for its turn.  A block bound is never below
+   the exact modulus, so the walk reads the offsets of the exact table, in
+   its order, and no offset below an attained quotient is ever refined.
+   Past the first 8 offsets a walk reads, each is evaluated only on a window
+   of its slab: the base rows of axis 0 and the base time levels whose pairs
    can still reach the running best, by the max and the min of the values
    on the hyperplanes they touch.  The window is a slice along each axis,
    evaluated in place into one scratch buffer, and only a maximum that can
@@ -54,6 +67,7 @@ outermost, then the spatial offsets lexicographically, then the base node.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -65,6 +79,8 @@ PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may decide
 DEFAULT_SEED = 1729  # nothing draws from it; kept only for perfbench/refs.py, which imports it
 _WINDOW_MIN = 1024  # values below which a walk evaluates whole slabs, see ``_walk``
 _TABLE_ROWS = 262_144  # offsets per chunk of the offset table; a dispatcher keeps no more
+_EXACT_LAGS = 16  # lags whose moduli are exact up front on a long axis, see ``moduli``
+_BLOCK = 16  # nodes per block of the block bounds on the longer lags
 _EPS = np.finfo(float).eps
 
 
@@ -95,6 +111,40 @@ def _base_slices(offset: tuple[int, ...], dims: tuple[int, ...], k: int):
     return [k * max(-d, 0) for d in offset], [n - k * max(d, 0) for d, n in zip(offset, dims)]
 
 
+def _block_bounds(v: np.ndarray) -> np.ndarray:
+    """Upper bounds on ``max |v[i + s] - v[i]|``, as computed, over every
+    line along axis 0 of ``v``, for each lag ``s`` of that axis.
+
+    With ``hi`` and ``lo`` the max and the min of each line over blocks of
+    ``_BLOCK`` nodes, a pair ``(i, i + s)`` with ``i`` in block ``I`` has
+    ``i + s`` in block ``I + q`` or ``I + q + 1``, ``q = s // _BLOCK``, so
+    ``|v[i + s] - v[i]| <= max(hi[J] - lo[I], hi[I] - lo[J])`` over those two
+    blocks ``J``; the bound is that maximised over lines and ``I``.
+    Subtraction rounds monotonically, so it also bounds every computed
+    difference."""
+    n = v.shape[0]
+    lines = v.reshape(n, -1)
+    full = n // _BLOCK * _BLOCK
+    blocks = lines[:full].reshape(n // _BLOCK, _BLOCK, lines.shape[1])
+    hi, lo = blocks.max(axis=1), blocks.min(axis=1)
+    if full < n:  # a last, shorter block
+        hi = np.concatenate([hi, lines[full:].max(axis=0, keepdims=True)])
+        lo = np.concatenate([lo, lines[full:].min(axis=0, keepdims=True)])
+    nb = len(hi)
+    up = np.full((nb, nb), -np.inf)  # up[I, J] = max over lines of hi[J] - lo[I]
+    step = max(1, 2**18 // nb**2)
+    for c in range(0, lines.shape[1], step):
+        np.maximum(up, (hi[None, :, c:c + step] - lo[:, None, c:c + step]).max(axis=2), out=up)
+    up = np.maximum(up, up.T)
+    # far[q] = max over I of up[I, I + q]; far[nb] = -inf
+    i = np.arange(nb)
+    j = i[:, None] + i
+    far = np.where(j < nb, up[i[:, None], np.minimum(j, nb - 1)], -np.inf).max(axis=0)
+    far = np.append(far, -np.inf)
+    q = np.arange(n) // _BLOCK
+    return np.maximum(far[q], far[q + 1])
+
+
 # -- the offset table -------------------------------------------------------------------
 
 
@@ -114,7 +164,7 @@ class _Problem:
     exponent: float
     k: int
     kind: str  # "space" | "time" | "joint"
-    store: dict | None = None  # moduli already computed from ``values``, see ``moduli``
+    store: dict | None = None  # moduli and block bounds of ``values``, see ``moduli``
 
     def __post_init__(self):
         n_sp, n_t = self.values.shape[:-1], self.values.shape[-1]
@@ -131,6 +181,9 @@ class _Problem:
         self.margin = 1.0 + (2.0 * self.exponent * (n + 4) + n + 12) * _EPS  # see ``staircase``
         self.scratch = None  # see ``evaluate``
         self.profiles = None  # see ``windows``
+        self.moved = {}  # see ``lines``
+        if self.store is None:
+            self.store = {}
 
     def _amplitude(self) -> tuple[float, float]:
         """An upper bound on every computed ``|k-th difference|`` of
@@ -160,28 +213,73 @@ class _Problem:
 
     def moduli(self, reach: tuple[int, ...]) -> list[np.ndarray]:
         """``omega_a(s) = max |w(y + s e_a) - w(y)|`` for ``s = 0..reach_a``,
-        one array per axis, time last; only those not yet in ``store``
-        (axis -> omega of these values) are computed, and kept there."""
-        store = {} if self.store is None else self.store
+        one array per axis, time last: upper bounds on those maxima as
+        computed, exact where the axis's flags in ``store`` say so.
+
+        ``store`` maps an axis to its (omega, exact flags) over every lag of
+        the axis, shared by the suprema of one field and grown in place.  An
+        axis of at most ``4 * _EXACT_LAGS`` steps gets exact moduli out to the
+        reach; a longer one exact moduli to ``_EXACT_LAGS`` and block bounds
+        beyond (:func:`_block_bounds`), which ``refine`` makes exact where the
+        walk needs them.  Lags that no supremum has reached yet hold
+        ``inf``."""
         out = []
         for axis, top in enumerate(reach):
-            omega = store.get(axis, np.zeros(1))
-            if top >= len(omega):
-                have, omega = omega, np.zeros(top + 1)
-                omega[:len(have)] = have
-                v = np.ascontiguousarray(np.moveaxis(self.values, axis, 0))
-                diff = np.empty_like(v)
-                for s in range(len(have), top + 1):
-                    d = np.subtract(v[s:], v[:-s], out=diff[s:]).reshape(-1)
-                    omega[s] = d[np.abs(d, out=d).argmax()]
-                store[axis] = omega
+            omega, exact = self.entry(axis)
+            n = len(omega)
+            prefix = n - 1 if n <= 4 * _EXACT_LAGS + 1 else _EXACT_LAGS
+            self.refine(axis, range(1, 1 + min(top, prefix)))
+            if top > prefix and omega[top] == np.inf:  # exact moduli are below their bounds
+                np.minimum(omega, _block_bounds(self.lines(axis)), out=omega)
             out.append(omega[:top + 1])
         return out
 
-    def staircase(self, off: np.ndarray, moduli: list[np.ndarray]) -> np.ndarray:
-        """Upper bounds on every computed ``|k-th difference|`` at each offset
-        row ``(d, j)``: ``min(amp, 2^(k-1) S)`` with
-        ``S = omega_t(j) + sum_a omega_a(|d_a|)``, summed in that order.
+    def entry(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+        """``store[axis]``, made on first use with only lag 0 known."""
+        if axis not in self.store:
+            n = self.values.shape[axis]
+            omega, exact = np.full(n, np.inf), np.zeros(n, dtype=bool)
+            omega[0], exact[0] = 0.0, True
+            self.store[axis] = omega, exact
+        return self.store[axis]
+
+    def lines(self, axis: int) -> np.ndarray:
+        """The values with ``axis`` first, contiguous; kept until the table
+        is built, and again while the walk refines."""
+        if axis not in self.moved:
+            self.moved[axis] = np.ascontiguousarray(np.moveaxis(self.values, axis, 0))
+        return self.moved[axis]
+
+    def refine(self, axis: int, lags) -> None:
+        """Make ``omega_a(s)`` exact at each lag ``s`` of ``lags`` that is not
+        yet, computed in ``scratch``.  The maximum and the minimum of the
+        signed differences give it with one pass fewer than their absolute
+        values, and bit for bit: negation is exact."""
+        omega, exact = self.entry(axis)
+        lags = sorted({s for s in lags if not exact[s]})
+        if not lags:
+            return
+        v, scratch = self.lines(axis), self.buffer()
+        width = v.size // len(v)
+        v = v.reshape(-1)  # w(y + s e_a) - w(y) over every y is v[s * width:] - v[:-s * width]
+        for s in lags:
+            d = np.subtract(v[s * width:], v[:v.size - s * width], out=scratch[:v.size - s * width])
+            omega[s] = max(d[d.argmax()], -d[d.argmin()])
+        exact[lags] = True
+
+    def loose(self, off: np.ndarray, exact: list[np.ndarray]) -> np.ndarray:
+        """Whether each offset row ``(d, j)`` uses a lag whose modulus is not
+        exact under the flags ``exact`` (one array per axis, time last)."""
+        out = ~exact[-1][off[:, -1]]
+        for axis, flags in enumerate(exact[:-1]):
+            out |= ~flags[np.abs(off[:, axis])]
+        return out
+
+    def staircase(self, off: np.ndarray) -> np.ndarray:
+        """Upper bounds on every computed quotient at each offset row
+        ``(d, j)``: ``min(amp, 2^(k-1) S) / D'`` with
+        ``S = omega_t(j) + sum_a omega_a(|d_a|)``, summed in that order, from
+        the moduli in ``store``, and ``D'`` the vectorised ``sep^e``.
 
         Exactly, a staircase path from ``y`` to ``y + H`` moves along one axis
         at a time and keeps every corner inside the box, so
@@ -194,12 +292,15 @@ class _Problem:
         ``_amplitude``'s absolute term and its factor ``1 + u``; adding that
         term and applying the margin round twice more.  This is a relative
         ``(N + 4) u``; with the ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s
-        comparison of ``D`` with ``D'``, twice the sum gives ``margin``.
+        comparison of ``D`` with ``D'``, twice the sum gives ``margin``.  A
+        block bound in place of a modulus only raises ``S``.
         """
-        stair = moduli[-1][off[:, -1]]
-        for axis, omega in enumerate(moduli[:-1]):
-            stair = stair + omega[np.abs(off[:, axis])]
-        return np.minimum(self.amp, (2.0 ** (self.k - 1) * stair + self.slack) * self.margin)
+        n = len(self.limits)
+        stair = self.store[n][0][off[:, -1]]
+        for axis in range(n):
+            stair += self.store[axis][0][np.abs(off[:, axis])]
+        np.minimum(self.amp, (2.0 ** (self.k - 1) * stair + self.slack) * self.margin, out=stair)
+        return np.divide(stair, self.separations(off) ** self.exponent, out=stair)
 
     def separations(self, off: np.ndarray) -> np.ndarray:
         """Separations of offset rows ``(d, j)`` with ``j >= 0``."""
@@ -282,9 +383,7 @@ class _Problem:
             pairs = size
         elif size <= 0:
             return None, None, pairs
-        if self.scratch is None:  # the output, and for k >= 3 the partial products
-            self.scratch = np.empty(self.values.size * (1 if self.k <= 2 else 2))
-        flat = self.scratch[:size]
+        flat = self.buffer()[:size]
         out = flat.reshape(shape)
         view = [self.values[tuple([slice(lo + i * d, hi + i * d)
                                    for lo, hi, d in zip(lows, highs, off)])]
@@ -313,6 +412,13 @@ class _Problem:
         if at and float(np.nextafter(top, 0.0)) / denom == q:
             at = int(np.argmax(flat[:at + 1] / denom == q))
         return q, (at, tuple(shape), lows), pairs
+
+    def buffer(self) -> np.ndarray:
+        """``scratch``: the output of ``evaluate`` and ``refine``, and for
+        k >= 3 the partial products of ``evaluate``."""
+        if self.scratch is None:
+            self.scratch = np.empty(self.values.size * (1 if self.k <= 2 else 2))
+        return self.scratch
 
     def witness(self, off: tuple[int, ...], where) -> dict:
         at, shape, lows = where
@@ -358,8 +464,11 @@ class _Problem:
     def certified(self, floor: float, limit: int | None):
         """Offsets whose quotient bound reaches ``floor``, as arrays
         (offsets, bounds) sorted by bound, descending, ties in enumeration
-        order.  With a ``limit``, ``None`` when the moduli would cost more
-        than ``limit`` pairs or more than ``_TABLE_ROWS`` offsets are kept.
+        order.  A bound is exact where every modulus it uses is (see
+        ``moduli``), and above the exact one elsewhere; ``_walk`` refines it
+        before it reads the row.  With a ``limit``, ``None`` when the moduli
+        would cost more than ``limit`` pairs or more than ``_TABLE_ROWS``
+        offsets are kept; the latter is decided with exact bounds.
 
         Only offsets within the separation ``r`` where the global bound,
         raised by a relative 1e-12 that dwarfs its rounding, meets ``floor``
@@ -377,7 +486,21 @@ class _Problem:
                 j_hi = int(min(j_hi, reach / self.h_t + 1.0))
         if limit is not None and (sum(limits) + j_hi) * self.values.size > limit:
             return None
-        moduli = self.moduli(limits + (j_hi,))
+        reach = limits + (j_hi,)
+        self.moduli(reach)
+        table = self._table(floor, limit, limits, j_hi)
+        if table is None and not all(self.store[a][1][:top + 1].all()
+                                     for a, top in enumerate(reach)):
+            for axis, top in enumerate(reach):
+                self.refine(axis, range(1, top + 1))
+            table = self._table(floor, limit, limits, j_hi)
+        return table
+
+    def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int):
+        """The table of :meth:`certified` over the box ``limits``, ``j_hi``
+        at the moduli in ``store``, or ``None`` past the row guard."""
+        # not held while the table, the peak of memory, is built
+        self.moved, self.scratch = {}, None
         box = (j_hi - self.j_lo + 1,) + tuple(2 * m + 1 for m in limits)
         total = math.prod(box)
         parts, kept = [], 0
@@ -387,7 +510,7 @@ class _Problem:
             idx = np.unravel_index(np.arange(start, min(start + _TABLE_ROWS, total)), box)
             off = np.stack([i - m for i, m in zip(idx[1:], limits)] + [idx[0] + self.j_lo],
                            axis=1)  # (d, j)
-            bound = self.staircase(off, moduli) / self.separations(off) ** self.exponent
+            bound = self.staircase(off)
             keep = bound >= floor
             kept += int(keep.sum())
             if limit is not None and kept > _TABLE_ROWS:
@@ -405,7 +528,7 @@ class _Best:
         self.q, self.key, self.off, self.where = -math.inf, (), None, None
 
     def offer(self, q: float, off: tuple[int, ...], where):
-        key = off[-1:] + off[:-1]
+        key = _key(off)
         if q > self.q or (q == self.q and key < self.key):
             self.q, self.key, self.off, self.where = q, key, off, where
 
@@ -427,8 +550,8 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
 
     The nearest-neighbour sweep, then one walk over the certified table best
     bound first, stopping at the first bound below the running best (exact).
-    Each offset the walk visits is evaluated on its window at the running
-    best (:func:`_walk`).  Once the walk has decided ``limit`` pairs
+    Past the walk's first chunk, each offset it visits is evaluated on its
+    window at the running best (:func:`_walk`).  Once the walk has decided ``limit`` pairs
     (``None``: never), or when there is no table, the coarsened problem is
     solved the same way, with the same budget, down to a level that is exact
     or has no admissible offset; its witness offset, doubled, and its
@@ -474,21 +597,67 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
 
 
 def _walk(prob: _Problem, table, best: _Best):
-    """The table's rows as (offset, bound, window), in order.
+    """The table's rows as (offset, bound, window) in the order of their
+    exact bounds, descending, ties in enumeration order; every bound is
+    exact when its row comes.
 
-    Rows come in chunks of 8 up to 128, each with its windows
-    (:meth:`_Problem.windows`) at the running best of the chunk's start;
-    the best only rises, so they hold for the whole chunk.  Below
-    ``_WINDOW_MIN`` values the windows cost more than they save, and every
-    slab is evaluated whole."""
+    The table is sorted by bounds that may use block bounds (see
+    :meth:`_Problem.moduli`), each at least the exact one.  A row of the
+    table is yielded as it stands only when its bound used exact moduli
+    alone when the table was built; otherwise its lags are refined, its
+    bound recomputed, and it waits in ``refined`` for its turn, which comes
+    once it precedes the next row of the table.  Every row not yet refined
+    is bounded by its table bound, so no row whose exact bound precedes a
+    yielded one is still waiting: the rows come in the exact table's order.
+    Rows are refined one at first, then as many as precede the first
+    refined row (at most a chunk), and the walk ends at the first table
+    bound below the running best, an attained quotient, so no row below it
+    is ever refined.
+
+    Rows with exact bounds come in chunks of 8 up to 128, each with its
+    windows (:meth:`_Problem.windows`) at the running best of the chunk's
+    start; the best only rises, so they hold for the whole chunk.  The
+    first chunk, every refined row and every walk on fewer than
+    ``_WINDOW_MIN`` values evaluate whole slabs: most walks end within 8
+    rows (those of ``matrix-1d`` read about 5), and there the windows cost
+    more than they save."""
     offs, bounds = table
-    start, size = 0, 8
-    while start < len(bounds):
-        rows = offs[start:start + size]
-        windows = (prob.windows(rows, best.q) if prob.values.size >= _WINDOW_MIN
+    exact = [prob.store[a][1].copy() for a in range(prob.values.ndim)]  # as the table was built
+    refined = []  # heap of ((-bound, enumeration key), offset)
+    start, size, n = 0, 8, len(bounds)
+    while start < n or refined:
+        if refined and (start == n or
+                        refined[0][0] < (-float(bounds[start]), _key(offs[start].tolist()))):
+            (neg, _), off = heapq.heappop(refined)
+            yield off, -neg, None
+            continue
+        if bounds[start] < best.q:
+            return
+        stop = min(start + size, n)
+        if refined:  # only the rows that come before the first refined one
+            top, first = -refined[0][0][0], refined[0][0][1]
+            stop = start + int(np.searchsorted(-bounds[start:stop], -top, side="left"))
+            while stop < n and bounds[stop] == top and _key(offs[stop].tolist()) < first:
+                stop += 1
+        loose = prob.loose(offs[start:stop], exact)
+        run = int(np.argmax(loose != loose[0])) or len(loose)
+        rows = offs[start:start + (1 if loose[0] and not refined else run)]
+        start += len(rows)
+        if loose[0]:
+            for axis in range(prob.values.ndim):
+                prob.refine(axis, np.abs(rows[:, axis]).tolist())
+            for row, bound in zip(rows.tolist(), prob.staircase(rows).tolist()):
+                heapq.heappush(refined, ((-bound, _key(row)), tuple(row)))
+            continue
+        windows = (prob.windows(rows, best.q) if size > 8 and prob.values.size >= _WINDOW_MIN
                    else [None] * len(rows))
-        yield from zip(map(tuple, rows.tolist()), bounds[start:start + size], windows)
-        start, size = start + size, min(2 * size, 128)
+        yield from zip(map(tuple, rows.tolist()), bounds[start - len(rows):start], windows)
+        size = min(2 * size, 128)
+
+
+def _key(off) -> tuple[int, ...]:
+    """Enumeration order of an offset ``(d, j)``: time offset, then ``d``."""
+    return tuple(off[-1:]) + tuple(off[:-1])
 
 
 # -- exhaustive engines ---------------------------------------------------------

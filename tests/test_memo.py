@@ -119,8 +119,33 @@ def _spy_engines(monkeypatch):
     return stores
 
 
+def _spy_refinements(monkeypatch):
+    """Record the lags each call to ``_Problem.refine`` computes afresh, and
+    the lags it computes again although they were exact already (their
+    stored moduli are swapped for -1 during the call and must stay so)."""
+    fresh, again = [], []
+    real = pairs._Problem.refine
+
+    def refine(prob, axis, lags):
+        omega, exact = prob.entry(axis)
+        lags = set(lags)
+        done = [s for s in lags if exact[s]]
+        kept = omega[done].copy()
+        omega[done] = -1.0
+        real(prob, axis, lags)
+        again.extend(s for s in done if omega[s] != -1.0)
+        omega[done] = kept
+        fresh.extend(s for s in lags if s not in done)
+
+    monkeypatch.setattr(pairs._Problem, "refine", refine)
+    return fresh, again
+
+
 def test_each_supremum_runs_once_and_each_field_has_one_store(monkeypatch):
     stores = _spy_engines(monkeypatch)
+    # moduli exact to lag 2 only, block bounds beyond, so that the walks refine
+    monkeypatch.setattr(pairs, "_EXACT_LAGS", 2)
+    fresh, again = _spy_refinements(monkeypatch)
     u = grid("sin(2*pi*x1)*exp(-t)", 1, 24, False)
     holder_norm(u, 1.5)
     # the space and time seminorms of u, then of d/dx u
@@ -137,6 +162,10 @@ def test_each_supremum_runs_once_and_each_field_has_one_store(monkeypatch):
     assert len(stores) == 8
     assert all(s is stores[0] for s in stores[4:])
     assert sorted(stores[0]) == [0, 1]  # its space and time moduli
+    # a modulus computed for one supremum is never computed again by another
+    # supremum of the same field, and the walks did refine past lag 2
+    assert again == []
+    assert max(fresh) > 2
 
 
 def test_a_swapped_in_engine_computes_afresh_on_a_memoised_grid(monkeypatch):

@@ -121,9 +121,10 @@ def grids(draw):
 
 
 @given(grid=grids(), k=st.integers(1, 3), exponent=st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.5]),
-       forced=st.booleans(), windowed=st.booleans())
+       forced=st.booleans(), windowed=st.booleans(), block=st.integers(1, 3),
+       table_rows=st.sampled_from([4, 32, pairs._TABLE_ROWS]))
 @settings(max_examples=150, deadline=None)
-def test_pruned_engines_equal_brute_force(grid, k, exponent, forced, windowed):
+def test_pruned_engines_equal_brute_force(grid, k, exponent, forced, windowed, block, table_rows):
     values, h_x, h_t = grid
     e = exponent
     # (kind, brute-force (value, witness), engines);
@@ -162,27 +163,100 @@ def test_pruned_engines_equal_brute_force(grid, k, exponent, forced, windowed):
         for kind, expect, engines in cases:
             for i, engine in enumerate(engines):
                 _check(engine, expect, values, kind, e, k, h_x, h_t, forced and i > 0)
+        # block bounds on every lag past 0: the walk refines them before it
+        # reads a row, so it visits the same rows in the same order and gives
+        # the outcomes of exact moduli, pairs decided and intervals included;
+        # a few table rows make the row guard decide on refined bounds
+        cases = [engines for _, expect, engines in cases if expect[0] != -math.inf]
+        mp.setattr(pairs, "_TABLE_ROWS", table_rows)
+        exact = [[engine() for engine in engines] for engines in cases]
+        mp.setattr(pairs, "_EXACT_LAGS", 0)
+        mp.setattr(pairs, "_BLOCK", block)
+        assert [[engine() for engine in engines] for engines in cases] == exact
 
 
 @given(grid=grids(), kind=st.sampled_from(["space", "time", "joint"]),
-       reaches=st.lists(st.integers(0, 8), min_size=1, max_size=5))
+       reaches=st.lists(st.integers(0, 8), min_size=1, max_size=5),
+       exact_lags=st.sampled_from([0, 1, 16]), block=st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
-def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches):
+def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches, exact_lags, block):
     # a store filled by earlier calls, with smaller, larger or equal reaches,
-    # gives bit for bit the moduli of a single pass without one
+    # gives bit for bit the moduli of a single pass without one: exact ones
+    # to each axis's exact prefix and block bounds beyond
     values, h_x, h_t = grid
     if kind == "time" and not h_t:
         return
-    store, tops = {}, [0] * values.ndim
-    for r in reaches:
-        grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, store)
-        reach = tuple(min(r, m) for m in grown.limits) + (min(r, grown.j_hi),)
-        alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind).moduli(reach)
-        got = grown.moduli(reach)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
-        tops = [max(t, s) for t, s in zip(tops, reach)]
-    # the store holds the separations asked for so far, and no more
-    assert {a: len(o) for a, o in store.items()} == {a: t + 1 for a, t in enumerate(tops) if t}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairs, "_EXACT_LAGS", exact_lags)
+        mp.setattr(pairs, "_BLOCK", block)
+        store, tops = {}, [0] * values.ndim
+        for r in reaches:
+            grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, store)
+            reach = tuple(min(r, m) for m in grown.limits) + (min(r, grown.j_hi),)
+            alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind).moduli(reach)
+            got = grown.moduli(reach)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
+            tops = [max(t, s) for t, s in zip(tops, reach)]
+    # the store holds exact moduli at the lags asked for so far, out to each
+    # axis's prefix, and no more; every other lag asked for has a bound at
+    # least its exact modulus
+    assert sorted(store) == list(range(values.ndim))
+    for axis, (omega, exact) in store.items():
+        n = values.shape[axis]
+        prefix = n - 1 if n <= 4 * exact_lags + 1 else exact_lags
+        assert exact.tolist() == [s <= min(prefix, tops[axis]) for s in range(n)]
+        lines = np.moveaxis(values, axis, 0)
+        for s in range(1, tops[axis] + 1):
+            modulus = np.abs(lines[s:] - lines[:-s]).max()
+            assert omega[s] == modulus if exact[s] else omega[s] >= modulus
+
+
+def _lines_with(profile, n, width, block, rng):
+    """Values of ``n`` nodes along axis 0 on ``width`` lines."""
+    if profile == "random":
+        return rng.uniform(-1.0, 1.0, (n, width))
+    if profile == "ties":
+        return rng.integers(0, 3, (n, width)).astype(float)
+    if profile == "constant lines":  # some lines constant, the others random
+        v = rng.uniform(-1.0, 1.0, (n, width))
+        flat = rng.random(width) < 0.5
+        v[:, flat] = rng.uniform(-1.0, 1.0, int(flat.sum()))
+        return v
+    # extremes at block edges: the max on the first node of some blocks, the
+    # min on the last node of others, small noise elsewhere
+    v = rng.uniform(-1e-3, 1e-3, (n, width))
+    i = np.arange(n)
+    v[(i % block == 0) & (rng.random(n) < 0.5)] = 1.0
+    v[(i % block == block - 1) & (rng.random(n) < 0.5)] = -1.0
+    return v
+
+
+@given(n=st.integers(2, 40), width=st.integers(1, 4), extra=st.integers(1, 3),
+       block=st.integers(1, 9),
+       profile=st.sampled_from(["random", "ties", "constant lines", "block edges"]),
+       scale=st.sampled_from([1e-10, 1.0, 1e10]), seed=st.integers(0, 2**16))
+@settings(max_examples=200, deadline=None)
+def test_block_bounds_hold_every_computed_modulus(n, width, extra, block, profile, scale, seed):
+    # with no exact prefix, every modulus past lag 0 is a block bound; along
+    # each axis of a space-time grid it is at least the largest computed
+    # difference at that lag
+    rng = np.random.default_rng(seed)
+    values = _lines_with(profile, n, width * extra, block, rng).reshape(n, width, extra) * scale
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairs, "_EXACT_LAGS", 0)
+        mp.setattr(pairs, "_BLOCK", block)
+        # the blocked axis first, in the middle and last
+        for axes in ((0, 1, 2), (1, 0, 2), (1, 2, 0)):
+            grid = np.ascontiguousarray(np.transpose(values, axes))
+            at = axes.index(0)
+            prob = pairs._Problem(grid, (1.0,) * (grid.ndim - 1), 1.0, 0.5, 1, "joint")
+            reach = [0] * grid.ndim
+            reach[at] = n - 1
+            omega = prob.moduli(tuple(reach))[at]
+            assert not prob.store[at][1][1:].any()
+            lines = np.moveaxis(grid, at, 0)
+            for s in range(1, n):
+                assert omega[s] >= np.abs(lines[s:] - lines[:-s]).max()
 
 
 @pytest.mark.parametrize("profile", ["random", "smooth", "cusp", "ties", "constant"])
@@ -193,10 +267,14 @@ def test_windows_are_sound(profile, kind, k):
                              k, kind)
 
 
-# SupOutcomes recorded before slabs were cut to windows: value, witness, the
-# pairs decided, the mode and the upper end all stay as they were
+# SupOutcomes recorded before slabs were cut to windows, and on 1-D grids
+# (res 256) before the moduli of long axes became block bounds refined before
+# the walk reads a row: value, witness, the pairs decided, the mode and the
+# upper end all stay as they were
 _SMOOTH = "sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)"
 _CUSP = "((x1-0.5)^2+(x2-0.5)^2)^0.3*exp(-t)"
+_SMOOTH_1D = "sin(2*pi*x1)*exp(-t)"
+_CUSP_1D = "abs(x1-0.5)^0.6*exp(-t)"
 _PINNED = [
     (_SMOOTH, 16, "space", 0.5, 1, 3.017377917938286, ([4, 5, 0], [0, 6], 0, 0.375), 202266),
     (_SMOOTH, 16, "time", 0.5, 1, 0.6321205588285577, ([4, 4, 0], [0, 0], 16, 1.0), 4913),
@@ -208,12 +286,17 @@ _PINNED = [
     (_CUSP, 32, "joint", 0.5, 1, 0.9659363289248454,
      ([0, 32, 0], [16, -16], 0, 0.7071067811865476), 45456548),
     (_CUSP, 32, "joint", 1.5, 2, 45.25483399593904, ([16, 15, 0], [0, 1], 0, 0.03125), 164703),
+    (_SMOOTH_1D, 256, "time", 0.25, 1, 0.6321205588285577, ([64, 0], [0], 256, 1.0), 66049),
+    (_CUSP_1D, 256, "space", 0.35, 1, 0.8408964152537145, ([0, 0], [128], 0, 0.5), 98945),
+    (_SMOOTH_1D, 256, "joint", 1.5, 2, 16.01100256519838, ([0, 0], [65], 0, 0.25390625),
+     9034005),
 ]
 
 
 def _pinned_outcome(source, res, kind, e, k):
-    u = make_grid_function(Domain((0.0, 0.0), (1.0, 1.0), 1.0), res, res,
-                           as_grid_callable(parse(source, 2)))
+    n = 2 if "x2" in source else 1
+    u = make_grid_function(Domain((0.0,) * n, (1.0,) * n, 1.0), res, res,
+                           as_grid_callable(parse(source, n)))
     if kind == "joint":
         return pairs.kdiff_quotient_sup(u.values, u.h_x, u.h_t, e, k, True)
     return pairs.pair_quotient_sup(u.values, u.h_x, u.h_t, e, kind)
