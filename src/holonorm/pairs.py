@@ -35,6 +35,13 @@ serves them all:
    bound; the offset then waits for its turn.  A block bound is never below
    the exact modulus, so the walk reads the offsets of the exact table, in
    its order, and no offset below an attained quotient is ever refined.
+   The table keeps each offset whose bound reaches the seed as that bound
+   and the offset's flat index in the box of offsets, 16 bytes; the bounds
+   are broadcast over slabs of the box from one vector of moduli and one
+   of separation terms per axis, the offsets themselves never built.  The
+   walk sorts the table lazily: when it needs more rows, the largest bounds
+   left, with their ties, are partitioned out, sorted and unravelled into
+   offsets, and the rows below the running best are dropped.
    Past the first 8 offsets a walk reads, each is evaluated only on a window
    of its slab: the base rows of axis 0 and the base time levels whose pairs
    can still reach the running best, by the max and the min of the values
@@ -78,7 +85,7 @@ from .grid import difference_coefficients
 PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may decide
 DEFAULT_SEED = 1729  # nothing draws from it; kept only for perfbench/refs.py, which imports it
 _WINDOW_MIN = 1024  # values below which a walk evaluates whole slabs, see ``_walk``
-_TABLE_ROWS = 262_144  # offsets per chunk of the offset table; a dispatcher keeps no more
+_TABLE_ROWS = 262_144  # offsets per slab of the offset table; a dispatcher keeps no more
 _EXACT_LAGS = 16  # lags whose moduli are exact up front on a long axis, see ``moduli``
 _BLOCK = 16  # nodes per block of the block bounds on the longer lags
 _EPS = np.finfo(float).eps
@@ -462,19 +469,20 @@ class _Problem:
     # -- the table ----------------------------------------------------------------
 
     def certified(self, floor: float, limit: int | None):
-        """Offsets whose quotient bound reaches ``floor``, as arrays
-        (offsets, bounds) sorted by bound, descending, ties in enumeration
-        order.  A bound is exact where every modulus it uses is (see
-        ``moduli``), and above the exact one elsewhere; ``_walk`` refines it
-        before it reads the row.  With a ``limit``, ``None`` when the moduli
-        would cost more than ``limit`` pairs or more than ``_TABLE_ROWS``
-        offsets are kept; the latter is decided with exact bounds.
+        """The offsets whose quotient bound reaches ``floor``, as a
+        :class:`_Table` that sorts them by bound, descending, ties in
+        enumeration order.  A bound is exact where every modulus it uses is
+        (see ``moduli``), and above the exact one elsewhere; ``_walk``
+        refines it before it reads the row.  With a ``limit``, ``None`` when
+        the moduli would cost more than ``limit`` pairs or more than
+        ``_TABLE_ROWS`` offsets are kept; the latter is decided with exact
+        bounds.
 
         Only offsets within the separation ``r`` where the global bound,
         raised by a relative 1e-12 that dwarfs its rounding, meets ``floor``
-        are enumerated (an axis component alone is at most the separation),
-        in chunks of ``_TABLE_ROWS``, time offset outermost; the moduli reach
-        as far.
+        are bounded (an axis component alone is at most the separation), in
+        slabs of about ``_TABLE_ROWS`` offsets, time offset outermost; the
+        moduli reach as far.
         """
         limits, j_hi = self.limits, self.j_hi
         if floor > 0.0 and self.exponent > 0.0:
@@ -498,27 +506,120 @@ class _Problem:
 
     def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int):
         """The table of :meth:`certified` over the box ``limits``, ``j_hi``
-        at the moduli in ``store``, or ``None`` past the row guard."""
-        # not held while the table, the peak of memory, is built
+        at the moduli in ``store``, or ``None`` past the row guard.
+
+        The box has the axes ``(j - j_lo, d + limits)``, time first; its
+        flat index is the enumeration order.  Each slab is a run of flat
+        indices over its leading axes, the fewest whose other axes hold at
+        most ``_TABLE_ROWS`` offsets, by every index along the others.  A
+        kept row is its bound and its flat index, 16 bytes."""
+        # not held while the table is built and first sorted, the peak of memory
         self.moved, self.scratch = {}, None
         box = (j_hi - self.j_lo + 1,) + tuple(2 * m + 1 for m in limits)
-        total = math.prod(box)
-        parts, kept = [], 0
+        lead = next(a for a in range(1, len(box)) if math.prod(box[a:]) <= _TABLE_ROWS
+                    or a == len(box) - 1)
+        inner, rows = math.prod(box[lead:]), math.prod(box[:lead])
         # at j = 0 the canonical offsets follow the zero offset, mid-plane
-        for start in range((total // box[0] + 1) // 2 if self.j_lo == 0 else 0, total,
-                           _TABLE_ROWS):
-            idx = np.unravel_index(np.arange(start, min(start + _TABLE_ROWS, total)), box)
-            off = np.stack([i - m for i, m in zip(idx[1:], limits)] + [idx[0] + self.j_lo],
-                           axis=1)  # (d, j)
-            bound = self.staircase(off)
-            keep = bound >= floor
-            kept += int(keep.sum())
+        first = (math.prod(box[1:]) + 1) // 2 if self.j_lo == 0 else 0
+        step = max(1, _TABLE_ROWS // inner)
+        bounds, index, kept = [], [], 0
+        for start in range(first // inner, rows, step):
+            skip = max(first - start * inner, 0)
+            bound = self.box_bounds(box, lead, np.arange(start, min(start + step, rows)))
+            bound = bound.reshape(-1)[skip:]
+            at = np.flatnonzero(bound >= floor)
+            kept += len(at)
             if limit is not None and kept > _TABLE_ROWS:
                 return None
-            parts.append((off[keep], bound[keep]))
-        off, bound = (np.concatenate(p) for p in zip(*parts))
-        perm = np.argsort(-bound, kind="stable")
-        return off[perm], bound[perm]
+            bounds.append(bound[at])
+            at += start * inner + skip
+            index.append(at)
+        bounds, index = (np.concatenate(p) if len(p) > 1 else p[0] for p in (bounds, index))
+        return _Table(box, self.j_lo, bounds, index)
+
+    def box_bounds(self, box: tuple[int, ...], lead: int, rows: np.ndarray) -> np.ndarray:
+        """The bounds of :meth:`staircase`, bit for bit, over a slab of the
+        box of :meth:`_table`: the offsets whose flat index over the first
+        ``lead`` axes of ``box`` is in ``rows``, by every index along the
+        others, in an array of shape ``(len(rows),) + box[lead:]``.
+
+        Each axis gives one vector of moduli and one of separation terms,
+        broadcast over the slab and added in the order of ``staircase`` and
+        ``separations``: the moduli of time first, then of each axis; the
+        squared steps of each axis, then the time term of ``"joint"``."""
+        n = len(box) - 1
+        j = np.arange(self.j_lo, self.j_lo + box[0])
+        d = [np.arange(-(m // 2), m // 2 + 1) for m in box[1:]]
+        idx = np.unravel_index(rows, box[:lead])
+        shape = (len(rows),) + box[lead:]
+
+        def spread(vec, axis):  # one axis's vector, broadcast over the slab
+            if axis < lead:
+                return vec[idx[axis]].reshape((-1,) + (1,) * (n + 1 - lead))
+            return vec.reshape([1] + [m if a == axis else 1 for a, m in enumerate(box) if a >= lead])
+
+        stair, sep = np.empty(shape), np.empty(shape)
+        stair[...] = spread(self.store[n][0][j], 0)
+        for axis in range(n):
+            stair += spread(self.store[axis][0][np.abs(d[axis])], axis + 1)
+        stair *= 2.0 ** (self.k - 1)
+        stair += self.slack
+        stair *= self.margin
+        np.minimum(self.amp, stair, out=stair)
+        if self.kind == "time":
+            sep[...] = spread(j * self.h_t, 0)
+        else:
+            sep[...] = spread((d[0] * self.h_x[0]) ** 2, 1)
+            for axis in range(1, n):
+                sep += spread((d[axis] * self.h_x[axis]) ** 2, axis + 1)
+            np.sqrt(sep, out=sep)
+            if self.kind == "joint":
+                sep += spread(np.sqrt(j * self.h_t), 0)
+        sep **= self.exponent
+        with np.errstate(divide="ignore", invalid="ignore"):  # the zero offset, dropped
+            return np.divide(stair, sep, out=stair)
+
+
+class _Table:
+    """The rows of a certified table, sorted lazily by bound, descending,
+    ties in enumeration order: ``offs`` and ``bounds`` hold the sorted
+    prefix, and the other rows wait as (bound, flat index into ``box``), in
+    enumeration order."""
+
+    def __init__(self, box: tuple[int, ...], j_lo: int, bounds: np.ndarray, index: np.ndarray):
+        self.box = box
+        self.shift = np.array([m // 2 for m in box[1:]] + [-j_lo])  # box index - (d, j)
+        self.waiting = bounds, index
+        self.offs = np.empty((0, len(box)), dtype=np.intp)
+        self.bounds = np.empty(0)
+
+    def upto(self, stop: int, floor: float) -> int:
+        """The number of rows sorted, once at least ``stop`` are or no row
+        at or above ``floor`` waits; the rows below ``floor`` are dropped,
+        as the walk stops before them.
+
+        Each extension sorts at least 64 rows and at least doubles the
+        prefix: the largest waiting bounds are partitioned out, every row
+        tied with the smallest of them included, so every row left waits
+        below every row sorted; only those are sorted, stably, and
+        unravelled into offsets ``(d, j)``."""
+        have = len(self.bounds)
+        bounds, index = self.waiting
+        if have >= stop or not len(bounds):
+            return have
+        rest = len(bounds) - (max(stop, 2 * have, 64) - have)
+        cut = max(np.partition(bounds, rest)[rest] if rest > 0 else -math.inf, floor)
+        batch = bounds >= cut
+        left = (bounds < cut) & (bounds >= floor)
+        self.waiting = bounds[left], index[left]
+        bounds, index = bounds[batch], index[batch]
+        perm = np.argsort(-bounds, kind="stable")
+        idx = np.unravel_index(index[perm], self.box)
+        offs, bounds = np.array(idx[1:] + idx[:1]).T - self.shift, bounds[perm]
+        if have:
+            offs, bounds = np.concatenate([self.offs, offs]), np.concatenate([self.bounds, bounds])
+        self.offs, self.bounds = offs, bounds
+        return len(self.bounds)
 
 
 class _Best:
@@ -570,7 +671,7 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
 
     for off in nearest:
         visit(off)
-    prob.scratch = None  # not held while the table, the peak of memory, is built
+    prob.scratch = None  # not held while the table is built or the coarse levels solved
     table = prob.certified(best.q, limit)
     if table is None:
         cut = float(np.max(prob.amp / prob.separations(np.asarray(nearest)) ** prob.exponent))
@@ -599,7 +700,9 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
 def _walk(prob: _Problem, table, best: _Best):
     """The table's rows as (offset, bound, window) in the order of their
     exact bounds, descending, ties in enumeration order; every bound is
-    exact when its row comes.
+    exact when its row comes.  The table sorts a row only once the walk
+    reads up to it (:meth:`_Table.upto`), and drops the rows below the
+    running best: the walk ends before them.
 
     The table is sorted by bounds that may use block bounds (see
     :meth:`_Problem.moduli`), each at least the exact one.  A row of the
@@ -621,11 +724,14 @@ def _walk(prob: _Problem, table, best: _Best):
     ``_WINDOW_MIN`` values evaluate whole slabs: most walks end within 8
     rows (those of ``matrix-1d`` read about 5), and there the windows cost
     more than they save."""
-    offs, bounds = table
     exact = [prob.store[a][1].copy() for a in range(prob.values.ndim)]  # as the table was built
     refined = []  # heap of ((-bound, enumeration key), offset)
-    start, size, n = 0, 8, len(bounds)
-    while start < n or refined:
+    start, size = 0, 8
+    while True:
+        n = table.upto(start + size + 1, best.q)  # a row past the chunk, for the tie scan
+        if start == n and not refined:
+            return
+        offs, bounds = table.offs, table.bounds
         if refined and (start == n or
                         refined[0][0] < (-float(bounds[start]), _key(offs[start].tolist()))):
             (neg, _), off = heapq.heappop(refined)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,8 +81,9 @@ def _assert_bounds_sound(values, h_x, h_t, e, k, kind):
     prob = pairs._Problem(values, h_x, h_t, e, k, kind)
     if not prob.nearest_offsets():
         return
-    table, bounds = prob.certified(0.0, None)
-    assert len(table) == prob.count
+    table = prob.certified(0.0, None)
+    assert table.upto(prob.count + 1, 0.0) == prob.count
+    table, bounds = table.offs, table.bounds
     offsets = [tuple(int(v) for v in row) for row in table]
     slabs = [_slab_quotients(prob, off) for off in offsets]
     for off, (_, q), bound in zip(offsets, slabs, bounds):
@@ -259,6 +261,109 @@ def test_block_bounds_hold_every_computed_modulus(n, width, extra, block, profil
                 assert omega[s] >= np.abs(lines[s:] - lines[:-s]).max()
 
 
+def _box_offsets(j_lo, box, flat) -> np.ndarray:
+    """Offset rows ``(d, j)`` at flat indices into the table's box."""
+    idx = np.unravel_index(flat, box)
+    return np.stack([i - m // 2 for i, m in zip(idx[1:], box[1:])] + [idx[0] + j_lo], axis=1)
+
+
+@given(n=st.integers(1, 3), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 2),
+       exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5, 2.0]), lead=st.integers(1, 3),
+       exact_lags=st.sampled_from([0, 16]), scale=st.sampled_from([1e-10, 1.0, 1e10]),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_box_bounds_equal_staircase_bit_for_bit(n, kind, k, exponent, lead, exact_lags, scale,
+                                                seed):
+    # the table's bounds, broadcast from one vector per axis over a slab of
+    # leading rows, are the floats staircase gives each offset row, block
+    # bounds included
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in rng.integers(2, 7 if n < 3 else 5, n + 1))
+    values = rng.uniform(-1.0, 1.0, shape) * scale
+    h_x = tuple(float(rng.choice([0.1, 1 / 3, 0.7])) / (s - 1) for s in shape[:-1])
+    prob = pairs._Problem(values, h_x, 1 / (shape[-1] - 1), exponent, k, kind)
+    if prob.j_hi < prob.j_lo:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairs, "_EXACT_LAGS", exact_lags)
+        mp.setattr(pairs, "_BLOCK", 2)
+        prob.moduli(prob.limits + (prob.j_hi,))
+    box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
+    lead = min(lead, len(box) - 1)
+    rows = math.prod(box[:lead])
+    picked = np.sort(rng.choice(rows, int(rng.integers(1, rows + 1)), replace=False))
+    bound = prob.box_bounds(box, lead, picked)
+    assert bound.shape == (len(picked),) + box[lead:]
+    inner = math.prod(box[lead:])
+    flat = (picked[:, None] * inner + np.arange(inner)).reshape(-1)
+    off = _box_offsets(prob.j_lo, box, flat)
+    nonzero = off.any(axis=1)  # the zero offset has no separation
+    assert bound.reshape(-1)[nonzero].tobytes() == prob.staircase(off[nonzero]).tobytes()
+
+
+@given(grid=grids(), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 3),
+       exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5]),
+       table_rows=st.sampled_from([4, 32, pairs._TABLE_ROWS]), floor=st.floats(0.0, 1.0),
+       steps=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_lazy_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table_rows, floor,
+                                                  steps):
+    # at a floor and a running best drawn from the bounds themselves (exact
+    # ties), the lazily sorted rows are a prefix of every canonical offset
+    # with a bound at the floor, stably sorted by bound, descending; each
+    # extension sorts at least as many rows as asked for, or every row at
+    # the best, and none below the best
+    values, h_x, h_t = grid
+    prob = pairs._Problem(values, h_x, h_t, exponent, k, kind)
+    if not prob.nearest_offsets():
+        return
+    box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
+    first = (math.prod(box[1:]) + 1) // 2 if prob.j_lo == 0 else 0
+    offs = _box_offsets(prob.j_lo, box, np.arange(first, math.prod(box)))  # in enumeration order
+    prob.moduli(prob.limits + (prob.j_hi,))
+    bounds = prob.staircase(offs)
+    levels = np.sort(bounds)
+    floor = float(levels[int(floor * (len(levels) - 1))])
+    order = np.argsort(-bounds, kind="stable")
+    order = order[bounds[order] >= floor]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairs, "_TABLE_ROWS", table_rows)
+        table = prob.certified(floor, None)
+    _assert_sorts_lazily(table, offs[order], bounds[order], levels, steps)
+
+
+def _assert_sorts_lazily(table, offs, bounds, levels, steps):
+    # offs and bounds: the rows of a full stable sort; the best rises to
+    # the levels drawn by the steps
+    best, have = -math.inf, 0
+    for stop, rise in steps:
+        best = max(best, float(levels[int(rise * (len(levels) - 1))]))
+        n = table.upto(have + stop, best)
+        assert table.offs.tolist() == offs[:n].tolist()
+        assert table.bounds.tobytes() == bounds[:n].tobytes()
+        assert np.all(table.bounds[have:] >= best)
+        assert n >= min(have + stop, int(np.sum(bounds >= best)))
+        have = n
+
+
+@given(box=st.lists(st.integers(1, 12), min_size=2, max_size=3), j_lo=st.integers(0, 1),
+       levels=st.integers(1, 4), seed=st.integers(0, 2**16),
+       steps=st.lists(st.tuples(st.integers(0, 300), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_lazy_table_keeps_ties_in_enumeration_order(box, j_lo, levels, seed, steps):
+    # kept rows with a few distinct bounds, hundreds tied with each: every
+    # extension takes all the rows tied with its smallest bound, and the
+    # ties come in enumeration order
+    rng = np.random.default_rng(seed)
+    box = (box[0],) + tuple(2 * m + 1 for m in box[1:])
+    index = np.flatnonzero(rng.random(math.prod(box)) < 0.7)
+    bounds = rng.integers(0, levels, len(index)).astype(float)
+    table = pairs._Table(box, j_lo, bounds, index)
+    offs = _box_offsets(j_lo, box, index)
+    order = np.argsort(-bounds, kind="stable")
+    _assert_sorts_lazily(table, offs[order], bounds[order], np.arange(levels), steps)
+
+
 @pytest.mark.parametrize("profile", ["random", "smooth", "cusp", "ties", "constant"])
 @pytest.mark.parametrize("kind, k", [("space", 1), ("time", 2), ("joint", 1), ("joint", 2)])
 def test_windows_are_sound(profile, kind, k):
@@ -269,8 +374,9 @@ def test_windows_are_sound(profile, kind, k):
 
 # SupOutcomes recorded before slabs were cut to windows, and on 1-D grids
 # (res 256) before the moduli of long axes became block bounds refined before
-# the walk reads a row: value, witness, the pairs decided, the mode and the
-# upper end all stay as they were
+# the walk reads a row; the 2-D cusp and the 1-D smooth joint terms of
+# order 1 also before the table was sorted lazily: value, witness, the pairs
+# decided, the mode and the upper end all stay as they were
 _SMOOTH = "sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)"
 _CUSP = "((x1-0.5)^2+(x2-0.5)^2)^0.3*exp(-t)"
 _SMOOTH_1D = "sin(2*pi*x1)*exp(-t)"
@@ -290,6 +396,8 @@ _PINNED = [
     (_CUSP_1D, 256, "space", 0.35, 1, 0.8408964152537145, ([0, 0], [128], 0, 0.5), 98945),
     (_SMOOTH_1D, 256, "joint", 1.5, 2, 16.01100256519838, ([0, 0], [65], 0, 0.25390625),
      9034005),
+    (_SMOOTH_1D, 256, "joint", 0.5, 1, 3.017393169822984, ([81, 0], [94], 0, 0.3671875),
+     173475),
 ]
 
 
@@ -371,7 +479,9 @@ def _global_bound_pairs(u, l, k) -> int:
     per-offset bounds."""
     prob = pairs._Problem(u.values, u.h_x, u.h_t, l, k, "joint")
     seed = max(prob.evaluate(off)[0] for off in prob.nearest_offsets())
-    off, _ = prob.certified(0.0, None)
+    table = prob.certified(0.0, None)
+    table.upto(prob.count, 0.0)
+    off = table.offs
     off = off[prob.amp / prob.separations(off) ** l >= seed]
     return int(np.prod(np.asarray(u.values.shape) - k * np.abs(off), axis=1).sum())
 
@@ -418,6 +528,21 @@ def test_cusp_res32_joint_term_is_exact():
     assert out.examined <= pairs.PAIR_LIMIT
 
 
+def test_cusp_res32_joint_term_peak_memory():
+    # the table keeps a bound and a flat index per row and sorts only the rows
+    # the walk reads; enumerating, filtering and sorting the offsets of the
+    # whole box traced 11.0 MB here
+    args = _cusp_res32_joint_args()
+    tracemalloc.start()
+    try:
+        out = pairs.kdiff_quotient_sup(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.mode == "exhaustive"
+    assert peak < 8_000_000
+
+
 def test_walk_past_the_budget_reports_an_interval(monkeypatch):
     # a budget that cuts the exact walk short gives an interval whose upper
     # end is the bound at the cut, tighter than the global bound that a call
@@ -460,10 +585,12 @@ def test_table_guards_stop_before_building_much(monkeypatch):
     # _TABLE_ROWS offsets are kept, or at once when the moduli alone would
     # cost more than the budget
     chunks = []
-    real = np.unravel_index
-    monkeypatch.setattr(pairs.np, "unravel_index", lambda *a: chunks.append(1) or real(*a))
-    # 3+1-D, 17 nodes per axis: a table of 3 chunks, all of whose offsets
-    # reach a zero floor; the second chunk passes the row guard
+    real = pairs._Problem.box_bounds
+    monkeypatch.setattr(pairs._Problem, "box_bounds",
+                        lambda self, *a: chunks.append(1) or real(self, *a))
+    # 3+1-D, 17 nodes per axis: a time plane of the box holds 33^3 offsets,
+    # so the table is 3 slabs of at most 7 planes, all of whose offsets reach
+    # a zero floor; the second slab passes the row guard
     values = np.random.default_rng(5).uniform(size=(17, 17, 17, 17))
     prob = pairs._Problem(values, (1 / 16,) * 3, 1 / 16, 0.5, 1, "joint")
     assert prob.certified(0.0, pairs.PAIR_LIMIT) is None
