@@ -30,18 +30,19 @@ serves them all:
 4. The offsets whose bound reaches the seed are walked best bound first, and
    the walk stops at the first bound below the running best: every offset
    skipped is certified to lie below it, so the value is exact (mode
-   ``"exhaustive"``).  Before the walk reads an offset whose bound uses a
-   block bound, it refines those lags to exact moduli and recomputes the
-   bound; the offset then waits for its turn.  A block bound is never below
-   the exact modulus, so the walk reads the offsets of the exact table, in
-   its order, and no offset below an attained quotient is ever refined.
-   The table keeps each offset whose bound reaches the seed as that bound
-   and the offset's flat index in the box of offsets, 16 bytes; the bounds
-   are broadcast over slabs of the box from one vector of moduli and one
-   of separation terms per axis, the offsets themselves never built.  The
-   walk sorts the table lazily: when it needs more rows, the largest bounds
-   left, with their ties, are partitioned out, sorted and unravelled into
-   offsets, and the rows below the running best are dropped.
+   ``"exhaustive"``).  The table keeps each offset whose bound reaches the
+   seed as that bound and the offset's flat index in the box of offsets,
+   16 bytes; the bounds are broadcast over slabs of the box from one vector
+   of moduli and one of separation terms per axis, the offsets themselves
+   never built.  The table is sorted lazily: when the walk needs more rows,
+   the largest bounds left, with their ties, are partitioned out, and the
+   rows below the running best are dropped.  If a bound may use a block
+   bound, the lags of that batch are refined to exact moduli and its bounds
+   recomputed; the rows that fall below the batch's cut wait again.  A
+   block bound is never below the exact modulus, so every row left waiting
+   is below every row kept, and the walk reads the offsets of the exact
+   table, in its order.  The rows kept are sorted and unravelled into
+   offsets.
    Past the first 8 offsets a walk reads, each is evaluated only on a window
    of its slab: the base rows of axis 0 and the base time levels whose pairs
    can still reach the running best, by the max and the min of the values
@@ -74,7 +75,6 @@ outermost, then the spatial offsets lexicographically, then the base node.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -185,7 +185,7 @@ class _Problem:
         self.count = (self.j_hi - self.j_lo + 1) * plane - (plane + 1) // 2 * (self.j_lo == 0)
         self.amp, self.slack = self._amplitude()
         n = len(n_sp)
-        self.margin = 1.0 + (2.0 * self.exponent * (n + 4) + n + 12) * _EPS  # see ``staircase``
+        self.margin = 1.0 + (2.0 * self.exponent * (n + 4) + n + 12) * _EPS  # see ``box_bounds``
         self.scratch = None  # see ``evaluate``
         self.profiles = None  # see ``windows``
         self.moved = {}  # see ``lines``
@@ -228,8 +228,8 @@ class _Problem:
         axis of at most ``4 * _EXACT_LAGS`` steps gets exact moduli out to the
         reach; a longer one exact moduli to ``_EXACT_LAGS`` and block bounds
         beyond (:func:`_block_bounds`), which ``refine`` makes exact where the
-        walk needs them.  Lags that no supremum has reached yet hold
-        ``inf``."""
+        table's rows need them (:meth:`_Table.upto`).  Lags that no supremum
+        has reached yet hold ``inf``."""
         out = []
         for axis, top in enumerate(reach):
             omega, exact = self.entry(axis)
@@ -252,7 +252,7 @@ class _Problem:
 
     def lines(self, axis: int) -> np.ndarray:
         """The values with ``axis`` first, contiguous; kept until the table
-        is built, and again while the walk refines."""
+        is built, and again while the table refines."""
         if axis not in self.moved:
             self.moved[axis] = np.ascontiguousarray(np.moveaxis(self.values, axis, 0))
         return self.moved[axis]
@@ -273,41 +273,6 @@ class _Problem:
             d = np.subtract(v[s * width:], v[:v.size - s * width], out=scratch[:v.size - s * width])
             omega[s] = max(d[d.argmax()], -d[d.argmin()])
         exact[lags] = True
-
-    def loose(self, off: np.ndarray, exact: list[np.ndarray]) -> np.ndarray:
-        """Whether each offset row ``(d, j)`` uses a lag whose modulus is not
-        exact under the flags ``exact`` (one array per axis, time last)."""
-        out = ~exact[-1][off[:, -1]]
-        for axis, flags in enumerate(exact[:-1]):
-            out |= ~flags[np.abs(off[:, axis])]
-        return out
-
-    def staircase(self, off: np.ndarray) -> np.ndarray:
-        """Upper bounds on every computed quotient at each offset row
-        ``(d, j)``: ``min(amp, 2^(k-1) S) / D'`` with
-        ``S = omega_t(j) + sum_a omega_a(|d_a|)``, summed in that order, from
-        the moduli in ``store``, and ``D'`` the vectorised ``sep^e``.
-
-        Exactly, a staircase path from ``y`` to ``y + H`` moves along one axis
-        at a time and keeps every corner inside the box, so
-        ``|Delta_H w(y)| <= S``; and ``Delta^k_H w(y)`` is a ``(k-1)``-th
-        difference of ``Delta_H w`` at ``y, ..., y + (k-1) H``, whose
-        coefficients sum to ``2^(k-1)`` in magnitude.  Rounding, as in
-        ``_amplitude`` (``u = eps / 2``): a computed modulus is at least
-        ``1 - u`` times the exact one and the ``N`` additions of ``S`` lose
-        at most a factor ``(1 - u)^N``; the computed difference keeps
-        ``_amplitude``'s absolute term and its factor ``1 + u``; adding that
-        term and applying the margin round twice more.  This is a relative
-        ``(N + 4) u``; with the ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s
-        comparison of ``D`` with ``D'``, twice the sum gives ``margin``.  A
-        block bound in place of a modulus only raises ``S``.
-        """
-        n = len(self.limits)
-        stair = self.store[n][0][off[:, -1]]
-        for axis in range(n):
-            stair += self.store[axis][0][np.abs(off[:, axis])]
-        np.minimum(self.amp, (2.0 ** (self.k - 1) * stair + self.slack) * self.margin, out=stair)
-        return np.divide(stair, self.separations(off) ** self.exponent, out=stair)
 
     def separations(self, off: np.ndarray) -> np.ndarray:
         """Separations of offset rows ``(d, j)`` with ``j >= 0``."""
@@ -330,7 +295,7 @@ class _Problem:
         ``i`` touches the hyperplanes ``i, i + d, ..., i + k d`` only, so its
         exact ``|k-th difference|`` is at most ``2^(k-1) (hi - lo)``, with
         ``hi`` and ``lo`` the max and the min of the values on those
-        hyperplanes (see ``_amplitude``).  Rounding, as in ``staircase`` with
+        hyperplanes (see ``_amplitude``).  Rounding, as in ``box_bounds`` with
         one subtraction in place of its sum of moduli: the computed
         ``(2^(k-1) (hi - lo) + slack) margin / D'``, with ``D'`` the
         vectorised ``sep^e``, is at least every computed quotient there.
@@ -472,11 +437,11 @@ class _Problem:
         """The offsets whose quotient bound reaches ``floor``, as a
         :class:`_Table` that sorts them by bound, descending, ties in
         enumeration order.  A bound is exact where every modulus it uses is
-        (see ``moduli``), and above the exact one elsewhere; ``_walk``
-        refines it before it reads the row.  With a ``limit``, ``None`` when
-        the moduli would cost more than ``limit`` pairs or more than
-        ``_TABLE_ROWS`` offsets are kept; the latter is decided with exact
-        bounds.
+        (see ``moduli``), and above the exact one elsewhere; the table
+        refines it before it sorts the row (:meth:`_Table.upto`).  With a
+        ``limit``, ``None`` when the moduli would cost more than ``limit``
+        pairs or more than ``_TABLE_ROWS`` offsets are kept; the latter is
+        decided with exact bounds.
 
         Only offsets within the separation ``r`` where the global bound,
         raised by a relative 1e-12 that dwarfs its rounding, meets ``floor``
@@ -496,17 +461,19 @@ class _Problem:
             return None
         reach = limits + (j_hi,)
         self.moduli(reach)
-        table = self._table(floor, limit, limits, j_hi)
-        if table is None and not all(self.store[a][1][:top + 1].all()
-                                     for a, top in enumerate(reach)):
+        loose = not all(self.store[a][1][:top + 1].all() for a, top in enumerate(reach))
+        table = self._table(floor, limit, limits, j_hi, loose)
+        if table is None and loose:
             for axis, top in enumerate(reach):
                 self.refine(axis, range(1, top + 1))
-            table = self._table(floor, limit, limits, j_hi)
+            table = self._table(floor, limit, limits, j_hi, False)
         return table
 
-    def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int):
+    def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int,
+               loose: bool):
         """The table of :meth:`certified` over the box ``limits``, ``j_hi``
-        at the moduli in ``store``, or ``None`` past the row guard.
+        at the moduli in ``store``, ``loose`` when one of them is a block
+        bound, or ``None`` past the row guard.
 
         The box has the axes ``(j - j_lo, d + limits)``, time first; its
         flat index is the enumeration order.  Each slab is a run of flat
@@ -535,18 +502,37 @@ class _Problem:
             at += start * inner + skip
             index.append(at)
         bounds, index = (np.concatenate(p) if len(p) > 1 else p[0] for p in (bounds, index))
-        return _Table(box, self.j_lo, bounds, index)
+        return _Table(self, box, bounds, index, loose)
 
     def box_bounds(self, box: tuple[int, ...], lead: int, rows: np.ndarray) -> np.ndarray:
-        """The bounds of :meth:`staircase`, bit for bit, over a slab of the
-        box of :meth:`_table`: the offsets whose flat index over the first
-        ``lead`` axes of ``box`` is in ``rows``, by every index along the
-        others, in an array of shape ``(len(rows),) + box[lead:]``.
+        """Upper bounds on every computed quotient over a slab of the box of
+        :meth:`_table`: the offsets whose flat index over the first ``lead``
+        axes of ``box`` is in ``rows``, by every index along the others, in
+        an array of shape ``(len(rows),) + box[lead:]``; with
+        ``lead = len(box)``, one bound per flat index in ``rows``.
+
+        The bound at ``H = (d, j)`` is ``min(amp, 2^(k-1) S) / D'`` with
+        ``S = omega_t(j) + sum_a omega_a(|d_a|)`` from the moduli in
+        ``store`` and ``D'`` the vectorised ``sep^e``.  Exactly, a staircase
+        path from ``y`` to ``y + H`` moves along one axis at a time and keeps
+        every corner inside the box, so ``|Delta_H w(y)| <= S``; and
+        ``Delta^k_H w(y)`` is a ``(k-1)``-th difference of ``Delta_H w`` at
+        ``y, ..., y + (k-1) H``, whose coefficients sum to ``2^(k-1)`` in
+        magnitude.  Rounding, as in ``_amplitude`` (``u = eps / 2``): a
+        computed modulus is at least ``1 - u`` times the exact one and the
+        ``N`` additions of ``S`` lose at most a factor ``(1 - u)^N``; the
+        computed difference keeps ``_amplitude``'s absolute term and its
+        factor ``1 + u``; adding that term and applying the margin round
+        twice more.  This is a relative ``(N + 4) u``; with the
+        ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s comparison of ``D`` with
+        ``D'``, twice the sum gives ``margin``.  A block bound in place of a
+        modulus only raises ``S``.
 
         Each axis gives one vector of moduli and one of separation terms,
-        broadcast over the slab and added in the order of ``staircase`` and
-        ``separations``: the moduli of time first, then of each axis; the
-        squared steps of each axis, then the time term of ``"joint"``."""
+        broadcast over the slab and added in one order whatever ``lead`` is:
+        the moduli of time first, then of each axis; the squared steps of
+        each axis, then the time term of ``"joint"``.  A slab and a row thus
+        give an offset the same float."""
         n = len(box) - 1
         j = np.arange(self.j_lo, self.j_lo + box[0])
         d = [np.arange(-(m // 2), m // 2 + 1) for m in box[1:]]
@@ -581,44 +567,58 @@ class _Problem:
 
 
 class _Table:
-    """The rows of a certified table, sorted lazily by bound, descending,
-    ties in enumeration order: ``offs`` and ``bounds`` hold the sorted
-    prefix, and the other rows wait as (bound, flat index into ``box``), in
-    enumeration order."""
+    """The rows of a certified table of ``prob``, sorted lazily by exact
+    bound, descending, ties in enumeration order: ``offs`` and ``bounds``
+    hold the sorted prefix, and the other rows wait as (bound, flat index
+    into ``box``).  ``loose``: a lag of the box had only a block bound when
+    the bounds were computed, so a waiting bound may lie above the exact
+    one."""
 
-    def __init__(self, box: tuple[int, ...], j_lo: int, bounds: np.ndarray, index: np.ndarray):
-        self.box = box
-        self.shift = np.array([m // 2 for m in box[1:]] + [-j_lo])  # box index - (d, j)
+    def __init__(self, prob: _Problem, box: tuple[int, ...], bounds: np.ndarray,
+                 index: np.ndarray, loose: bool):
+        self.prob, self.box, self.loose = prob, box, loose
+        self.shift = np.array([m // 2 for m in box[1:]] + [-prob.j_lo])  # box index - (d, j)
         self.waiting = bounds, index
         self.offs = np.empty((0, len(box)), dtype=np.intp)
         self.bounds = np.empty(0)
 
     def upto(self, stop: int, floor: float) -> int:
         """The number of rows sorted, once at least ``stop`` are or no row
-        at or above ``floor`` waits; the rows below ``floor`` are dropped,
-        as the walk stops before them.
+        at or above ``floor`` waits; the rows below ``floor``, the running
+        best, are dropped, as the walk stops before them.  The best is never
+        below the floor the table was built at.
 
-        Each extension sorts at least 64 rows and at least doubles the
-        prefix: the largest waiting bounds are partitioned out, every row
-        tied with the smallest of them included, so every row left waits
-        below every row sorted; only those are sorted, stably, and
-        unravelled into offsets ``(d, j)``."""
-        have = len(self.bounds)
-        bounds, index = self.waiting
-        if have >= stop or not len(bounds):
-            return have
-        rest = len(bounds) - (max(stop, 2 * have, 64) - have)
-        cut = max(np.partition(bounds, rest)[rest] if rest > 0 else -math.inf, floor)
-        batch = bounds >= cut
-        left = (bounds < cut) & (bounds >= floor)
-        self.waiting = bounds[left], index[left]
-        bounds, index = bounds[batch], index[batch]
-        perm = np.argsort(-bounds, kind="stable")
-        idx = np.unravel_index(index[perm], self.box)
-        offs, bounds = np.array(idx[1:] + idx[:1]).T - self.shift, bounds[perm]
-        if have:
-            offs, bounds = np.concatenate([self.offs, offs]), np.concatenate([self.bounds, bounds])
-        self.offs, self.bounds = offs, bounds
+        Each batch at least doubles the prefix: the largest waiting bounds
+        are partitioned out, every row tied with the smallest of them, the
+        cut, included.  In a ``loose`` table the batch's lags are made exact
+        (:meth:`_Problem.refine`) and its bounds recomputed one row at a
+        time (:meth:`_Problem.box_bounds` with every axis leading), the
+        floats that exact moduli give; the rows that fall below the cut wait
+        again.  A bound is never below the exact one, so every row left
+        waiting is below every row kept.  The rows kept are sorted by bound,
+        descending, then by flat index, and unravelled into offsets
+        ``(d, j)``."""
+        prob, box = self.prob, self.box
+        while len(self.bounds) < stop and len(self.waiting[0]):
+            bounds, index = self.waiting
+            rest = len(bounds) - max(stop - len(self.bounds), len(self.bounds))
+            cut = max(np.partition(bounds, rest)[rest] if rest > 0 else -math.inf, floor)
+            wait, batch = (bounds < cut) & (bounds >= floor), bounds >= cut
+            self.waiting = bounds[wait], index[wait]
+            bounds, index = bounds[batch], index[batch]
+            idx = np.unravel_index(index, box)
+            offs = np.array(idx[1:] + idx[:1]).T - self.shift
+            if self.loose:
+                for axis in range(len(box)):
+                    prob.refine(axis, np.abs(offs[:, axis]).tolist())
+                bounds = prob.box_bounds(box, len(box), index)
+                back, keep = (bounds < cut) & (bounds >= floor), bounds >= cut
+                self.waiting = tuple(np.concatenate([w, v[back]])
+                                     for w, v in zip(self.waiting, (bounds, index)))
+                bounds, index, offs = bounds[keep], index[keep], offs[keep]
+            perm = np.lexsort((index, -bounds))
+            self.offs = np.concatenate([self.offs, offs[perm]])
+            self.bounds = np.concatenate([self.bounds, bounds[perm]])
         return len(self.bounds)
 
 
@@ -697,68 +697,26 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
     return best, examined, max(best.q, cut)
 
 
-def _walk(prob: _Problem, table, best: _Best):
+def _walk(prob: _Problem, table: _Table, best: _Best):
     """The table's rows as (offset, bound, window) in the order of their
-    exact bounds, descending, ties in enumeration order; every bound is
-    exact when its row comes.  The table sorts a row only once the walk
-    reads up to it (:meth:`_Table.upto`), and drops the rows below the
-    running best: the walk ends before them.
+    exact bounds, descending, ties in enumeration order.  The table sorts a
+    row only once the walk reads up to it, and makes its bound exact first
+    (:meth:`_Table.upto`); it drops the rows below the running best, where
+    the walk ends.
 
-    The table is sorted by bounds that may use block bounds (see
-    :meth:`_Problem.moduli`), each at least the exact one.  A row of the
-    table is yielded as it stands only when its bound used exact moduli
-    alone when the table was built; otherwise its lags are refined, its
-    bound recomputed, and it waits in ``refined`` for its turn, which comes
-    once it precedes the next row of the table.  Every row not yet refined
-    is bounded by its table bound, so no row whose exact bound precedes a
-    yielded one is still waiting: the rows come in the exact table's order.
-    Rows are refined one at first, then as many as precede the first
-    refined row (at most a chunk), and the walk ends at the first table
-    bound below the running best, an attained quotient, so no row below it
-    is ever refined.
-
-    Rows with exact bounds come in chunks of 8 up to 128, each with its
-    windows (:meth:`_Problem.windows`) at the running best of the chunk's
-    start; the best only rises, so they hold for the whole chunk.  The
-    first chunk, every refined row and every walk on fewer than
-    ``_WINDOW_MIN`` values evaluate whole slabs: most walks end within 8
-    rows (those of ``matrix-1d`` read about 5), and there the windows cost
-    more than they save."""
-    exact = [prob.store[a][1].copy() for a in range(prob.values.ndim)]  # as the table was built
-    refined = []  # heap of ((-bound, enumeration key), offset)
+    The rows come in chunks of 8 up to 128, each with its windows
+    (:meth:`_Problem.windows`) at the running best of the chunk's start;
+    the best only rises, so they hold for the whole chunk.  The first chunk
+    and every walk on fewer than ``_WINDOW_MIN`` values evaluate whole
+    slabs: most walks end within 8 rows (those of ``matrix-1d`` read about
+    5), and there the windows cost more than they save."""
     start, size = 0, 8
-    while True:
-        n = table.upto(start + size + 1, best.q)  # a row past the chunk, for the tie scan
-        if start == n and not refined:
-            return
-        offs, bounds = table.offs, table.bounds
-        if refined and (start == n or
-                        refined[0][0] < (-float(bounds[start]), _key(offs[start].tolist()))):
-            (neg, _), off = heapq.heappop(refined)
-            yield off, -neg, None
-            continue
-        if bounds[start] < best.q:
-            return
-        stop = min(start + size, n)
-        if refined:  # only the rows that come before the first refined one
-            top, first = -refined[0][0][0], refined[0][0][1]
-            stop = start + int(np.searchsorted(-bounds[start:stop], -top, side="left"))
-            while stop < n and bounds[stop] == top and _key(offs[stop].tolist()) < first:
-                stop += 1
-        loose = prob.loose(offs[start:stop], exact)
-        run = int(np.argmax(loose != loose[0])) or len(loose)
-        rows = offs[start:start + (1 if loose[0] and not refined else run)]
-        start += len(rows)
-        if loose[0]:
-            for axis in range(prob.values.ndim):
-                prob.refine(axis, np.abs(rows[:, axis]).tolist())
-            for row, bound in zip(rows.tolist(), prob.staircase(rows).tolist()):
-                heapq.heappush(refined, ((-bound, _key(row)), tuple(row)))
-            continue
+    while table.upto(start + size, best.q) > start and table.bounds[start] >= best.q:
+        rows = table.offs[start:start + size]
         windows = (prob.windows(rows, best.q) if size > 8 and prob.values.size >= _WINDOW_MIN
                    else [None] * len(rows))
-        yield from zip(map(tuple, rows.tolist()), bounds[start - len(rows):start], windows)
-        size = min(2 * size, 128)
+        yield from zip(map(tuple, rows.tolist()), table.bounds[start:start + size], windows)
+        start, size = start + len(rows), min(2 * size, 128)
 
 
 def _key(off) -> tuple[int, ...]:

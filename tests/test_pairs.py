@@ -17,6 +17,7 @@ from holonorm import (
     pairs,
 )
 from holonorm.expr import as_grid_callable, parse
+from test_memo import _spy_refinements
 
 
 def _profile_values(kind: str, shape, seed: int) -> np.ndarray:
@@ -268,15 +269,14 @@ def _box_offsets(j_lo, box, flat) -> np.ndarray:
 
 
 @given(n=st.integers(1, 3), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 2),
-       exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5, 2.0]), lead=st.integers(1, 3),
-       exact_lags=st.sampled_from([0, 16]), scale=st.sampled_from([1e-10, 1.0, 1e10]),
-       seed=st.integers(0, 2**16))
+       exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5, 2.0]), exact_lags=st.sampled_from([0, 16]),
+       scale=st.sampled_from([1e-10, 1.0, 1e10]), seed=st.integers(0, 2**16))
 @settings(max_examples=150, deadline=None)
-def test_box_bounds_equal_staircase_bit_for_bit(n, kind, k, exponent, lead, exact_lags, scale,
-                                                seed):
+def test_box_bounds_of_a_slab_equal_those_of_its_rows(n, kind, k, exponent, exact_lags, scale,
+                                                      seed):
     # the table's bounds, broadcast from one vector per axis over a slab of
-    # leading rows, are the floats staircase gives each offset row, block
-    # bounds included
+    # leading rows, are the floats that the table's batches recompute one
+    # row at a time, every axis leading, block bounds included
     rng = np.random.default_rng(seed)
     shape = tuple(int(s) for s in rng.integers(2, 7 if n < 3 else 5, n + 1))
     values = rng.uniform(-1.0, 1.0, shape) * scale
@@ -289,47 +289,59 @@ def test_box_bounds_equal_staircase_bit_for_bit(n, kind, k, exponent, lead, exac
         mp.setattr(pairs, "_BLOCK", 2)
         prob.moduli(prob.limits + (prob.j_hi,))
     box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
-    lead = min(lead, len(box) - 1)
-    rows = math.prod(box[:lead])
-    picked = np.sort(rng.choice(rows, int(rng.integers(1, rows + 1)), replace=False))
-    bound = prob.box_bounds(box, lead, picked)
-    assert bound.shape == (len(picked),) + box[lead:]
-    inner = math.prod(box[lead:])
-    flat = (picked[:, None] * inner + np.arange(inner)).reshape(-1)
-    off = _box_offsets(prob.j_lo, box, flat)
-    nonzero = off.any(axis=1)  # the zero offset has no separation
-    assert bound.reshape(-1)[nonzero].tobytes() == prob.staircase(off[nonzero]).tobytes()
+    for lead in range(1, len(box)):
+        rows = math.prod(box[:lead])
+        picked = np.sort(rng.choice(rows, int(rng.integers(1, rows + 1)), replace=False))
+        bound = prob.box_bounds(box, lead, picked)
+        assert bound.shape == (len(picked),) + box[lead:]
+        inner = math.prod(box[lead:])
+        flat = (picked[:, None] * inner + np.arange(inner)).reshape(-1)
+        # the zero offset has no separation
+        nonzero = _box_offsets(prob.j_lo, box, flat).any(axis=1)
+        row = prob.box_bounds(box, len(box), flat[nonzero])
+        assert row.shape == (int(nonzero.sum()),)
+        assert bound.reshape(-1)[nonzero].tobytes() == row.tobytes()
 
 
 @given(grid=grids(), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 3),
        exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5]),
        table_rows=st.sampled_from([4, 32, pairs._TABLE_ROWS]), floor=st.floats(0.0, 1.0),
-       steps=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+       steps=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=1, max_size=8),
+       exact_lags=st.sampled_from([0, 16]), block=st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
 def test_lazy_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table_rows, floor,
-                                                  steps):
-    # at a floor and a running best drawn from the bounds themselves (exact
-    # ties), the lazily sorted rows are a prefix of every canonical offset
-    # with a bound at the floor, stably sorted by bound, descending; each
-    # extension sorts at least as many rows as asked for, or every row at
-    # the best, and none below the best
+                                                  steps, exact_lags, block):
+    # at a floor and a running best drawn from the exact bounds themselves
+    # (exact ties), the lazily sorted rows are a prefix of every canonical
+    # offset with an exact bound at the floor, stably sorted by that bound,
+    # descending, whether the table is built on exact moduli or on block
+    # bounds that its batches refine, rows that fall below a batch's cut
+    # waiting again; each extension sorts at least as many rows as asked
+    # for, or every row at the best, and none below the best.  The best is
+    # never below the floor, as in the walk: a row kept on a block bound
+    # may have an exact bound below the floor
     values, h_x, h_t = grid
     prob = pairs._Problem(values, h_x, h_t, exponent, k, kind)
     if not prob.nearest_offsets():
         return
     box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
     first = (math.prod(box[1:]) + 1) // 2 if prob.j_lo == 0 else 0
-    offs = _box_offsets(prob.j_lo, box, np.arange(first, math.prod(box)))  # in enumeration order
-    prob.moduli(prob.limits + (prob.j_hi,))
-    bounds = prob.staircase(offs)
+    index = np.arange(first, math.prod(box))  # the canonical offsets, in enumeration order
+    exact = pairs._Problem(values, h_x, h_t, exponent, k, kind)
+    for axis, top in enumerate(prob.limits + (prob.j_hi,)):
+        exact.refine(axis, range(1, top + 1))
+    bounds = exact.box_bounds(box, len(box), index)
     levels = np.sort(bounds)
     floor = float(levels[int(floor * (len(levels) - 1))])
     order = np.argsort(-bounds, kind="stable")
     order = order[bounds[order] >= floor]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairs, "_TABLE_ROWS", table_rows)
+        mp.setattr(pairs, "_EXACT_LAGS", exact_lags)
+        mp.setattr(pairs, "_BLOCK", block)
         table = prob.certified(floor, None)
-    _assert_sorts_lazily(table, offs[order], bounds[order], levels, steps)
+    _assert_sorts_lazily(table, _box_offsets(prob.j_lo, box, index[order]), bounds[order],
+                         levels[levels >= floor], steps)
 
 
 def _assert_sorts_lazily(table, offs, bounds, levels, steps):
@@ -346,20 +358,26 @@ def _assert_sorts_lazily(table, offs, bounds, levels, steps):
         have = n
 
 
-@given(box=st.lists(st.integers(1, 12), min_size=2, max_size=3), j_lo=st.integers(0, 1),
-       levels=st.integers(1, 4), seed=st.integers(0, 2**16),
+@given(box=st.lists(st.integers(1, 12), min_size=2, max_size=3),
+       kind=st.sampled_from(["joint", "time"]), levels=st.integers(1, 4),
+       seed=st.integers(0, 2**16),
        steps=st.lists(st.tuples(st.integers(0, 300), st.floats(0.0, 1.0)), min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
-def test_lazy_table_keeps_ties_in_enumeration_order(box, j_lo, levels, seed, steps):
-    # kept rows with a few distinct bounds, hundreds tied with each: every
-    # extension takes all the rows tied with its smallest bound, and the
-    # ties come in enumeration order
+def test_lazy_table_keeps_ties_in_enumeration_order(box, kind, levels, seed, steps):
+    # kept rows with a few distinct bounds, hundreds tied with each, in a
+    # table that is not loose, whose batches keep the bounds they are given:
+    # every extension takes all the rows tied with its smallest bound, and
+    # the ties come in enumeration order
     rng = np.random.default_rng(seed)
-    box = (box[0],) + tuple(2 * m + 1 for m in box[1:])
+    # box[0] time offsets from j_lo, and box[a] spatial steps either way on
+    # axis a unless the kind keeps the place
+    values = np.zeros(tuple(m + 1 for m in box[1:]) + (box[0] + (kind == "time"),))
+    prob = pairs._Problem(values, (1.0,) * (len(box) - 1), 1.0, 0.5, 1, kind)
+    box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
     index = np.flatnonzero(rng.random(math.prod(box)) < 0.7)
     bounds = rng.integers(0, levels, len(index)).astype(float)
-    table = pairs._Table(box, j_lo, bounds, index)
-    offs = _box_offsets(j_lo, box, index)
+    table = pairs._Table(prob, box, bounds, index, False)
+    offs = _box_offsets(prob.j_lo, box, index)
     order = np.argsort(-bounds, kind="stable")
     _assert_sorts_lazily(table, offs[order], bounds[order], np.arange(levels), steps)
 
@@ -426,6 +444,22 @@ def test_interval_outcome_is_pinned(monkeypatch):
     assert _pinned_outcome(_CUSP, 32, "joint", 0.5, 1) == pairs.SupOutcome(
         0.9659363289248454, _witness([0, 32, 0], [16, -16], 0, 0.7071067811865476, 1),
         1038437, "interval", 4.594793419988157)
+
+
+# lags whose exact modulus each 1-D res-256 term of _PINNED computes on a
+# fresh store, up front or refined by the table's batches: the work no
+# outcome shows.  When the walk refined the rows it read, a chunk at most
+# at a time, and each batch sorted at least 64 rows: 60, 102, 117 and 128.
+@pytest.mark.parametrize("source, kind, e, k, lags", [
+    (_SMOOTH_1D, "time", 0.25, 1, 66),
+    (_CUSP_1D, "space", 0.35, 1, 114),
+    (_SMOOTH_1D, "joint", 1.5, 2, 117),
+    (_SMOOTH_1D, "joint", 0.5, 1, 128),
+])
+def test_modulus_work_is_pinned(monkeypatch, source, kind, e, k, lags):
+    fresh, again = _spy_refinements(monkeypatch)
+    _pinned_outcome(source, 256, kind, e, k)
+    assert (len(fresh), again) == (lags, [])
 
 
 def test_ties_go_to_first_offset_in_enumeration_order():
