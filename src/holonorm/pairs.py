@@ -17,16 +17,10 @@ serves them all:
    included): a staircase path from ``y`` to ``y + H`` stays in the box, and
    ``Delta^k = Delta^(k-1) Delta``, so no quotient at ``H`` exceeds
    ``min(amp, 2^(k-1) (sum_a omega_a(|d_a|) + omega_t(j))) / sep^e``.
-   Each modulus costs a pass over the values, so only short lags get one up
-   front: ``s <= 16``, or every lag of an axis of at most 64 steps.  A longer
-   lag starts from a block bound: with the max and the min of each line over
-   blocks of 16 nodes, a pair ``(i, i + s)`` with ``i`` in block ``I`` has
-   ``i + s`` in block ``I + s // 16`` or the next, so the largest spread
-   between two such blocks bounds ``|w(i + s) - w(i)|``; subtraction rounds
-   monotonically, so it bounds the computed difference too.  The moduli
-   depend on the values alone, so the dispatchers take a caller-owned
-   ``store`` of them, with flags for the exact ones, that the suprema of one
-   field share: a lag made exact for one is exact for all.
+   Each modulus out to the radius is computed exactly, one pass over the
+   values per lag.  The moduli depend on the values alone, so the
+   dispatchers take a caller-owned ``store`` of them that the suprema of one
+   field share and extend: no lag is computed twice.
 4. The offsets whose bound reaches the seed are walked best bound first, and
    the walk stops at the first bound below the running best: every offset
    skipped is certified to lie below it, so the value is exact (mode
@@ -35,14 +29,9 @@ serves them all:
    16 bytes; the bounds are broadcast over slabs of the box from one vector
    of moduli and one of separation terms per axis, the offsets themselves
    never built.  The table is sorted lazily: when the walk needs more rows,
-   the largest bounds left, with their ties, are partitioned out, and the
-   rows below the running best are dropped.  If a bound may use a block
-   bound, the lags of that batch are refined to exact moduli and its bounds
-   recomputed; the rows that fall below the batch's cut wait again.  A
-   block bound is never below the exact modulus, so every row left waiting
-   is below every row kept, and the walk reads the offsets of the exact
-   table, in its order.  The rows kept are sorted and unravelled into
-   offsets.
+   the largest bounds left, with their ties, are partitioned out, sorted
+   and unravelled into offsets, and the rows below the running best are
+   dropped.
    Past the first 8 offsets a walk reads, each is evaluated only on a window
    of its slab: the base rows of axis 0 and the base time levels whose pairs
    can still reach the running best, by the max and the min of the values
@@ -84,10 +73,7 @@ from .grid import difference_coefficients
 
 PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may decide
 DEFAULT_SEED = 1729  # nothing draws from it; kept only for perfbench/refs.py, which imports it
-_WINDOW_MIN = 1024  # values below which a walk evaluates whole slabs, see ``_walk``
 _TABLE_ROWS = 262_144  # offsets per slab of the offset table; a dispatcher keeps no more
-_EXACT_LAGS = 16  # lags whose moduli are exact up front on a long axis, see ``moduli``
-_BLOCK = 16  # nodes per block of the block bounds on the longer lags
 _EPS = np.finfo(float).eps
 
 
@@ -118,40 +104,6 @@ def _base_slices(offset: tuple[int, ...], dims: tuple[int, ...], k: int):
     return [k * max(-d, 0) for d in offset], [n - k * max(d, 0) for d, n in zip(offset, dims)]
 
 
-def _block_bounds(v: np.ndarray) -> np.ndarray:
-    """Upper bounds on ``max |v[i + s] - v[i]|``, as computed, over every
-    line along axis 0 of ``v``, for each lag ``s`` of that axis.
-
-    With ``hi`` and ``lo`` the max and the min of each line over blocks of
-    ``_BLOCK`` nodes, a pair ``(i, i + s)`` with ``i`` in block ``I`` has
-    ``i + s`` in block ``I + q`` or ``I + q + 1``, ``q = s // _BLOCK``, so
-    ``|v[i + s] - v[i]| <= max(hi[J] - lo[I], hi[I] - lo[J])`` over those two
-    blocks ``J``; the bound is that maximised over lines and ``I``.
-    Subtraction rounds monotonically, so it also bounds every computed
-    difference."""
-    n = v.shape[0]
-    lines = v.reshape(n, -1)
-    full = n // _BLOCK * _BLOCK
-    blocks = lines[:full].reshape(n // _BLOCK, _BLOCK, lines.shape[1])
-    hi, lo = blocks.max(axis=1), blocks.min(axis=1)
-    if full < n:  # a last, shorter block
-        hi = np.concatenate([hi, lines[full:].max(axis=0, keepdims=True)])
-        lo = np.concatenate([lo, lines[full:].min(axis=0, keepdims=True)])
-    nb = len(hi)
-    up = np.full((nb, nb), -np.inf)  # up[I, J] = max over lines of hi[J] - lo[I]
-    step = max(1, 2**18 // nb**2)
-    for c in range(0, lines.shape[1], step):
-        np.maximum(up, (hi[None, :, c:c + step] - lo[:, None, c:c + step]).max(axis=2), out=up)
-    up = np.maximum(up, up.T)
-    # far[q] = max over I of up[I, I + q]; far[nb] = -inf
-    i = np.arange(nb)
-    j = i[:, None] + i
-    far = np.where(j < nb, up[i[:, None], np.minimum(j, nb - 1)], -np.inf).max(axis=0)
-    far = np.append(far, -np.inf)
-    q = np.arange(n) // _BLOCK
-    return np.maximum(far[q], far[q + 1])
-
-
 # -- the offset table -------------------------------------------------------------------
 
 
@@ -171,7 +123,7 @@ class _Problem:
     exponent: float
     k: int
     kind: str  # "space" | "time" | "joint"
-    store: dict | None = None  # moduli and block bounds of ``values``, see ``moduli``
+    store: dict | None = None  # moduli of ``values``, see ``moduli``
 
     def __post_init__(self):
         n_sp, n_t = self.values.shape[:-1], self.values.shape[-1]
@@ -220,50 +172,37 @@ class _Problem:
 
     def moduli(self, reach: tuple[int, ...]) -> list[np.ndarray]:
         """``omega_a(s) = max |w(y + s e_a) - w(y)|`` for ``s = 0..reach_a``,
-        one array per axis, time last: upper bounds on those maxima as
-        computed, exact where the axis's flags in ``store`` say so.
+        as computed, one array per axis, time last.
 
-        ``store`` maps an axis to its (omega, exact flags) over every lag of
-        the axis, shared by the suprema of one field and grown in place.  An
-        axis of at most ``4 * _EXACT_LAGS`` steps gets exact moduli out to the
-        reach; a longer one exact moduli to ``_EXACT_LAGS`` and block bounds
-        beyond (:func:`_block_bounds`), which ``refine`` makes exact where the
-        table's rows need them (:meth:`_Table.upto`).  Lags that no supremum
-        has reached yet hold ``inf``."""
-        out = []
+        ``store`` maps an axis to its moduli over every lag of the axis,
+        shared by the suprema of one field and grown in place: a lag that no
+        supremum has reached yet holds ``inf``, and only those lags are
+        computed (``refine``)."""
         for axis, top in enumerate(reach):
-            omega, exact = self.entry(axis)
-            n = len(omega)
-            prefix = n - 1 if n <= 4 * _EXACT_LAGS + 1 else _EXACT_LAGS
-            self.refine(axis, range(1, 1 + min(top, prefix)))
-            if top > prefix and omega[top] == np.inf:  # exact moduli are below their bounds
-                np.minimum(omega, _block_bounds(self.lines(axis)), out=omega)
-            out.append(omega[:top + 1])
-        return out
+            self.refine(axis, top)
+        return [self.store[axis][:top + 1] for axis, top in enumerate(reach)]
 
-    def entry(self, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    def entry(self, axis: int) -> np.ndarray:
         """``store[axis]``, made on first use with only lag 0 known."""
         if axis not in self.store:
-            n = self.values.shape[axis]
-            omega, exact = np.full(n, np.inf), np.zeros(n, dtype=bool)
-            omega[0], exact[0] = 0.0, True
-            self.store[axis] = omega, exact
+            self.store[axis] = np.full(self.values.shape[axis], np.inf)
+            self.store[axis][0] = 0.0
         return self.store[axis]
 
     def lines(self, axis: int) -> np.ndarray:
         """The values with ``axis`` first, contiguous; kept until the table
-        is built, and again while the table refines."""
+        is built."""
         if axis not in self.moved:
             self.moved[axis] = np.ascontiguousarray(np.moveaxis(self.values, axis, 0))
         return self.moved[axis]
 
-    def refine(self, axis: int, lags) -> None:
-        """Make ``omega_a(s)`` exact at each lag ``s`` of ``lags`` that is not
-        yet, computed in ``scratch``.  The maximum and the minimum of the
-        signed differences give it with one pass fewer than their absolute
-        values, and bit for bit: negation is exact."""
-        omega, exact = self.entry(axis)
-        lags = sorted({s for s in lags if not exact[s]})
+    def refine(self, axis: int, top: int) -> None:
+        """Compute ``omega_a(s)`` at each lag ``s <= top`` that still holds
+        ``inf``, in ``scratch``.  The maximum and the minimum of the signed
+        differences give it with one pass fewer than their absolute values,
+        and bit for bit: negation is exact."""
+        omega = self.entry(axis)
+        lags = np.flatnonzero(omega[:top + 1] == np.inf).tolist()
         if not lags:
             return
         v, scratch = self.lines(axis), self.buffer()
@@ -272,7 +211,6 @@ class _Problem:
         for s in lags:
             d = np.subtract(v[s * width:], v[:v.size - s * width], out=scratch[:v.size - s * width])
             omega[s] = max(d[d.argmax()], -d[d.argmin()])
-        exact[lags] = True
 
     def separations(self, off: np.ndarray) -> np.ndarray:
         """Separations of offset rows ``(d, j)`` with ``j >= 0``."""
@@ -436,18 +374,15 @@ class _Problem:
     def certified(self, floor: float, limit: int | None):
         """The offsets whose quotient bound reaches ``floor``, as a
         :class:`_Table` that sorts them by bound, descending, ties in
-        enumeration order.  A bound is exact where every modulus it uses is
-        (see ``moduli``), and above the exact one elsewhere; the table
-        refines it before it sorts the row (:meth:`_Table.upto`).  With a
-        ``limit``, ``None`` when the moduli would cost more than ``limit``
-        pairs or more than ``_TABLE_ROWS`` offsets are kept; the latter is
-        decided with exact bounds.
+        enumeration order.  With a ``limit``, ``None`` when the moduli would
+        cost more than ``limit`` pairs or more than ``_TABLE_ROWS`` offsets
+        are kept.
 
         Only offsets within the separation ``r`` where the global bound,
         raised by a relative 1e-12 that dwarfs its rounding, meets ``floor``
         are bounded (an axis component alone is at most the separation), in
         slabs of about ``_TABLE_ROWS`` offsets, time offset outermost; the
-        moduli reach as far.
+        moduli reach as far, every one of them exact.
         """
         limits, j_hi = self.limits, self.j_hi
         if floor > 0.0 and self.exponent > 0.0:
@@ -459,21 +394,12 @@ class _Problem:
                 j_hi = int(min(j_hi, reach / self.h_t + 1.0))
         if limit is not None and (sum(limits) + j_hi) * self.values.size > limit:
             return None
-        reach = limits + (j_hi,)
-        self.moduli(reach)
-        loose = not all(self.store[a][1][:top + 1].all() for a, top in enumerate(reach))
-        table = self._table(floor, limit, limits, j_hi, loose)
-        if table is None and loose:
-            for axis, top in enumerate(reach):
-                self.refine(axis, range(1, top + 1))
-            table = self._table(floor, limit, limits, j_hi, False)
-        return table
+        self.moduli(limits + (j_hi,))
+        return self._table(floor, limit, limits, j_hi)
 
-    def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int,
-               loose: bool):
+    def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int):
         """The table of :meth:`certified` over the box ``limits``, ``j_hi``
-        at the moduli in ``store``, ``loose`` when one of them is a block
-        bound, or ``None`` past the row guard.
+        at the moduli in ``store``, or ``None`` past the row guard.
 
         The box has the axes ``(j - j_lo, d + limits)``, time first; its
         flat index is the enumeration order.  Each slab is a run of flat
@@ -502,7 +428,7 @@ class _Problem:
             at += start * inner + skip
             index.append(at)
         bounds, index = (np.concatenate(p) if len(p) > 1 else p[0] for p in (bounds, index))
-        return _Table(self, box, bounds, index, loose)
+        return _Table(box, self.j_lo, bounds, index)
 
     def box_bounds(self, box: tuple[int, ...], lead: int, rows: np.ndarray) -> np.ndarray:
         """Upper bounds on every computed quotient over a slab of the box of
@@ -525,8 +451,7 @@ class _Problem:
         factor ``1 + u``; adding that term and applying the margin round
         twice more.  This is a relative ``(N + 4) u``; with the
         ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s comparison of ``D`` with
-        ``D'``, twice the sum gives ``margin``.  A block bound in place of a
-        modulus only raises ``S``.
+        ``D'``, twice the sum gives ``margin``.
 
         Each axis gives one vector of moduli and one of separation terms,
         broadcast over the slab and added in one order whatever ``lead`` is:
@@ -545,9 +470,9 @@ class _Problem:
             return vec.reshape([1] + [m if a == axis else 1 for a, m in enumerate(box) if a >= lead])
 
         stair, sep = np.empty(shape), np.empty(shape)
-        stair[...] = spread(self.store[n][0][j], 0)
+        stair[...] = spread(self.store[n][j], 0)
         for axis in range(n):
-            stair += spread(self.store[axis][0][np.abs(d[axis])], axis + 1)
+            stair += spread(self.store[axis][np.abs(d[axis])], axis + 1)
         stair *= 2.0 ** (self.k - 1)
         stair += self.slack
         stair *= self.margin
@@ -567,17 +492,13 @@ class _Problem:
 
 
 class _Table:
-    """The rows of a certified table of ``prob``, sorted lazily by exact
-    bound, descending, ties in enumeration order: ``offs`` and ``bounds``
-    hold the sorted prefix, and the other rows wait as (bound, flat index
-    into ``box``).  ``loose``: a lag of the box had only a block bound when
-    the bounds were computed, so a waiting bound may lie above the exact
-    one."""
+    """The rows of a certified table, sorted lazily by bound, descending,
+    ties in enumeration order: ``offs`` and ``bounds`` hold the sorted
+    prefix, and the other rows wait as (bound, flat index into ``box``)."""
 
-    def __init__(self, prob: _Problem, box: tuple[int, ...], bounds: np.ndarray,
-                 index: np.ndarray, loose: bool):
-        self.prob, self.box, self.loose = prob, box, loose
-        self.shift = np.array([m // 2 for m in box[1:]] + [-prob.j_lo])  # box index - (d, j)
+    def __init__(self, box: tuple[int, ...], j_lo: int, bounds: np.ndarray, index: np.ndarray):
+        self.box = box
+        self.shift = np.array([m // 2 for m in box[1:]] + [-j_lo])  # box index - (d, j)
         self.waiting = bounds, index
         self.offs = np.empty((0, len(box)), dtype=np.intp)
         self.bounds = np.empty(0)
@@ -585,39 +506,22 @@ class _Table:
     def upto(self, stop: int, floor: float) -> int:
         """The number of rows sorted, once at least ``stop`` are or no row
         at or above ``floor`` waits; the rows below ``floor``, the running
-        best, are dropped, as the walk stops before them.  The best is never
-        below the floor the table was built at.
+        best, are dropped, as the walk stops before them.
 
-        Each batch at least doubles the prefix: the largest waiting bounds
+        An extension at least doubles the prefix: the largest waiting bounds
         are partitioned out, every row tied with the smallest of them, the
-        cut, included.  In a ``loose`` table the batch's lags are made exact
-        (:meth:`_Problem.refine`) and its bounds recomputed one row at a
-        time (:meth:`_Problem.box_bounds` with every axis leading), the
-        floats that exact moduli give; the rows that fall below the cut wait
-        again.  A bound is never below the exact one, so every row left
-        waiting is below every row kept.  The rows kept are sorted by bound,
-        descending, then by flat index, and unravelled into offsets
-        ``(d, j)``."""
-        prob, box = self.prob, self.box
-        while len(self.bounds) < stop and len(self.waiting[0]):
+        cut, included, sorted by bound, descending, then by flat index, and
+        unravelled into offsets ``(d, j)``."""
+        if len(self.bounds) < stop and len(self.waiting[0]):
             bounds, index = self.waiting
             rest = len(bounds) - max(stop - len(self.bounds), len(self.bounds))
             cut = max(np.partition(bounds, rest)[rest] if rest > 0 else -math.inf, floor)
             wait, batch = (bounds < cut) & (bounds >= floor), bounds >= cut
             self.waiting = bounds[wait], index[wait]
             bounds, index = bounds[batch], index[batch]
-            idx = np.unravel_index(index, box)
-            offs = np.array(idx[1:] + idx[:1]).T - self.shift
-            if self.loose:
-                for axis in range(len(box)):
-                    prob.refine(axis, np.abs(offs[:, axis]).tolist())
-                bounds = prob.box_bounds(box, len(box), index)
-                back, keep = (bounds < cut) & (bounds >= floor), bounds >= cut
-                self.waiting = tuple(np.concatenate([w, v[back]])
-                                     for w, v in zip(self.waiting, (bounds, index)))
-                bounds, index, offs = bounds[keep], index[keep], offs[keep]
             perm = np.lexsort((index, -bounds))
-            self.offs = np.concatenate([self.offs, offs[perm]])
+            idx = np.unravel_index(index[perm], self.box)
+            self.offs = np.concatenate([self.offs, np.array(idx[1:] + idx[:1]).T - self.shift])
             self.bounds = np.concatenate([self.bounds, bounds[perm]])
         return len(self.bounds)
 
@@ -699,22 +603,20 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
 
 def _walk(prob: _Problem, table: _Table, best: _Best):
     """The table's rows as (offset, bound, window) in the order of their
-    exact bounds, descending, ties in enumeration order.  The table sorts a
-    row only once the walk reads up to it, and makes its bound exact first
-    (:meth:`_Table.upto`); it drops the rows below the running best, where
-    the walk ends.
+    bounds, descending, ties in enumeration order.  The table sorts a row
+    only once the walk reads up to it (:meth:`_Table.upto`); it drops the
+    rows below the running best, where the walk ends.
 
     The rows come in chunks of 8 up to 128, each with its windows
     (:meth:`_Problem.windows`) at the running best of the chunk's start;
     the best only rises, so they hold for the whole chunk.  The first chunk
-    and every walk on fewer than ``_WINDOW_MIN`` values evaluate whole
-    slabs: most walks end within 8 rows (those of ``matrix-1d`` read about
-    5), and there the windows cost more than they save."""
+    evaluates whole slabs: most walks end within 8 rows (those of
+    ``matrix-1d`` read about 5), and there the windows cost more than they
+    save."""
     start, size = 0, 8
     while table.upto(start + size, best.q) > start and table.bounds[start] >= best.q:
         rows = table.offs[start:start + size]
-        windows = (prob.windows(rows, best.q) if size > 8 and prob.values.size >= _WINDOW_MIN
-                   else [None] * len(rows))
+        windows = prob.windows(rows, best.q) if size > 8 else [None] * len(rows)
         yield from zip(map(tuple, rows.tolist()), table.bounds[start:start + size], windows)
         start, size = start + len(rows), min(2 * size, 128)
 

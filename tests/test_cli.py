@@ -84,6 +84,45 @@ class TestNormCommand:
         assert code == 2
         assert "--l2 is required" in err
 
+    def test_res_per_axis(self, capsys):
+        # 32 x 16 steps: the sup of x1*x2 sits at the last node of each axis,
+        # and every one of the 33 * 17 nodes is examined
+        code, out, _ = run_cli(["norm", "--expr", "x1*x2", "--dim", "2", "--res", "32,16",
+                                "--kind", "sup"], capsys)
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["witness"]["node"] == [32, 16, 0]
+        assert report["pairs_examined"] == 33 * 17
+
+    def test_res_with_too_many_axes_exit_2(self, capsys):
+        code, out, err = run_cli(["norm", "--expr", "x1", "--dim", "2", "--res", "8,8,8",
+                                  "--kind", "sup"], capsys)
+        assert (code, out) == (2, "")
+        assert "error: --res needs 1 or 2 integers, got '8,8,8'" in err
+
+    def test_one_box_group_applies_to_every_axis(self, capsys):
+        code, out, _ = run_cli(["norm", "--expr", "x1*x2", "--dim", "2", "--box", "0,2",
+                                "--res", "4", "--kind", "sup"], capsys)
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["value"] == 4.0
+        assert report["witness"]["x"] == [2.0, 2.0]
+
+    def test_malformed_box_group_exit_2(self, capsys):
+        code, out, err = run_cli(["norm", "--expr", "x1", "--box", "0,1,2", "--res", "4",
+                                  "--kind", "sup"], capsys)
+        assert (code, out) == (2, "")
+        assert "error: --box group '0,1,2' must be 'lo,hi'" in err
+
+    def test_elliptic_norm_on_a_spatial_grid(self, capsys):
+        # sup |x1| = 1 plus the 0.5-Hoelder seminorm of x1 on [0, 1], also 1
+        code, out, _ = run_cli(["norm", "--expr", "x1", "--res", "8", "--kind", "elliptic",
+                                "--l", "0.5"], capsys)
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert (report["kind"], report["value"]) == ("elliptic", 2.0)
+        assert sorted(report["breakdown"].values()) == [1.0, 1.0]
+
 
 class TestCheckCommand:
     def test_trivial_zero_function(self, capsys):

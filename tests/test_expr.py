@@ -63,6 +63,21 @@ class TestParse:
         with pytest.raises(ExprSyntaxError):
             parse("(1+2", 1)
 
+    @pytest.mark.parametrize("source, message", [
+        ("1.2.3", "bad number '1.2.3' at offset 0"),
+        ("x1 $ 2", "unexpected character '$' at offset 3"),
+        ("sin(x1 x1)", "expected ')' at offset 7, got 'x1'"),
+        ("x1 x1", "trailing input 'x1' at offset 3"),
+    ], ids=["bad-number", "unexpected-character", "unclosed-call", "trailing-input"])
+    def test_syntax_error_message(self, source, message):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(source, 1)
+        assert str(info.value) == message
+
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):
+            parse("x1", 0)
+
     def test_whitespace_insensitive(self):
         assert ev("  1 +   2*3 ") == ev("1+2*3")
 

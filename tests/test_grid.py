@@ -388,6 +388,17 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="header"):
             grid_from_csv(self._write(tmp_path, "a,b\n1,2\n"))
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("x2,u\n0.0,1\n1.0,2\n", "header must read x1,...,xN,u; got ['x2', 'u']"),
+        ("x1,t,u\n\n", "no data rows"),
+        ("x1,u\n0.5,1\n0.5,2\n", "column x1 needs at least two distinct values"),
+    ], ids=["empty-file", "header-x2", "header-only", "single-valued-column"])
+    def test_rejected_file_message(self, tmp_path, text, message):
+        with pytest.raises(CsvFormatError) as info:
+            grid_from_csv(self._write(tmp_path, text))
+        assert str(info.value) == message
+
     def test_bad_row_named(self, tmp_path):
         text = "x1,u\n0.0,1\nnope,2\n1.0,3\n"
         with pytest.raises(CsvFormatError, match="row 3"):
@@ -457,6 +468,16 @@ class TestImmutability:
         u = make_grid_function(unit_interval(), 4, 0, lambda x, t: x[0])
         with pytest.raises(ValueError):
             u.values[0, 0] = 5.0
+
+
+class TestMultiIndex:
+    def test_order_is_the_sum_of_the_components(self):
+        assert MultiIndex((1, 0)).order == 1
+
+    def test_negative_component_rejected(self):
+        with pytest.raises(ValueError) as info:
+            MultiIndex((-1,))
+        assert str(info.value) == "multi-index components must be nonnegative, got (-1,)"
 
 
 H4 = ParabolicShift((0.25,))

@@ -6,6 +6,8 @@ report: the same check gives the same report on a shared grid as on a fresh
 one, reports never alias each other, and derived grids start empty.
 """
 
+import math
+
 import pytest
 
 from holonorm import (
@@ -121,18 +123,18 @@ def _spy_engines(monkeypatch):
 
 def _spy_refinements(monkeypatch):
     """Record the lags each call to ``_Problem.refine`` computes afresh, and
-    the lags it computes again although they were exact already (their
+    the lags it computes again although they were computed already (their
     stored moduli are swapped for -1 during the call and must stay so)."""
     fresh, again = [], []
     real = pairs._Problem.refine
 
-    def refine(prob, axis, lags):
-        omega, exact = prob.entry(axis)
-        lags = set(lags)
-        done = [s for s in lags if exact[s]]
+    def refine(prob, axis, top):
+        omega = prob.entry(axis)
+        lags = range(1, top + 1)
+        done = [s for s in lags if omega[s] != math.inf]
         kept = omega[done].copy()
         omega[done] = -1.0
-        real(prob, axis, lags)
+        real(prob, axis, top)
         again.extend(s for s in done if omega[s] != -1.0)
         omega[done] = kept
         fresh.extend(s for s in lags if s not in done)
@@ -143,10 +145,10 @@ def _spy_refinements(monkeypatch):
 
 def test_each_supremum_runs_once_and_each_field_has_one_store(monkeypatch):
     stores = _spy_engines(monkeypatch)
-    # moduli exact to lag 2 only, block bounds beyond, so that the walks refine
-    monkeypatch.setattr(pairs, "_EXACT_LAGS", 2)
     fresh, again = _spy_refinements(monkeypatch)
-    u = grid("sin(2*pi*x1)*exp(-t)", 1, 24, False)
+    # oscillating in time, so that the Hoelder seminorms of u reach fewer
+    # time lags than its joint supremum
+    u = grid("sin(2*pi*x1)*sin(2*pi*t)", 1, 24, False)
     holder_norm(u, 1.5)
     # the space and time seminorms of u, then of d/dx u
     assert len(stores) == 4
@@ -155,6 +157,7 @@ def test_each_supremum_runs_once_and_each_field_has_one_store(monkeypatch):
     holder_seminorm_space(u, 0.5, (1,))
     holder_seminorm_time(u, 0.75)
     assert len(stores) == 4  # all read from the memo
+    computed = len(fresh)
     diff_quotient_seminorm(u, 0.5, DiffSeminormSpec(1, 1))
     diff_quotient_seminorm(u, 0.5, DiffSeminormSpec(1, 1), form="split")
     holder_seminorm_time(u, 0.25)
@@ -163,9 +166,9 @@ def test_each_supremum_runs_once_and_each_field_has_one_store(monkeypatch):
     assert all(s is stores[0] for s in stores[4:])
     assert sorted(stores[0]) == [0, 1]  # its space and time moduli
     # a modulus computed for one supremum is never computed again by another
-    # supremum of the same field, and the walks did refine past lag 2
+    # supremum of the same field, and the later suprema extended its store
     assert again == []
-    assert max(fresh) > 2
+    assert len(fresh) > computed
 
 
 def test_a_swapped_in_engine_computes_afresh_on_a_memoised_grid(monkeypatch):

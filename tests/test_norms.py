@@ -10,6 +10,7 @@ from holonorm import (
     DiffSeminormSpec,
     Domain,
     GridFunction,
+    MultiIndex,
     SamplingInfo,
     StencilError,
     coarsen,
@@ -371,6 +372,13 @@ class TestMultiIndexArguments:
                          np.random.default_rng(47).uniform(-1, 1, (5, 5, 1)))
         rep = holder_seminorm_space(u, 0.5, np.array([1, 0]))
         assert rep == holder_seminorm_space(u, 0.5, (1, 0))
+
+    def test_multi_index_object_on_a_2d_grid(self):
+        values = np.random.default_rng(47).uniform(-1, 1, (5, 5, 1))
+        grids = [GridFunction(Domain((0.0, 0.0), (1.0, 1.0)), (4, 4), 0, values)
+                 for _ in range(2)]
+        rep = holder_seminorm_space(grids[0], 0.5, MultiIndex((1, 0)))
+        assert rep.to_json_dict() == holder_seminorm_space(grids[1], 0.5, (1, 0)).to_json_dict()
 
     def test_empty_multi_index_rejected(self):
         with pytest.raises(ValueError, match="wrong length"):

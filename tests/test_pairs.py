@@ -58,7 +58,7 @@ def _check(engine, oracle, values, kind, exponent, k, h_x, h_t, forced=False):
     if out.mode == "exhaustive":
         assert out.value == value
         assert list(_offset_of(out.witness)) == list(first)
-    else:  # only a zero pair budget leaves grids this small inexact
+    else:  # only a zero pair budget or a row guard of a few rows leaves grids this small inexact
         assert forced and out.mode == "interval"
         assert out.value <= value <= out.upper
         assert engine() == out  # the same input gives the same outcome
@@ -124,10 +124,9 @@ def grids(draw):
 
 
 @given(grid=grids(), k=st.integers(1, 3), exponent=st.sampled_from([0.1, 0.25, 0.5, 0.9, 1.5]),
-       forced=st.booleans(), windowed=st.booleans(), block=st.integers(1, 3),
-       table_rows=st.sampled_from([4, 32, pairs._TABLE_ROWS]))
+       forced=st.booleans(), table_rows=st.sampled_from([4, 32, pairs._TABLE_ROWS]))
 @settings(max_examples=150, deadline=None)
-def test_pruned_engines_equal_brute_force(grid, k, exponent, forced, windowed, block, table_rows):
+def test_pruned_engines_equal_brute_force(grid, k, exponent, forced, table_rows):
     values, h_x, h_t = grid
     e = exponent
     # (kind, brute-force (value, witness), engines);
@@ -161,105 +160,43 @@ def test_pruned_engines_equal_brute_force(grid, k, exponent, forced, windowed, b
     with pytest.MonkeyPatch.context() as mp:
         if forced:
             mp.setattr(pairs, "PAIR_LIMIT", 0)
-        if windowed:  # grids this small walk whole slabs unless the size gate is lowered
-            mp.setattr(pairs, "_WINDOW_MIN", 0)
         for kind, expect, engines in cases:
             for i, engine in enumerate(engines):
                 _check(engine, expect, values, kind, e, k, h_x, h_t, forced and i > 0)
-        # block bounds on every lag past 0: the walk refines them before it
-        # reads a row, so it visits the same rows in the same order and gives
-        # the outcomes of exact moduli, pairs decided and intervals included;
-        # a few table rows make the row guard decide on refined bounds
-        cases = [engines for _, expect, engines in cases if expect[0] != -math.inf]
+        # a row guard of a few rows may refuse a dispatcher its table, which
+        # gives an interval that holds the oracle
+        guarded = forced or table_rows < pairs._TABLE_ROWS
         mp.setattr(pairs, "_TABLE_ROWS", table_rows)
-        exact = [[engine() for engine in engines] for engines in cases]
-        mp.setattr(pairs, "_EXACT_LAGS", 0)
-        mp.setattr(pairs, "_BLOCK", block)
-        assert [[engine() for engine in engines] for engines in cases] == exact
+        for kind, expect, engines in cases:
+            for i, engine in enumerate(engines):
+                _check(engine, expect, values, kind, e, k, h_x, h_t, guarded and i > 0)
 
 
 @given(grid=grids(), kind=st.sampled_from(["space", "time", "joint"]),
-       reaches=st.lists(st.integers(0, 8), min_size=1, max_size=5),
-       exact_lags=st.sampled_from([0, 1, 16]), block=st.integers(1, 3))
+       reaches=st.lists(st.integers(0, 8), min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
-def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches, exact_lags, block):
+def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches):
     # a store filled by earlier calls, with smaller, larger or equal reaches,
-    # gives bit for bit the moduli of a single pass without one: exact ones
-    # to each axis's exact prefix and block bounds beyond
+    # gives bit for bit the moduli of a single pass without one
     values, h_x, h_t = grid
     if kind == "time" and not h_t:
         return
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pairs, "_EXACT_LAGS", exact_lags)
-        mp.setattr(pairs, "_BLOCK", block)
-        store, tops = {}, [0] * values.ndim
-        for r in reaches:
-            grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, store)
-            reach = tuple(min(r, m) for m in grown.limits) + (min(r, grown.j_hi),)
-            alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind).moduli(reach)
-            got = grown.moduli(reach)
-            assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
-            tops = [max(t, s) for t, s in zip(tops, reach)]
-    # the store holds exact moduli at the lags asked for so far, out to each
-    # axis's prefix, and no more; every other lag asked for has a bound at
-    # least its exact modulus
+    store, tops = {}, [0] * values.ndim
+    for r in reaches:
+        grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, store)
+        reach = tuple(min(r, m) for m in grown.limits) + (min(r, grown.j_hi),)
+        alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind).moduli(reach)
+        got = grown.moduli(reach)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
+        tops = [max(t, s) for t, s in zip(tops, reach)]
+    # the store holds the exact moduli of the lags up to the largest reach
+    # so far, and no other lag is finite
     assert sorted(store) == list(range(values.ndim))
-    for axis, (omega, exact) in store.items():
-        n = values.shape[axis]
-        prefix = n - 1 if n <= 4 * exact_lags + 1 else exact_lags
-        assert exact.tolist() == [s <= min(prefix, tops[axis]) for s in range(n)]
+    for axis, omega in store.items():
+        assert np.isfinite(omega).tolist() == [s <= tops[axis] for s in range(len(omega))]
         lines = np.moveaxis(values, axis, 0)
         for s in range(1, tops[axis] + 1):
-            modulus = np.abs(lines[s:] - lines[:-s]).max()
-            assert omega[s] == modulus if exact[s] else omega[s] >= modulus
-
-
-def _lines_with(profile, n, width, block, rng):
-    """Values of ``n`` nodes along axis 0 on ``width`` lines."""
-    if profile == "random":
-        return rng.uniform(-1.0, 1.0, (n, width))
-    if profile == "ties":
-        return rng.integers(0, 3, (n, width)).astype(float)
-    if profile == "constant lines":  # some lines constant, the others random
-        v = rng.uniform(-1.0, 1.0, (n, width))
-        flat = rng.random(width) < 0.5
-        v[:, flat] = rng.uniform(-1.0, 1.0, int(flat.sum()))
-        return v
-    # extremes at block edges: the max on the first node of some blocks, the
-    # min on the last node of others, small noise elsewhere
-    v = rng.uniform(-1e-3, 1e-3, (n, width))
-    i = np.arange(n)
-    v[(i % block == 0) & (rng.random(n) < 0.5)] = 1.0
-    v[(i % block == block - 1) & (rng.random(n) < 0.5)] = -1.0
-    return v
-
-
-@given(n=st.integers(2, 40), width=st.integers(1, 4), extra=st.integers(1, 3),
-       block=st.integers(1, 9),
-       profile=st.sampled_from(["random", "ties", "constant lines", "block edges"]),
-       scale=st.sampled_from([1e-10, 1.0, 1e10]), seed=st.integers(0, 2**16))
-@settings(max_examples=200, deadline=None)
-def test_block_bounds_hold_every_computed_modulus(n, width, extra, block, profile, scale, seed):
-    # with no exact prefix, every modulus past lag 0 is a block bound; along
-    # each axis of a space-time grid it is at least the largest computed
-    # difference at that lag
-    rng = np.random.default_rng(seed)
-    values = _lines_with(profile, n, width * extra, block, rng).reshape(n, width, extra) * scale
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pairs, "_EXACT_LAGS", 0)
-        mp.setattr(pairs, "_BLOCK", block)
-        # the blocked axis first, in the middle and last
-        for axes in ((0, 1, 2), (1, 0, 2), (1, 2, 0)):
-            grid = np.ascontiguousarray(np.transpose(values, axes))
-            at = axes.index(0)
-            prob = pairs._Problem(grid, (1.0,) * (grid.ndim - 1), 1.0, 0.5, 1, "joint")
-            reach = [0] * grid.ndim
-            reach[at] = n - 1
-            omega = prob.moduli(tuple(reach))[at]
-            assert not prob.store[at][1][1:].any()
-            lines = np.moveaxis(grid, at, 0)
-            for s in range(1, n):
-                assert omega[s] >= np.abs(lines[s:] - lines[:-s]).max()
+            assert omega[s] == np.abs(lines[s:] - lines[:-s]).max()
 
 
 def _box_offsets(j_lo, box, flat) -> np.ndarray:
@@ -269,14 +206,12 @@ def _box_offsets(j_lo, box, flat) -> np.ndarray:
 
 
 @given(n=st.integers(1, 3), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 2),
-       exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5, 2.0]), exact_lags=st.sampled_from([0, 16]),
+       exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5, 2.0]),
        scale=st.sampled_from([1e-10, 1.0, 1e10]), seed=st.integers(0, 2**16))
 @settings(max_examples=150, deadline=None)
-def test_box_bounds_of_a_slab_equal_those_of_its_rows(n, kind, k, exponent, exact_lags, scale,
-                                                      seed):
+def test_box_bounds_of_a_slab_equal_those_of_its_rows(n, kind, k, exponent, scale, seed):
     # the table's bounds, broadcast from one vector per axis over a slab of
-    # leading rows, are the floats that the table's batches recompute one
-    # row at a time, every axis leading, block bounds included
+    # leading rows, are the floats of one row at a time, every axis leading
     rng = np.random.default_rng(seed)
     shape = tuple(int(s) for s in rng.integers(2, 7 if n < 3 else 5, n + 1))
     values = rng.uniform(-1.0, 1.0, shape) * scale
@@ -284,10 +219,7 @@ def test_box_bounds_of_a_slab_equal_those_of_its_rows(n, kind, k, exponent, exac
     prob = pairs._Problem(values, h_x, 1 / (shape[-1] - 1), exponent, k, kind)
     if prob.j_hi < prob.j_lo:
         return
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pairs, "_EXACT_LAGS", exact_lags)
-        mp.setattr(pairs, "_BLOCK", 2)
-        prob.moduli(prob.limits + (prob.j_hi,))
+    prob.moduli(prob.limits + (prob.j_hi,))
     box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
     for lead in range(1, len(box)):
         rows = math.prod(box[:lead])
@@ -306,20 +238,16 @@ def test_box_bounds_of_a_slab_equal_those_of_its_rows(n, kind, k, exponent, exac
 @given(grid=grids(), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 3),
        exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5]),
        table_rows=st.sampled_from([4, 32, pairs._TABLE_ROWS]), floor=st.floats(0.0, 1.0),
-       steps=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=1, max_size=8),
-       exact_lags=st.sampled_from([0, 16]), block=st.integers(1, 3))
+       steps=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_lazy_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table_rows, floor,
-                                                  steps, exact_lags, block):
-    # at a floor and a running best drawn from the exact bounds themselves
-    # (exact ties), the lazily sorted rows are a prefix of every canonical
-    # offset with an exact bound at the floor, stably sorted by that bound,
-    # descending, whether the table is built on exact moduli or on block
-    # bounds that its batches refine, rows that fall below a batch's cut
-    # waiting again; each extension sorts at least as many rows as asked
-    # for, or every row at the best, and none below the best.  The best is
-    # never below the floor, as in the walk: a row kept on a block bound
-    # may have an exact bound below the floor
+                                                  steps):
+    # at a floor and a running best drawn from the bounds themselves (exact
+    # ties), the lazily sorted rows are a prefix of every canonical offset
+    # with a bound at the floor, stably sorted by that bound, descending, the
+    # bounds computed one row at a time; each extension sorts at least as
+    # many rows as asked for, or every row at the best, and none below the
+    # best.  The best is never below the floor, as in the walk
     values, h_x, h_t = grid
     prob = pairs._Problem(values, h_x, h_t, exponent, k, kind)
     if not prob.nearest_offsets():
@@ -329,7 +257,7 @@ def test_lazy_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table
     index = np.arange(first, math.prod(box))  # the canonical offsets, in enumeration order
     exact = pairs._Problem(values, h_x, h_t, exponent, k, kind)
     for axis, top in enumerate(prob.limits + (prob.j_hi,)):
-        exact.refine(axis, range(1, top + 1))
+        exact.refine(axis, top)
     bounds = exact.box_bounds(box, len(box), index)
     levels = np.sort(bounds)
     floor = float(levels[int(floor * (len(levels) - 1))])
@@ -337,8 +265,6 @@ def test_lazy_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table
     order = order[bounds[order] >= floor]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairs, "_TABLE_ROWS", table_rows)
-        mp.setattr(pairs, "_EXACT_LAGS", exact_lags)
-        mp.setattr(pairs, "_BLOCK", block)
         table = prob.certified(floor, None)
     _assert_sorts_lazily(table, _box_offsets(prob.j_lo, box, index[order]), bounds[order],
                          levels[levels >= floor], steps)
@@ -364,10 +290,9 @@ def _assert_sorts_lazily(table, offs, bounds, levels, steps):
        steps=st.lists(st.tuples(st.integers(0, 300), st.floats(0.0, 1.0)), min_size=1, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_lazy_table_keeps_ties_in_enumeration_order(box, kind, levels, seed, steps):
-    # kept rows with a few distinct bounds, hundreds tied with each, in a
-    # table that is not loose, whose batches keep the bounds they are given:
-    # every extension takes all the rows tied with its smallest bound, and
-    # the ties come in enumeration order
+    # kept rows with a few distinct bounds, hundreds tied with each: every
+    # extension takes all the rows tied with its smallest bound, and the
+    # ties come in enumeration order
     rng = np.random.default_rng(seed)
     # box[0] time offsets from j_lo, and box[a] spatial steps either way on
     # axis a unless the kind keeps the place
@@ -376,7 +301,7 @@ def test_lazy_table_keeps_ties_in_enumeration_order(box, kind, levels, seed, ste
     box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
     index = np.flatnonzero(rng.random(math.prod(box)) < 0.7)
     bounds = rng.integers(0, levels, len(index)).astype(float)
-    table = pairs._Table(prob, box, bounds, index, False)
+    table = pairs._Table(box, prob.j_lo, bounds, index)
     offs = _box_offsets(prob.j_lo, box, index)
     order = np.argsort(-bounds, kind="stable")
     _assert_sorts_lazily(table, offs[order], bounds[order], np.arange(levels), steps)
@@ -391,8 +316,9 @@ def test_windows_are_sound(profile, kind, k):
 
 
 # SupOutcomes recorded before slabs were cut to windows, and on 1-D grids
-# (res 256) before the moduli of long axes became block bounds refined before
-# the walk reads a row; the 2-D cusp and the 1-D smooth joint terms of
+# (res 256) before the moduli past lag 16 of long axes were, for a time,
+# block bounds refined before the walk read a row; the 2-D cusp and the 1-D
+# smooth joint terms of
 # order 1 also before the table was sorted lazily: value, witness, the pairs
 # decided, the mode and the upper end all stay as they were
 _SMOOTH = "sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)"
@@ -447,14 +373,14 @@ def test_interval_outcome_is_pinned(monkeypatch):
 
 
 # lags whose exact modulus each 1-D res-256 term of _PINNED computes on a
-# fresh store, up front or refined by the table's batches: the work no
-# outcome shows.  When the walk refined the rows it read, a chunk at most
-# at a time, and each batch sorted at least 64 rows: 60, 102, 117 and 128.
+# fresh store, every lag out to the table's radius: the work no outcome
+# shows.  While the moduli past lag 16 started from block bounds that the
+# table refined for the rows it sorted: 66, 114, 117 and 128.
 @pytest.mark.parametrize("source, kind, e, k, lags", [
-    (_SMOOTH_1D, "time", 0.25, 1, 66),
-    (_CUSP_1D, "space", 0.35, 1, 114),
-    (_SMOOTH_1D, "joint", 1.5, 2, 117),
-    (_SMOOTH_1D, "joint", 0.5, 1, 128),
+    (_SMOOTH_1D, "time", 0.25, 1, 256),
+    (_CUSP_1D, "space", 0.35, 1, 256),
+    (_SMOOTH_1D, "joint", 1.5, 2, 256),
+    (_SMOOTH_1D, "joint", 0.5, 1, 512),
 ])
 def test_modulus_work_is_pinned(monkeypatch, source, kind, e, k, lags):
     fresh, again = _spy_refinements(monkeypatch)

@@ -20,6 +20,18 @@ class TestFamilies:
         lo, _ = names["gamma"]
         assert lo >= 0.5  # fractional part of l2 = 1.5
 
+    def test_bump_parameters_on_a_2d_space_time_box(self):
+        # a centre in each axis's range and a width of 0.05-0.5 of its
+        # extent, and a drift speed because the box has a time horizon
+        spec = InterpSpec(variant="2.3.1", l2=1.5, p=2, N=2)
+        domain = Domain((0.0, -1.0), (2.0, 0.0), 1.0)
+        assert Family(kind="bump").param_spec(spec, domain) == [
+            ("a", -1.0, 1.0),
+            ("c0", 0.0, 2.0), ("w0", 0.1, 1.0),
+            ("c1", -1.0, 0.0), ("w1", 0.05, 0.5),
+            ("v", -1.0, 1.0),
+        ]
+
     def test_bump_member_has_compact_support(self):
         fam = Family(kind="bump")
         domain = Domain((0.0,), (1.0,), 1.0)
@@ -44,6 +56,12 @@ class TestRandomSearch:
         assert a.best_ratio == b.best_ratio
         assert a.history == b.history
         assert a.best_params == b.best_params
+        assert a.to_json_dict() == b.to_json_dict()
+
+    def test_same_seed_identical_bump(self):
+        a, b = (random_search(SPEC_231, Family(kind="bump"), budget=12, seed=4, resolution=16)
+                for _ in range(2))
+        assert a.evaluations == 12
         assert a.to_json_dict() == b.to_json_dict()
 
     def test_history_monotone(self):
