@@ -17,21 +17,23 @@ serves them all:
    included): a staircase path from ``y`` to ``y + H`` stays in the box, and
    ``Delta^k = Delta^(k-1) Delta``, so no quotient at ``H`` exceeds
    ``min(amp, 2^(k-1) (sum_a omega_a(|d_a|) + omega_t(j))) / sep^e``.
-   Each modulus out to the radius is computed exactly, one pass over the
-   values per lag.  The moduli depend on the values alone, so the
-   dispatchers take a caller-owned ``store`` of them that the suprema of one
-   field share and extend: no lag is computed twice.
+   One routine, ``refine``, computes each modulus out to the radius
+   exactly, one pass over the values per lag.  The moduli depend on the
+   values alone, so the dispatchers take a caller-owned ``store`` of them
+   that the suprema of one field share and extend: no lag is computed twice.
 4. The offsets whose bound reaches the seed are walked best bound first, and
    the walk stops at the first bound below the running best: every offset
    skipped is certified to lie below it, so the value is exact (mode
    ``"exhaustive"``).  The table keeps each offset whose bound reaches the
    seed as that bound and the offset's flat index in the box of offsets,
    16 bytes; the bounds are broadcast over slabs of the box from one vector
-   of moduli and one of separation terms per axis, the offsets themselves
-   never built.  The table is sorted lazily: when the walk needs more rows,
-   the largest bounds left, with their ties, are partitioned out, sorted
-   and unravelled into offsets, and the rows below the running best are
-   dropped.
+   of moduli and one of offset components per axis, the offsets themselves
+   never built.  One vectorised ``sep^e`` (``denominators``) serves these
+   bounds and the windows below; the scalar :func:`separation` is the
+   denominator of every reported quotient.  The table is sorted lazily:
+   when the walk needs more rows, the largest bounds left, with their ties,
+   are partitioned out, sorted and unravelled into offsets, and the rows
+   below the running best are dropped.
    Past the first 8 offsets a walk reads, each is evaluated only on a window
    of its slab: the base rows of axis 0 and the base time levels whose pairs
    can still reach the running best, by the max and the min of the values
@@ -123,7 +125,7 @@ class _Problem:
     exponent: float
     k: int
     kind: str  # "space" | "time" | "joint"
-    store: dict | None = None  # moduli of ``values``, see ``moduli``
+    store: dict | None = None  # moduli of ``values``, see ``refine``
 
     def __post_init__(self):
         n_sp, n_t = self.values.shape[:-1], self.values.shape[-1]
@@ -140,7 +142,6 @@ class _Problem:
         self.margin = 1.0 + (2.0 * self.exponent * (n + 4) + n + 12) * _EPS  # see ``box_bounds``
         self.scratch = None  # see ``evaluate``
         self.profiles = None  # see ``windows``
-        self.moved = {}  # see ``lines``
         if self.store is None:
             self.store = {}
 
@@ -170,56 +171,51 @@ class _Problem:
         margin = 1.0 + 2.0 * (self.exponent * (n + 4) + 5) * _EPS
         return (2.0 ** (k - 1) * (hi - lo) + slack) * margin, slack
 
-    def moduli(self, reach: tuple[int, ...]) -> list[np.ndarray]:
-        """``omega_a(s) = max |w(y + s e_a) - w(y)|`` for ``s = 0..reach_a``,
-        as computed, one array per axis, time last.
+    def refine(self, axis: int, top: int) -> None:
+        """Compute ``omega_a(s) = max |w(y + s e_a) - w(y)|`` at each lag
+        ``s <= top`` of ``axis`` (time last) that ``store`` lacks.
 
         ``store`` maps an axis to its moduli over every lag of the axis,
-        shared by the suprema of one field and grown in place: a lag that no
-        supremum has reached yet holds ``inf``, and only those lags are
-        computed (``refine``)."""
-        for axis, top in enumerate(reach):
-            self.refine(axis, top)
-        return [self.store[axis][:top + 1] for axis, top in enumerate(reach)]
-
-    def entry(self, axis: int) -> np.ndarray:
-        """``store[axis]``, made on first use with only lag 0 known."""
+        shared by the suprema of one field and grown in place; its entry is
+        made on first use with lag 0 at 0 and every other lag at ``inf``, the
+        mark of a lag that no supremum has reached yet.  Each such lag is one
+        pass over a copy of the values with ``axis`` first, in ``scratch``.
+        The maximum and the minimum of the signed differences give it with
+        one pass fewer than their absolute values, and bit for bit: negation
+        is exact."""
         if axis not in self.store:
             self.store[axis] = np.full(self.values.shape[axis], np.inf)
             self.store[axis][0] = 0.0
-        return self.store[axis]
-
-    def lines(self, axis: int) -> np.ndarray:
-        """The values with ``axis`` first, contiguous; kept until the table
-        is built."""
-        if axis not in self.moved:
-            self.moved[axis] = np.ascontiguousarray(np.moveaxis(self.values, axis, 0))
-        return self.moved[axis]
-
-    def refine(self, axis: int, top: int) -> None:
-        """Compute ``omega_a(s)`` at each lag ``s <= top`` that still holds
-        ``inf``, in ``scratch``.  The maximum and the minimum of the signed
-        differences give it with one pass fewer than their absolute values,
-        and bit for bit: negation is exact."""
-        omega = self.entry(axis)
+        omega = self.store[axis]
         lags = np.flatnonzero(omega[:top + 1] == np.inf).tolist()
         if not lags:
             return
-        v, scratch = self.lines(axis), self.buffer()
-        width = v.size // len(v)
-        v = v.reshape(-1)  # w(y + s e_a) - w(y) over every y is v[s * width:] - v[:-s * width]
+        v = np.ascontiguousarray(np.moveaxis(self.values, axis, 0)).reshape(-1)
+        scratch, width = self.buffer(), v.size // len(omega)
+        # w(y + s e_a) - w(y) over every y is v[s * width:] - v[:-s * width]
         for s in lags:
             d = np.subtract(v[s * width:], v[:v.size - s * width], out=scratch[:v.size - s * width])
             omega[s] = max(d[d.argmax()], -d[d.argmin()])
 
-    def separations(self, off: np.ndarray) -> np.ndarray:
-        """Separations of offset rows ``(d, j)`` with ``j >= 0``."""
+    def denominators(self, d, j) -> np.ndarray:
+        """The vectorised ``sep^e`` of the offsets with spatial components
+        ``d``, one array per axis, and time components ``j >= 0``, which
+        broadcast together.  The squared steps of each axis are added in
+        axis order, then come the square root, the time term of ``"joint"``
+        and the power: one order for a slab of the table, a row and a
+        window, which thus give an offset the same float.  Every step is
+        taken in place in one array of their broadcast shape: a slab of the
+        table holds two arrays of its size, no more."""
+        sep = np.zeros(np.broadcast_shapes(np.shape(j), *map(np.shape, d)))
         if self.kind == "time":
-            return off[:, -1] * self.h_t
-        sep = np.sqrt(np.sum((off[:, :-1] * np.asarray(self.h_x)) ** 2, axis=1))
-        if self.kind == "joint":
-            sep = sep + np.sqrt(off[:, -1] * self.h_t)
-        return sep
+            sep += j * self.h_t
+        else:
+            for da, h in zip(d, self.h_x):
+                sep += (da * h) ** 2
+            np.sqrt(sep, out=sep)
+            if self.kind == "joint":
+                sep += np.sqrt(j * self.h_t)
+        return np.power(sep, self.exponent, out=sep)
 
     # -- windows --------------------------------------------------------------------
 
@@ -245,7 +241,7 @@ class _Problem:
             v = self.values
             rest = tuple(range(1, v.ndim)), tuple(range(v.ndim - 1))
             self.profiles = [(v.max(axis=a), v.min(axis=a)) for a in rest]
-        denom = self.separations(off) ** self.exponent
+        denom = self.denominators(off[:, :-1].T, off[:, -1])
         lows = -self.k * np.minimum(off, 0)
         highs = np.asarray(self.values.shape) - self.k * np.maximum(off, 0)
         pairs = np.prod(highs - lows, axis=1)
@@ -382,7 +378,8 @@ class _Problem:
         raised by a relative 1e-12 that dwarfs its rounding, meets ``floor``
         are bounded (an axis component alone is at most the separation), in
         slabs of about ``_TABLE_ROWS`` offsets, time offset outermost; the
-        moduli reach as far, every one of them exact.
+        moduli reach as far, every one of them exact: :meth:`refine` computes
+        them, once per axis, time last.
         """
         limits, j_hi = self.limits, self.j_hi
         if floor > 0.0 and self.exponent > 0.0:
@@ -394,7 +391,8 @@ class _Problem:
                 j_hi = int(min(j_hi, reach / self.h_t + 1.0))
         if limit is not None and (sum(limits) + j_hi) * self.values.size > limit:
             return None
-        self.moduli(limits + (j_hi,))
+        for axis, top in enumerate(limits + (j_hi,)):
+            self.refine(axis, top)
         return self._table(floor, limit, limits, j_hi)
 
     def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int):
@@ -407,7 +405,7 @@ class _Problem:
         most ``_TABLE_ROWS`` offsets, by every index along the others.  A
         kept row is its bound and its flat index, 16 bytes."""
         # not held while the table is built and first sorted, the peak of memory
-        self.moved, self.scratch = {}, None
+        self.scratch = None
         box = (j_hi - self.j_lo + 1,) + tuple(2 * m + 1 for m in limits)
         lead = next(a for a in range(1, len(box)) if math.prod(box[a:]) <= _TABLE_ROWS
                     or a == len(box) - 1)
@@ -453,11 +451,11 @@ class _Problem:
         ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s comparison of ``D`` with
         ``D'``, twice the sum gives ``margin``.
 
-        Each axis gives one vector of moduli and one of separation terms,
-        broadcast over the slab and added in one order whatever ``lead`` is:
-        the moduli of time first, then of each axis; the squared steps of
-        each axis, then the time term of ``"joint"``.  A slab and a row thus
-        give an offset the same float."""
+        Each axis gives one vector of moduli and one of offset components,
+        broadcast over the slab.  The moduli are added in one order whatever
+        ``lead`` is, those of time first, then of each axis, and ``D'`` is
+        :meth:`denominators`: a slab and a row give an offset the same
+        float."""
         n = len(box) - 1
         j = np.arange(self.j_lo, self.j_lo + box[0])
         d = [np.arange(-(m // 2), m // 2 + 1) for m in box[1:]]
@@ -469,7 +467,7 @@ class _Problem:
                 return vec[idx[axis]].reshape((-1,) + (1,) * (n + 1 - lead))
             return vec.reshape([1] + [m if a == axis else 1 for a, m in enumerate(box) if a >= lead])
 
-        stair, sep = np.empty(shape), np.empty(shape)
+        stair = np.empty(shape)
         stair[...] = spread(self.store[n][j], 0)
         for axis in range(n):
             stair += spread(self.store[axis][np.abs(d[axis])], axis + 1)
@@ -477,18 +475,9 @@ class _Problem:
         stair += self.slack
         stair *= self.margin
         np.minimum(self.amp, stair, out=stair)
-        if self.kind == "time":
-            sep[...] = spread(j * self.h_t, 0)
-        else:
-            sep[...] = spread((d[0] * self.h_x[0]) ** 2, 1)
-            for axis in range(1, n):
-                sep += spread((d[axis] * self.h_x[axis]) ** 2, axis + 1)
-            np.sqrt(sep, out=sep)
-            if self.kind == "joint":
-                sep += spread(np.sqrt(j * self.h_t), 0)
-        sep **= self.exponent
+        denom = self.denominators([spread(v, a + 1) for a, v in enumerate(d)], spread(j, 0))
         with np.errstate(divide="ignore", invalid="ignore"):  # the zero offset, dropped
-            return np.divide(stair, sep, out=stair)
+            return np.divide(stair, denom, out=stair)
 
 
 class _Table:
@@ -578,7 +567,8 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
     prob.scratch = None  # not held while the table is built or the coarse levels solved
     table = prob.certified(best.q, limit)
     if table is None:
-        cut = float(np.max(prob.amp / prob.separations(np.asarray(nearest)) ** prob.exponent))
+        off = np.asarray(nearest)
+        cut = float(np.max(prob.amp / prob.denominators(off[:, :-1].T, off[:, -1])))
     else:
         cut, budget = None, math.inf if limit is None else limit
         for off, bound, window in _walk(prob, table, best):

@@ -8,6 +8,7 @@ one, reports never alias each other, and derived grids start empty.
 
 import math
 
+import numpy as np
 import pytest
 
 from holonorm import (
@@ -129,12 +130,14 @@ def _spy_refinements(monkeypatch):
     real = pairs._Problem.refine
 
     def refine(prob, axis, top):
-        omega = prob.entry(axis)
+        # the first call on an axis makes its entry, with no lag computed
+        omega = prob.store.get(axis, np.full(top + 1, math.inf))
         lags = range(1, top + 1)
         done = [s for s in lags if omega[s] != math.inf]
         kept = omega[done].copy()
         omega[done] = -1.0
         real(prob, axis, top)
+        omega = prob.store[axis]
         again.extend(s for s in done if omega[s] != -1.0)
         omega[done] = kept
         fresh.extend(s for s in lags if s not in done)

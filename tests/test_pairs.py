@@ -184,10 +184,13 @@ def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches):
     store, tops = {}, [0] * values.ndim
     for r in reaches:
         grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, store)
+        alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind)
         reach = tuple(min(r, m) for m in grown.limits) + (min(r, grown.j_hi),)
-        alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind).moduli(reach)
-        got = grown.moduli(reach)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in alone]
+        for prob in (alone, grown):
+            for axis, top in enumerate(reach):
+                prob.refine(axis, top)
+        for axis, top in enumerate(reach):
+            assert grown.store[axis][:top + 1].tobytes() == alone.store[axis][:top + 1].tobytes()
         tops = [max(t, s) for t, s in zip(tops, reach)]
     # the store holds the exact moduli of the lags up to the largest reach
     # so far, and no other lag is finite
@@ -219,7 +222,8 @@ def test_box_bounds_of_a_slab_equal_those_of_its_rows(n, kind, k, exponent, scal
     prob = pairs._Problem(values, h_x, 1 / (shape[-1] - 1), exponent, k, kind)
     if prob.j_hi < prob.j_lo:
         return
-    prob.moduli(prob.limits + (prob.j_hi,))
+    for axis, top in enumerate(prob.limits + (prob.j_hi,)):
+        prob.refine(axis, top)
     box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
     for lead in range(1, len(box)):
         rows = math.prod(box[:lead])
@@ -442,7 +446,7 @@ def _global_bound_pairs(u, l, k) -> int:
     table = prob.certified(0.0, None)
     table.upto(prob.count, 0.0)
     off = table.offs
-    off = off[prob.amp / prob.separations(off) ** l >= seed]
+    off = off[prob.amp / prob.denominators(off[:, :-1].T, off[:, -1]) >= seed]
     return int(np.prod(np.asarray(u.values.shape) - k * np.abs(off), axis=1).sum())
 
 
