@@ -399,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + _config_tokens(args) + argv[at:])
         return args.func({key: val for key, val in _settings(args).items() if val is not None})
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, expr_mod.ExprDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

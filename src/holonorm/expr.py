@@ -2,18 +2,20 @@
 
 Grammar (precedence low to high): ``+ -`` < ``* /`` < unary ``-`` < ``^``,
 with ``+ - * /`` left associative and ``^`` right associative, so ``-x^2``
-means ``-(x^2)`` and ``2^3^2`` means ``2^(3^2)``.  Variables are
-``x1 .. xN`` and ``t``; ``pi`` and ``e`` are named constants.  Evaluation is
-plain IEEE-754 double arithmetic and refuses to produce non-finite numbers:
-``log``/``sqrt`` of a negative argument, division by zero, a negative base
-with a fractional exponent, and overflow all raise a domain error naming the
-offending sub-expression.
+means ``-(x^2)`` and ``2^3^2`` means ``2^(3^2)``.  The table ``_PREC`` fixes
+this precedence for the parser and for ``Expr.precedence``, which ``unparse``
+reads.  Variables are ``x1 .. xN`` and ``t``; ``pi`` and ``e`` are named
+constants.  Evaluation is plain IEEE-754 double arithmetic and refuses to
+produce non-finite numbers: ``log``/``sqrt`` of a negative argument, division
+by zero, a negative base with a fractional exponent, and overflow all raise a
+domain error naming the offending sub-expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -41,7 +43,14 @@ _UNARY_FUNCS = {
 _BINARY_FUNCS = {"pow", "min", "max"}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
-_PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+# Binding power of each operator node; atoms bind tighter than all of them.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_PREC_UNARY, _PREC_ATOM = _PREC["neg"], 5
+
+# Results that are finite whenever their arguments are, and results that can
+# leave the finite range and so are checked.
+_EXACT = {"neg": np.negative, "min": np.minimum, "max": np.maximum}
+_CHECKED = {**_UNARY_FUNCS, "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
 @dataclass(frozen=True)
@@ -55,19 +64,11 @@ class Expr:
 
     @property
     def precedence(self) -> int:
-        if self.op == "num":
+        if self.op == "num" and math.copysign(1.0, self.value) < 0:
             # Negative literals print with a leading '-', so they bind like a
             # unary minus when re-parsed.
-            return _PREC_UNARY if math.copysign(1.0, self.value) < 0 else _PREC_ATOM
-        if self.op in ("var", "call"):
-            return _PREC_ATOM
-        if self.op == "neg":
             return _PREC_UNARY
-        if self.op == "^":
-            return _PREC_POW
-        if self.op in ("*", "/"):
-            return _PREC_MUL
-        return _PREC_ADD
+        return _PREC.get(self.op, _PREC_ATOM)
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -142,46 +143,30 @@ class _Parser:
             raise ExprSyntaxError(f"expected {symbol!r} at offset {tok[2]}, got {tok[1]!r}")
 
     def parse(self) -> Expr:
-        e = self.sum()
+        e = self.expr(1)
         tok = self.peek()
         if tok is not None:
             raise ExprSyntaxError(f"trailing input {tok[1]!r} at offset {tok[2]}")
         return e
 
-    def sum(self) -> Expr:
-        left = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                left = Expr(tok[1], (left, self.term()))
-            else:
-                return left
-
-    def term(self) -> Expr:
-        left = self.unary()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "*/":
-                self.next()
-                left = Expr(tok[1], (left, self.unary()))
-            else:
-                return left
-
-    def unary(self) -> Expr:
+    def expr(self, floor: int) -> Expr:
+        """An operand and every following operator that binds at least ``floor``.
+        A unary ``-`` takes the operand of a ``^`` chain; ``^`` is right
+        associative with a unary exponent, the others are left associative."""
         tok = self.peek()
         if tok and tok[0] == "op" and tok[1] == "-":
             self.next()
-            return Expr("neg", (self.unary(),))
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
+            left = Expr("neg", (self.expr(_PREC_UNARY),))
+        else:
+            left = self.atom()
+        while True:
+            tok = self.peek()
+            prec = _PREC.get(tok[1], 0) if tok and tok[0] == "op" else 0
+            if prec < floor:
+                return left
             self.next()
-            return Expr("^", (base, self.unary()))
-        return base
+            right = self.expr(_PREC_UNARY if tok[1] == "^" else prec + 1)
+            left = Expr(tok[1], (left, right))
 
     def atom(self) -> Expr:
         tok = self.next()
@@ -189,7 +174,7 @@ class _Parser:
         if kind == "num":
             return Expr("num", value=float(text))
         if kind == "op" and text == "(":
-            e = self.sum()
+            e = self.expr(1)
             self.expect_op(")")
             return e
         if kind == "name":
@@ -203,12 +188,12 @@ class _Parser:
         if name not in _UNARY_FUNCS and name not in _BINARY_FUNCS:
             raise ExprNameError(f"unknown function {name!r} at offset {off}")
         self.expect_op("(")
-        args = [self.sum()]
+        args = [self.expr(1)]
         while True:
             tok = self.peek()
             if tok and tok[0] == "op" and tok[1] == ",":
                 self.next()
-                args.append(self.sum())
+                args.append(self.expr(1))
             else:
                 break
         self.expect_op(")")
@@ -258,39 +243,24 @@ def _check_finite(node: Expr, result):
 
 
 def _eval(node: Expr, env: dict):
-    if node.op == "num":
+    op = node.op
+    if op == "num":
         return node.value
-    if node.op == "var":
+    if op == "var":
         return env[node.name]
-    if node.op == "neg":
-        return np.negative(_eval(node.args[0], env))
-    if node.op == "call":
-        a = _eval(node.args[0], env)
-        if node.name in ("log", "sqrt") and np.any(np.asarray(a) < 0):
-            _fail(node, f"{node.name} of a negative value")
-        if node.name in _UNARY_FUNCS:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return _check_finite(node, _UNARY_FUNCS[node.name](a))
-        b = _eval(node.args[1], env)
-        if node.name == "min":
-            return np.minimum(a, b)
-        if node.name == "max":
-            return np.maximum(a, b)
-        return _pow(node, a, b)
-    a = _eval(node.args[0], env)
-    b = _eval(node.args[1], env)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if node.op == "+":
-            return _check_finite(node, np.add(a, b))
-        if node.op == "-":
-            return _check_finite(node, np.subtract(a, b))
-        if node.op == "*":
-            return _check_finite(node, np.multiply(a, b))
-        if node.op == "/":
-            if np.any(np.asarray(b) == 0):
-                _fail(node, "division by zero")
-            return _check_finite(node, np.divide(a, b))
-        return _pow(node, a, b)
+    # map, not a comprehension, which would add a frame per level of nesting
+    args = tuple(map(_eval, node.args, repeat(env)))
+    if op == "call":
+        op = node.name
+    if op in _EXACT:
+        return _EXACT[op](*args)
+    if op in ("^", "pow"):
+        return _pow(node, *args)
+    if op in ("log", "sqrt") and np.any(np.asarray(args[0]) < 0):
+        _fail(node, f"{op} of a negative value")
+    if op == "/" and np.any(np.asarray(args[1]) == 0):
+        _fail(node, "division by zero")
+    return _check_finite(node, _CHECKED[op](*args))
 
 
 def _pow(node: Expr, a, b):
@@ -300,16 +270,16 @@ def _pow(node: Expr, a, b):
         _fail(node, "negative base with a fractional exponent")
     if np.any((a_arr == 0) & (b_arr < 0)):
         _fail(node, "zero base with a negative exponent")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.power(a, b)
-    return _check_finite(node, out)
+    return _check_finite(node, np.power(a, b))
 
 
 def evaluate(e: Expr, x, t):
     """Evaluate at ``x`` (sequence of coordinates) and ``t``; scalars or arrays."""
     env = {f"x{i + 1}": x[i] for i in range(len(x))}
     env["t"] = t
-    out = _eval(e, env)
+    # non-finite results are caught by the domain checks, not by warnings
+    with np.errstate(all="ignore"):
+        out = _eval(e, env)
     if np.ndim(out) == 0:
         return float(out)
     return out

@@ -9,6 +9,8 @@ the place and use ``j h_t``, ``"joint"`` shifts use the parabolic length
 serves them all:
 
 1. Every nearest-neighbour offset is swept; the best quotient seeds the search.
+   On a field whose computed differences are all 0 (``all_zero``) the
+   sweep's best is already exact, and the engine stops there.
 2. No k-th difference exceeds ``amp = 2^(k-1) (max w - min w)``, so an offset
    at separation ``r`` bounds its quotients by ``amp / r^e``.  This global
    bound fixes the radius beyond which no offset can reach the seed.
@@ -170,6 +172,20 @@ class _Problem:
         slack = 2.0 ** k * k * _EPS * max(abs(hi), abs(lo))
         margin = 1.0 + 2.0 * (self.exponent * (n + 4) + 5) * _EPS
         return (2.0 ** (k - 1) * (hi - lo) + slack) * margin, slack
+
+    def all_zero(self) -> bool:
+        """Whether every difference ``evaluate`` computes is exactly 0: the
+        values are one constant ``w``, ``k <= 3`` and ``c_1 w`` is finite.
+
+        k = 1: ``w - w = 0``.  k = 2 (``c = 2, -1``): ``2w`` is exact,
+        ``2w - w = w`` and ``w - w = 0``.  k = 3 (``c = 3, -3, 1``):
+        ``fl(3w) + fl(-3w) = 0``, as rounding is symmetric in sign, then
+        ``0 + w = w`` and ``w - w = 0``.  With ``c_1 w`` infinite the sums
+        give ``inf`` or ``nan``, and at k = 4 ``fl(4w) + fl(-6w)`` can keep
+        the rounding error of ``fl(6w)``."""
+        v = self.values
+        return (self.k <= 3 and v.max() == v.min()
+                and math.isfinite(self.coeffs[0] * float(v.flat[0])))
 
     def refine(self, axis: int, top: int) -> None:
         """Compute ``omega_a(s) = max |w(y + s e_a) - w(y)|`` at each lag
@@ -564,6 +580,11 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
 
     for off in nearest:
         visit(off)
+    # where every difference is 0, the sweep's best, base 0 of the first
+    # offset in enumeration order (a nearest one), is exact; only a sweep
+    # that reads 0 scans the values for it
+    if best.q == 0.0 and prob.all_zero():
+        return best, examined, None
     prob.scratch = None  # not held while the table is built or the coarse levels solved
     table = prob.certified(best.q, limit)
     if table is None:

@@ -51,6 +51,15 @@ class TestNormCommand:
         assert code == 2
         assert "row 3" in err
 
+    def test_expression_domain_error_exit_2(self, capsys):
+        for args in (["norm", "--kind", "sup"],
+                     ["check", "--variant", "2.3.1", "--l2", "1.5", "--p", "2"]):
+            code, out, err = run_cli(args + ["--expr", "log(x1-2)", "--dim", "1", "--T", "1",
+                                             "--res", "4"], capsys)
+            assert code == 2, args
+            assert out == ""
+            assert err == "error: domain error in 'log(x1-2.0)': log of a negative value\n"
+
     def test_missing_input_exit_2(self, capsys):
         code, _, err = run_cli(["norm", "--kind", "sup"], capsys)
         assert code == 2
@@ -142,14 +151,16 @@ class TestCheckCommand:
         assert code == 0
         assert json.loads(out)["reports"][0]["resolution"]["spatial_steps"] == [2]
 
-    def test_sweep_reports_and_csv(self, capsys, tmp_path):
+    @pytest.mark.parametrize("csv_name", ["series.csv", None], ids=["csv-out", "beside-out"])
+    def test_sweep_reports_and_csv(self, capsys, tmp_path, csv_name):
+        # without --csv-out the series goes beside --out, as check.csv
         out_path = tmp_path / "check.json"
-        csv_path = tmp_path / "check.csv"
+        csv_path = tmp_path / (csv_name or "check.csv")
         code, _, err = run_cli(
             ["check", "--variant", "2.3.1", "--dim", "1", "--l2", "1.5", "--p", "2",
              "--expr", "sin(2*pi*x1)*exp(-t)", "--T", "1",
-             "--sweep", "16,32,64", "--out", str(out_path),
-             "--csv-out", str(csv_path)], capsys)
+             "--sweep", "16,32,64", "--out", str(out_path)]
+            + ["--csv-out", str(csv_path)] * (csv_name is not None), capsys)
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert len(payload["reports"]) == 3

@@ -192,6 +192,8 @@ random_trees = st.recursive(leaf_nodes(), combine, max_leaves=40)
 def test_unparse_roundtrip_evaluates_identically(tree, data):
     text = unparse(tree)
     reparsed = parse(text, 2)
+    # the literals are nonnegative, so none reparses as a negated one
+    assert reparsed == tree
     points = data.draw(
         st.lists(
             st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(0, 2)),

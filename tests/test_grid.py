@@ -404,6 +404,15 @@ class TestCsv:
         with pytest.raises(CsvFormatError, match="row 3"):
             grid_from_csv(self._write(tmp_path, text))
 
+    def test_row_off_the_lattice_named(self, tmp_path):
+        # the steps 1.000000001 and 0.999999999 pass the spacing rule (1e-9
+        # of a step), but the middle node's computed offset from the lattice
+        # the ends span comes out just above 1e-9 steps
+        text = "x1,u\n2.3,3\n0.3,1\n1.300000001,2\n"
+        with pytest.raises(CsvFormatError) as info:
+            grid_from_csv(self._write(tmp_path, text))
+        assert str(info.value) == "row 4: x1 value off the inferred lattice"
+
     def test_roundtrip_parabolic_2d(self, tmp_path):
         u = make_grid_function(Domain((0.0, -1.0), (2.0, 1.0), 0.75), (4, 3), 3,
                                lambda x, t: np.sin(x[0]) * x[1] + t)

@@ -404,6 +404,16 @@ class TestDiffQuotient:
         u = sample(lambda x, t: 3.0 + 0.0 * x[0], T=1.0, steps=8)
         assert diff_quotient_seminorm(u, 1.5).value == pytest.approx(0.0, abs=1e-12)
 
+    def test_constant_field_is_exact_after_the_nearest_sweep(self):
+        # every difference of a constant is 0, so the nearest-neighbour pairs
+        # settle the value and are the only pairs decided
+        u = sample(lambda x, t: 1.0 + 0.0 * x[0], T=1.0, steps=256)
+        rep = diff_quotient_seminorm(u, 0.5)
+        assert (rep.value, rep.sampling.mode) == (0.0, "exhaustive")
+        assert rep.pairs_examined == 2 * 256 * 257
+        assert (rep.witness["base"], rep.witness["steps"], rep.witness["time_step"]) == (
+            [0, 0], [1], 0)
+
     def test_cusp_quotient_peaks_at_one(self):
         for steps in (16, 64, 128):
             u = sample(lambda x, t: np.abs(x[0] - 0.5) ** 0.5, steps=steps)

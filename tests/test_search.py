@@ -42,6 +42,20 @@ class TestFamilies:
         assert u.value_at((64, 0)) == 0.0
         assert abs(u.value_at((32, 0))) > 0.5
 
+    def test_bump_centre_past_the_first_axis_is_fixed(self):
+        # only the first axis's centre drifts with t; the second's is a plain
+        # literal, and the bump vanishes outside its support along that axis
+        spec = InterpSpec(variant="2.3.1", l2=1.5, p=2, N=2)
+        domain = Domain((0.0, 0.0), (1.0, 1.0), 1.0)
+        params = {"a": 1.0, "c0": 0.5, "w0": 0.3, "c1": 0.25, "w1": 0.1, "v": 0.2}
+        source = Family(kind="bump").expression(params, spec, domain)
+        assert "((x2-0.25)/0.1)" in source
+        u = build_candidate(source, spec, domain, 16, 4)
+        for t_level in range(5):
+            assert u.value_at((8, 0, t_level)) == 0.0  # x2 = 0
+            assert u.value_at((8, 8, t_level)) == 0.0  # x2 = 0.5
+            assert u.value_at((8, 4, t_level)) > 0.0  # x2 = 0.25, the centre
+
 
 class TestRandomSearch:
     def test_budget_one_single_evaluation(self):
