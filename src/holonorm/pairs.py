@@ -15,14 +15,29 @@ serves them all:
    at separation ``r`` bounds its quotients by ``amp / r^e``.  This global
    bound fixes the radius beyond which no offset can reach the seed.
 3. Within that radius each offset ``H = (d, j)`` gets its own bound from the
-   moduli ``omega_a(s) = max |w(y + s e_a) - w(y)|`` of each axis (time
-   included): a staircase path from ``y`` to ``y + H`` stays in the box, and
+   moduli ``omega_v(s) = max |w(y + s v) - w(y)|`` of lattice directions
+   ``v``: each axis ``e_a`` (time included) and, for each pair of spatial
+   axes ``a < b``, the diagonals ``e_a + e_b`` and ``e_a - e_b``.  A path
+   from ``y`` to ``y + H`` whose corners stay in the box bounds
+   ``|Delta_H w(y)|`` by the moduli of its legs, and
    ``Delta^k = Delta^(k-1) Delta``, so no quotient at ``H`` exceeds
-   ``min(amp, 2^(k-1) (sum_a omega_a(|d_a|) + omega_t(j))) / sep^e``.
-   One routine, ``refine``, computes each modulus out to the radius
-   exactly, one pass over the values per lag.  The moduli depend on the
-   values alone, so the dispatchers take a caller-owned ``store`` of them
-   that the suprema of one field share and extend: no lag is computed twice.
+   ``min(amp, 2^(k-1) S) / sep^e`` for the sum ``S`` of any such path.  The
+   staircase, one axis at a time, gives ``omega_t(j) + sum_a
+   omega_a(|d_a|)``.  Where ``d_a`` and ``d_b`` are both nonzero, a second
+   path first takes ``m = min(|d_a|, |d_b|)`` steps along the diagonal
+   ``e_a + e_b`` or ``e_a - e_b`` that the signs of ``d_a`` and ``d_b`` pick,
+   then ``||d_a| - |d_b||`` steps along the longer of the two axes, then the
+   staircase over time and the other axes: ``omega_t(j) + omega_ab(m) +
+   omega_long(||d_a| - |d_b||) + sum_c omega_c(|d_c|)``.  Each corner lies
+   between ``y`` and ``y + H`` along every axis, so it stays in the box; the
+   bound takes the smallest sum.  On ``sin(2 pi x1) sin(2 pi x2)`` an offset
+   on a diagonal gets half its staircase bound.  Both sums have ``N + 1``
+   terms, ``N`` additions, so one rounding margin covers them (see
+   ``box_bounds``).  One routine, ``refine``, computes each modulus out to
+   the radius exactly, one pass over the values per lag and direction.  The
+   moduli depend on the values alone, so the dispatchers take a
+   caller-owned ``store`` of them that the suprema of one field share and
+   extend: no lag of any direction is computed twice.
 4. The offsets whose bound reaches the seed are walked best bound first, and
    the walk stops at the first bound below the running best: every offset
    skipped is certified to lie below it, so the value is exact (mode
@@ -43,18 +58,19 @@ serves them all:
    evaluated in place into one scratch buffer, and only a maximum that can
    reach the best pays for the scalar ``sep^e`` and the tie scan.
 5. The dispatchers give the walk a budget of ``PAIR_LIMIT`` decided pairs.
-   Past it, or when the moduli alone would cost more than the budget or more
-   than ``_TABLE_ROWS`` offsets reach the seed, the value is a floor and the
-   outcome a certified interval (mode ``"interval"``): the floor comes from
-   the same problem on the grid coarsened by two along each axis that carries
-   offsets, whose quotients are full-grid quotients at twice the offset; its
-   witness offset, doubled, and that offset's neighbours along each such axis
-   are evaluated on the full grid.  ``upper`` is the bound at the cut, or with
-   no table ``amp / (nearest separation)^e``.  A walk that has seen every
-   admissible offset is exact, whichever way it got there.  ``examined``
-   counts the pairs decided, coarse levels included, store or not: every
-   pair of each visited offset's slab, whether evaluated or certified below
-   the running best by its window.
+   Past it, or when the moduli along the axes alone would cost more than the
+   budget (see ``certified``) or more than ``_TABLE_ROWS`` offsets reach the
+   seed, the value is a floor and the outcome a certified interval (mode
+   ``"interval"``): the floor comes from the same problem on the grid
+   coarsened by two along each axis that carries offsets, whose quotients
+   are full-grid quotients at twice the offset; its witness offset, doubled,
+   and that offset's neighbours along each such axis are evaluated on the
+   full grid.  ``upper`` is the bound at the cut, or with no table
+   ``amp / (nearest separation)^e``.  A walk that has seen every admissible
+   offset is exact, whichever way it got there.  ``examined`` counts the
+   pairs decided, coarse levels included, store or not: every pair of each
+   visited offset's slab, whether evaluated or certified below the running
+   best by its window.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -68,6 +84,7 @@ outermost, then the spatial offsets lexicographically, then the base node.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -106,6 +123,19 @@ def separation(kind: str, d, j: int, h_x, h_t: float) -> float:
 def _base_slices(offset: tuple[int, ...], dims: tuple[int, ...], k: int):
     """Base-region bounds such that all translates i = 0..k stay inside."""
     return [k * max(-d, 0) for d in offset], [n - k * max(d, 0) for d, n in zip(offset, dims)]
+
+
+def _axis_pairs(limits: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The pairs of spatial axes ``a < b`` that both carry offsets: each gets
+    the diagonals ``e_a + e_b`` and ``e_a - e_b``."""
+    return [(a, b) for a, b in itertools.combinations(range(len(limits)), 2)
+            if limits[a] and limits[b]]
+
+
+def _direction(ndim: int, a: int, b: int | None = None, sign: int = 1) -> tuple[int, ...]:
+    """The lattice step ``e_a``, or with ``b`` the diagonal ``e_a + sign e_b``:
+    a key of the moduli store."""
+    return tuple(int(i == a) + sign * int(i == b) for i in range(ndim))
 
 
 # -- the offset table -------------------------------------------------------------------
@@ -175,54 +205,90 @@ class _Problem:
 
     def all_zero(self) -> bool:
         """Whether every difference ``evaluate`` computes is exactly 0: the
-        values are one constant ``w``, ``k <= 3`` and ``c_1 w`` is finite.
+        values are constant along each axis that carries offsets (each time
+        level for ``"space"``, each place for ``"time"``), ``k <= 3`` and
+        ``c_1 w`` is finite for every value ``w``.
 
-        k = 1: ``w - w = 0``.  k = 2 (``c = 2, -1``): ``2w`` is exact,
-        ``2w - w = w`` and ``w - w = 0``.  k = 3 (``c = 3, -3, 1``):
-        ``fl(3w) + fl(-3w) = 0``, as rounding is symmetric in sign, then
-        ``0 + w = w`` and ``w - w = 0``.  With ``c_1 w`` infinite the sums
-        give ``inf`` or ``nan``, and at k = 4 ``fl(4w) + fl(-6w)`` can keep
-        the rounding error of ``fl(6w)``."""
+        An offset moves only along those axes, so each of its differences
+        reads one constant ``w``.  k = 1: ``w - w = 0``.  k = 2
+        (``c = 2, -1``): ``2w`` is exact, ``2w - w = w`` and ``w - w = 0``.
+        k = 3 (``c = 3, -3, 1``): ``fl(3w) + fl(-3w) = 0``, as rounding is
+        symmetric in sign, then ``0 + w = w`` and ``w - w = 0``.  With
+        ``c_1 w`` infinite the sums give ``inf`` or ``nan``, and at k = 4
+        ``fl(4w) + fl(-6w)`` can keep the rounding error of ``fl(6w)``."""
         v = self.values
-        return (self.k <= 3 and v.max() == v.min()
-                and math.isfinite(self.coeffs[0] * float(v.flat[0])))
+        axes = tuple(a for a, m in enumerate(self.limits + (self.j_hi,)) if m)
+        return (self.k <= 3 and bool(np.all(v.max(axis=axes) == v.min(axis=axes)))
+                and math.isfinite(self.coeffs[0] * float(np.abs(v).max())))
 
-    def refine(self, axis: int, top: int) -> None:
-        """Compute ``omega_a(s) = max |w(y + s e_a) - w(y)|`` at each lag
-        ``s <= top`` of ``axis`` (time last) that ``store`` lacks.
+    def refine(self, direction: tuple[int, ...], top: int) -> None:
+        """Compute ``omega_v(s) = max |w(y + s v) - w(y)|`` at each lag
+        ``s <= top`` of the lattice step ``v = direction`` (time last; see
+        ``reaches``) that ``store`` lacks.
 
-        ``store`` maps an axis to its moduli over every lag of the axis,
-        shared by the suprema of one field and grown in place; its entry is
-        made on first use with lag 0 at 0 and every other lag at ``inf``, the
-        mark of a lag that no supremum has reached yet.  Each such lag is one
-        pass over a copy of the values with ``axis`` first, in ``scratch``.
-        The maximum and the minimum of the signed differences give it with
-        one pass fewer than their absolute values, and bit for bit: negation
-        is exact."""
-        if axis not in self.store:
-            self.store[axis] = np.full(self.values.shape[axis], np.inf)
-            self.store[axis][0] = 0.0
-        omega = self.store[axis]
+        ``store`` maps a direction to its moduli over every lag that keeps a
+        node in the grid, shared by the suprema of one field and grown in
+        place; its entry is made on first use with lag 0 at 0 and every
+        other lag at ``inf``, the mark of a lag that no supremum has reached
+        yet.  Each such lag is one pass into ``scratch``: along an axis over
+        a copy of the values with that axis first, along a diagonal from two
+        slices of the values.  The maximum and the minimum of the signed
+        differences give it with one pass fewer than their absolute values,
+        and bit for bit: negation is exact."""
+        v = self.values
+        if direction not in self.store:
+            omega = np.full(min(n for n, c in zip(v.shape, direction) if c), np.inf)
+            omega[0] = 0.0
+            self.store[direction] = omega
+        omega = self.store[direction]
         lags = np.flatnonzero(omega[:top + 1] == np.inf).tolist()
         if not lags:
             return
-        v = np.ascontiguousarray(np.moveaxis(self.values, axis, 0)).reshape(-1)
-        scratch, width = self.buffer(), v.size // len(omega)
-        # w(y + s e_a) - w(y) over every y is v[s * width:] - v[:-s * width]
+        scratch = self.buffer()
+        if sum(map(abs, direction)) == 1:
+            # a flat offset in the axis-first copy: no slices to build per
+            # lag, and contiguous along time, where two slices are strided
+            flat = np.ascontiguousarray(np.moveaxis(v, direction.index(1), 0)).reshape(-1)
+            width = flat.size // len(omega)
+
+            def differences(s):  # w(y + s e_a) - w(y) over every y
+                n = flat.size - s * width
+                return np.subtract(flat[s * width:], flat[:n], out=scratch[:n])
+        else:
+            def differences(s):  # w(y + s v) - w(y) over every y whose both ends are nodes
+                lows, highs = _base_slices(tuple(s * c for c in direction), v.shape, 1)
+                behind = v[tuple(map(slice, lows, highs))]
+                ahead = v[tuple(slice(lo + s * c, hi + s * c)
+                                for lo, hi, c in zip(lows, highs, direction))]
+                out = scratch[:behind.size].reshape(behind.shape)
+                return np.subtract(ahead, behind, out=out).reshape(-1)
         for s in lags:
-            d = np.subtract(v[s * width:], v[:v.size - s * width], out=scratch[:v.size - s * width])
+            d = differences(s)
             omega[s] = max(d[d.argmax()], -d[d.argmin()])
 
-    def denominators(self, d, j) -> np.ndarray:
+    def reaches(self, limits: tuple[int, ...], j_hi: int) -> list[tuple[tuple[int, ...], int]]:
+        """``(direction, top)`` of every modulus the bounds of the box
+        ``limits``, ``j_hi`` read: each axis out to its limit, time last,
+        then for each pair of spatial axes ``a < b`` that both carry offsets
+        the diagonals ``e_a + e_b`` and ``e_a - e_b`` out to the smaller of
+        their limits."""
+        n = len(limits)
+        out = [(_direction(n + 1, a), top) for a, top in enumerate(limits + (j_hi,))]
+        for a, b in _axis_pairs(limits):
+            out += [(_direction(n + 1, a, b, s), min(limits[a], limits[b])) for s in (1, -1)]
+        return out
+
+    def denominators(self, d, j, out: np.ndarray | None = None) -> np.ndarray:
         """The vectorised ``sep^e`` of the offsets with spatial components
         ``d``, one array per axis, and time components ``j >= 0``, which
         broadcast together.  The squared steps of each axis are added in
         axis order, then come the square root, the time term of ``"joint"``
         and the power: one order for a slab of the table, a row and a
         window, which thus give an offset the same float.  Every step is
-        taken in place in one array of their broadcast shape: a slab of the
-        table holds two arrays of its size, no more."""
-        sep = np.zeros(np.broadcast_shapes(np.shape(j), *map(np.shape, d)))
+        taken in place in one array of their broadcast shape, ``out`` when
+        given: a slab of the table holds two arrays of its size, no more."""
+        sep = np.empty(np.broadcast_shapes(np.shape(j), *map(np.shape, d))) if out is None else out
+        sep[...] = 0.0
         if self.kind == "time":
             sep += j * self.h_t
         else:
@@ -294,7 +360,9 @@ class _Problem:
         ``margin``, over the vectorised ``sep^e`` is below ``floor``, which
         the comparison terms of ``_amplitude`` make a bound on the quotient.
         Only a window that can reach ``floor`` pays for the scalar ``sep^e``
-        and the tie scan."""
+        and the tie scan.  A largest difference that is ``inf`` or ``nan``,
+        from a sum that overflowed, is a ``ValueError`` naming the kind and
+        the order."""
         if window is None:
             lows, highs = _base_slices(off, self.values.shape, self.k)
         else:
@@ -323,6 +391,9 @@ class _Problem:
             np.subtract(view[0], out, out=out)
         at = int(np.abs(flat, out=flat).argmax())  # argmax costs less than max here
         top = float(flat[at])
+        if not math.isfinite(top):  # argmax stops at the first nan
+            raise ValueError(f"{self.kind} differences of order {self.k} overflow: a slab's "
+                             f"largest is {top}")
         if window is not None and top * self.margin / table_denom < floor:
             return None, None, pairs
         denom = separation(self.kind, off[:-1], off[-1], self.h_x, self.h_t) ** self.exponent
@@ -352,10 +423,9 @@ class _Problem:
     def nearest_offsets(self) -> list[tuple[int, ...]]:
         """Unit offsets along each spatial axis, then along time."""
         n = len(self.limits)
-        out = [tuple(int(i == a) for i in range(n)) + (0,)
-               for a, m in enumerate(self.limits) if m >= 1]
+        out = [_direction(n + 1, a) for a, m in enumerate(self.limits) if m >= 1]
         if self.j_lo <= 1 <= self.j_hi:
-            out.append((0,) * n + (1,))
+            out.append(_direction(n + 1, n))
         return out
 
     def coarsened(self) -> "_Problem":
@@ -386,16 +456,19 @@ class _Problem:
     def certified(self, floor: float, limit: int | None):
         """The offsets whose quotient bound reaches ``floor``, as a
         :class:`_Table` that sorts them by bound, descending, ties in
-        enumeration order.  With a ``limit``, ``None`` when the moduli would
-        cost more than ``limit`` pairs or more than ``_TABLE_ROWS`` offsets
-        are kept.
+        enumeration order.  With a ``limit``, ``None`` when the moduli along
+        the axes would cost more than ``limit`` pairs, one pass over the
+        values per lag, or when more than ``_TABLE_ROWS`` offsets are kept.
+        The diagonals' passes are not counted (at most as many as the axes'
+        in 2-D, twice as many in 3-D): counted, they would make some exact
+        2-D res-64 suprema of the acceptance suite intervals.
 
         Only offsets within the separation ``r`` where the global bound,
         raised by a relative 1e-12 that dwarfs its rounding, meets ``floor``
         are bounded (an axis component alone is at most the separation), in
         slabs of about ``_TABLE_ROWS`` offsets, time offset outermost; the
         moduli reach as far, every one of them exact: :meth:`refine` computes
-        them, once per axis, time last.
+        them, once per direction of :meth:`reaches`.
         """
         limits, j_hi = self.limits, self.j_hi
         if floor > 0.0 and self.exponent > 0.0:
@@ -407,8 +480,8 @@ class _Problem:
                 j_hi = int(min(j_hi, reach / self.h_t + 1.0))
         if limit is not None and (sum(limits) + j_hi) * self.values.size > limit:
             return None
-        for axis, top in enumerate(limits + (j_hi,)):
-            self.refine(axis, top)
+        for direction, top in self.reaches(limits, j_hi):
+            self.refine(direction, top)
         return self._table(floor, limit, limits, j_hi)
 
     def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int):
@@ -452,46 +525,91 @@ class _Problem:
         ``lead = len(box)``, one bound per flat index in ``rows``.
 
         The bound at ``H = (d, j)`` is ``min(amp, 2^(k-1) S) / D'`` with
-        ``S = omega_t(j) + sum_a omega_a(|d_a|)`` from the moduli in
-        ``store`` and ``D'`` the vectorised ``sep^e``.  Exactly, a staircase
-        path from ``y`` to ``y + H`` moves along one axis at a time and keeps
-        every corner inside the box, so ``|Delta_H w(y)| <= S``; and
-        ``Delta^k_H w(y)`` is a ``(k-1)``-th difference of ``Delta_H w`` at
-        ``y, ..., y + (k-1) H``, whose coefficients sum to ``2^(k-1)`` in
-        magnitude.  Rounding, as in ``_amplitude`` (``u = eps / 2``): a
-        computed modulus is at least ``1 - u`` times the exact one and the
-        ``N`` additions of ``S`` lose at most a factor ``(1 - u)^N``; the
-        computed difference keeps ``_amplitude``'s absolute term and its
-        factor ``1 + u``; adding that term and applying the margin round
-        twice more.  This is a relative ``(N + 4) u``; with the
-        ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s comparison of ``D`` with
-        ``D'``, twice the sum gives ``margin``.
+        ``D'`` the vectorised ``sep^e`` and ``S`` the smallest path sum of
+        the module docstring, step 3, from the moduli in ``store``: the
+        staircase ``omega_t(j) + sum_a omega_a(|d_a|)``, and for each pair
+        of axes ``a < b`` the diagonal path ``omega_ab(m) + omega_long(r) +
+        omega_t(j) + sum_c omega_c(|d_c|)``, ``m = min(|d_a|, |d_b|)``,
+        ``r = ||d_a| - |d_b||`` and ``c`` the other axes; where ``d_a`` or
+        ``d_b`` is 0, ``m = 0`` and ``omega_ab(0) = 0`` make it a staircase.
+        Exactly, each path moves from ``y`` to ``y + H`` along one lattice
+        direction at a time and keeps every corner inside the box, so
+        ``|Delta_H w(y)| <= S``; and ``Delta^k_H w(y)`` is a ``(k-1)``-th
+        difference of ``Delta_H w`` at ``y, ..., y + (k-1) H``, whose
+        coefficients sum to ``2^(k-1)`` in magnitude.  Rounding, as in
+        ``_amplitude`` (``u = eps / 2``): a computed modulus, along a
+        diagonal as along an axis, is at least ``1 - u`` times the exact
+        one; each sum has ``N + 1`` terms, so its ``N`` additions lose at
+        most a factor ``(1 - u)^N``, and the minimum of two computed sums is
+        one of them.  The computed difference keeps ``_amplitude``'s
+        absolute term and its factor ``1 + u``; adding that term and
+        applying the margin round twice more.  This is a relative
+        ``(N + 4) u``; with the ``(2 e (N + 4) + 8) u`` of ``_amplitude``'s
+        comparison of ``D`` with ``D'``, twice the sum gives ``margin``.
 
         Each axis gives one vector of moduli and one of offset components,
-        broadcast over the slab.  The moduli are added in one order whatever
-        ``lead`` is, those of time first, then of each axis, and ``D'`` is
-        :meth:`denominators`: a slab and a row give an offset the same
-        float."""
+        broadcast over the slab; each pair of axes gives its part
+        ``omega_ab(m) + omega_long(r)`` over the slab's extent along the two
+        axes.  The moduli are added in one order whatever ``lead`` is: the
+        staircase's time first, then each axis; a diagonal path's part
+        first, then time, then the other axes.  ``D'`` is
+        :meth:`denominators`.  So a slab and a row give an offset the same
+        float.  A slab holds two arrays of its size: the bounds, and one that
+        holds each diagonal path in turn, then ``D'``.  A pair's part is
+        built in that second array where the pair's two axes span the whole
+        slab, else in an array smaller than the slab by its extent along the
+        other axes; its lookup indices are computed in chunks of numpy's
+        buffer size (``np.nditer``), so no index array spans the slab."""
         n = len(box) - 1
         j = np.arange(self.j_lo, self.j_lo + box[0])
         d = [np.arange(-(m // 2), m // 2 + 1) for m in box[1:]]
         idx = np.unravel_index(rows, box[:lead])
         shape = (len(rows),) + box[lead:]
+        omega = [self.store[_direction(n + 1, a)] for a in range(n + 1)]  # each axis, time last
 
         def spread(vec, axis):  # one axis's vector, broadcast over the slab
             if axis < lead:
                 return vec[idx[axis]].reshape((-1,) + (1,) * (n + 1 - lead))
             return vec.reshape([1] + [m if a == axis else 1 for a, m in enumerate(box) if a >= lead])
 
+        def legs(path, skip=()):  # add each axis's moduli but those of ``skip``, in axis order
+            for axis in range(n):
+                if axis not in skip:
+                    path += spread(omega[axis][np.abs(d[axis])], axis + 1)
+            return path
+
         stair = np.empty(shape)
-        stair[...] = spread(self.store[n][j], 0)
-        for axis in range(n):
-            stair += spread(self.store[axis][np.abs(d[axis])], axis + 1)
+        stair[...] = spread(omega[n][j], 0)
+        legs(stair)
+        path = np.empty(shape)
+        for a, b in _axis_pairs(tuple(m // 2 for m in box[1:])):
+            # omega_ab(m) from the moduli of e_a + e_b, then of e_a - e_b, read
+            # past the first where d_a and d_b differ in sign; omega_long(r)
+            # from omega_b reversed, then omega_a past its lag 0, read at
+            # |d_a| - |d_b| from the lag 0 of both
+            plus, minus = (self.store[_direction(n + 1, a, b, s)] for s in (1, -1))
+            diag = np.concatenate([plus, minus])
+            long = np.concatenate([omega[b][::-1], omega[a][1:]])
+            da, db = spread(d[a], a + 1), spread(d[b], b + 1)
+            part = np.broadcast_shapes(da.shape, db.shape)
+            part = path if part == shape else np.empty(part)
+            ops = [np.abs(da), np.abs(db), da < 0, db < 0, part]
+            with np.nditer(ops, ["external_loop", "buffered"],  # chunks of numpy's buffer size
+                           [["readonly"]] * 4 + [["writeonly"]]) as chunks:
+                for fa, fb, sa, sb, out in chunks:
+                    at = np.minimum(fa, fb)
+                    np.add(at, len(plus), out=at, where=sa != sb)
+                    out[...] = diag[at]
+                    np.subtract(fa, fb, out=at)
+                    at += len(omega[b]) - 1
+                    out += long[at]
+            np.add(part, spread(omega[n][j], 0), out=path)
+            np.minimum(stair, legs(path, (a, b)), out=stair)
         stair *= 2.0 ** (self.k - 1)
         stair += self.slack
         stair *= self.margin
         np.minimum(self.amp, stair, out=stair)
-        denom = self.denominators([spread(v, a + 1) for a, v in enumerate(d)], spread(j, 0))
+        denom = self.denominators([spread(v, a + 1) for a, v in enumerate(d)], spread(j, 0), path)
         with np.errstate(divide="ignore", invalid="ignore"):  # the zero offset, dropped
             return np.divide(stair, denom, out=stair)
 
@@ -545,12 +663,15 @@ class _Best:
 
 def _sup(prob: _Problem, limit: int | None) -> SupOutcome:
     """The outcome of :func:`_solve`, or a ``ValueError`` when no offset is
-    admissible."""
+    admissible or a difference overflows.  :meth:`_Problem.evaluate` names
+    an overflow, so numpy's overflow warnings are silenced: elsewhere an
+    overflow only makes a bound ``inf``, which keeps it sound."""
     if not prob.nearest_offsets():
         raise ValueError(f"no admissible shift for {prob.kind} differences of order {prob.k}: "
                          f"every axis they use has fewer than {prob.k} steps (grid has "
                          f"{tuple(n - 1 for n in prob.values.shape)})")
-    best, examined, upper = _solve(prob, limit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        best, examined, upper = _solve(prob, limit)
     return SupOutcome(best.q, prob.witness(best.off, best.where), examined,
                       "exhaustive" if upper is None else "interval", upper)
 

@@ -60,6 +60,13 @@ class TestNormCommand:
             assert out == ""
             assert err == "error: domain error in 'log(x1-2.0)': log of a negative value\n"
 
+    def test_overflowing_difference_exit_2(self, capsys):
+        # the default order at l = 2.5 is 3, and fl(3 * 1e308) overflows
+        code, out, err = run_cli(["norm", "--kind", "dq", "--l", "2.5", "--expr", "1e308",
+                                  "--dim", "1", "--T", "1", "--res", "8"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: joint differences of order 3 overflow: a slab's largest is nan\n"
+
     def test_missing_input_exit_2(self, capsys):
         code, _, err = run_cli(["norm", "--kind", "sup"], capsys)
         assert code == 2

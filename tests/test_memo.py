@@ -125,22 +125,23 @@ def _spy_engines(monkeypatch):
 def _spy_refinements(monkeypatch):
     """Record the lags each call to ``_Problem.refine`` computes afresh, and
     the lags it computes again although they were computed already (their
-    stored moduli are swapped for -1 during the call and must stay so)."""
+    stored moduli are swapped for -1 during the call and must stay so), for
+    every direction the table reads."""
     fresh, again = [], []
     real = pairs._Problem.refine
 
-    def refine(prob, axis, top):
-        # the first call on an axis makes its entry, with no lag computed
-        omega = prob.store.get(axis, np.full(top + 1, math.inf))
+    def refine(prob, direction, top):
+        # the first call on a direction makes its entry, with no lag computed
+        omega = prob.store.get(direction, np.full(top + 1, math.inf))
         lags = range(1, top + 1)
         done = [s for s in lags if omega[s] != math.inf]
         kept = omega[done].copy()
         omega[done] = -1.0
-        real(prob, axis, top)
-        omega = prob.store[axis]
-        again.extend(s for s in done if omega[s] != -1.0)
+        real(prob, direction, top)
+        omega = prob.store[direction]
+        again.extend((direction, s) for s in done if omega[s] != -1.0)
         omega[done] = kept
-        fresh.extend(s for s in lags if s not in done)
+        fresh.extend((direction, s) for s in lags if s not in done)
 
     monkeypatch.setattr(pairs._Problem, "refine", refine)
     return fresh, again
@@ -167,11 +168,23 @@ def test_each_supremum_runs_once_and_each_field_has_one_store(monkeypatch):
     # the joint, split-space, split-time and time suprema of u use its store
     assert len(stores) == 8
     assert all(s is stores[0] for s in stores[4:])
-    assert sorted(stores[0]) == [0, 1]  # its space and time moduli
+    assert sorted(stores[0]) == [(0, 1), (1, 0)]  # its time and space moduli
     # a modulus computed for one supremum is never computed again by another
     # supremum of the same field, and the later suprema extended its store
     assert again == []
     assert len(fresh) > computed
+
+
+def test_no_modulus_of_a_2d_field_is_computed_twice(monkeypatch):
+    # on a 2-D field the tables also read the diagonal moduli; the suprema of
+    # one field share those as well
+    fresh, again = _spy_refinements(monkeypatch)
+    u = grid("sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)", 2, 10, False)
+    holder_norm(u, 1.5)
+    diff_quotient_seminorm(u, 0.5, DiffSeminormSpec(1, 1))
+    diff_quotient_seminorm(u, 0.5, DiffSeminormSpec(1, 1), form="split")
+    assert again == []
+    assert {d for d, _ in fresh} >= {(1, 1, 0), (1, -1, 0)}
 
 
 def test_a_swapped_in_engine_computes_afresh_on_a_memoised_grid(monkeypatch):

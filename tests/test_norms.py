@@ -194,6 +194,18 @@ class TestHolderSeminorms:
         with pytest.raises(StencilError, match="at least 3"):
             holder_seminorm_space(u, 0.5, beta=(1,))
 
+    def test_field_constant_along_the_shifted_axes_is_exact_after_the_nearest_sweep(self):
+        # t is constant on each time level, so every space difference is 0
+        # and the nearest-neighbour pairs settle the value; so does x1 at
+        # each place for the time differences
+        for f, seminorm, offset in ((lambda x, t: t + 0.0 * x[0], holder_seminorm_space, ([1], 0)),
+                                    (lambda x, t: x[0] + 0.0 * t, holder_seminorm_time, ([0], 1))):
+            rep = seminorm(sample(f, T=1.0, steps=256), 0.5)
+            assert (rep.value, rep.sampling.mode) == (0.0, "exhaustive")
+            assert rep.pairs_examined == 256 * 257
+            assert (rep.witness["base"], rep.witness["steps"], rep.witness["time_step"]) == (
+                [0, 0], *offset)
+
 
 class TestFullNorms:
     def test_constant_parabolic(self):
@@ -413,6 +425,21 @@ class TestDiffQuotient:
         assert rep.pairs_examined == 2 * 256 * 257
         assert (rep.witness["base"], rep.witness["steps"], rep.witness["time_step"]) == (
             [0, 0], [1], 0)
+
+    def test_overflowing_differences_raise_a_named_error(self):
+        # a constant 1e308 at k = 3: fl(3w) overflows, and every nearest
+        # difference is nan
+        u = sample(lambda x, t: 1e308 + 0.0 * x[0], T=1.0, steps=8)
+        with pytest.raises(ValueError, match="^joint differences of order 3 overflow: "
+                                             "a slab's largest is nan$"):
+            diff_quotient_seminorm(u, 2.5, spec=DiffSeminormSpec(3, 2))
+        # the nearest differences are finite; the one across the interval,
+        # 3e308, is not
+        v = sample(lambda x, t: 1.5e308 * (2.0 * x[0] - 1.0) + 0.0 * t, T=1.0, steps=8)
+        assert math.isfinite(float(np.max(np.abs(np.diff(v.values, axis=0)))))
+        with pytest.raises(ValueError, match="^space differences of order 1 overflow: "
+                                             "a slab's largest is inf$"):
+            holder_seminorm_space(v, 0.5)
 
     def test_cusp_quotient_peaks_at_one(self):
         for steps in (16, 64, 128):

@@ -177,29 +177,43 @@ def test_pruned_engines_equal_brute_force(grid, k, exponent, forced, table_rows)
 @settings(max_examples=150, deadline=None)
 def test_moduli_grown_through_a_store_equal_one_pass(grid, kind, reaches):
     # a store filled by earlier calls, with smaller, larger or equal reaches,
-    # gives bit for bit the moduli of a single pass without one
+    # gives bit for bit the moduli of a single pass without one, along every
+    # direction the table reads
     values, h_x, h_t = grid
     if kind == "time" and not h_t:
         return
-    store, tops = {}, [0] * values.ndim
+    store, tops = {}, {}
     for r in reaches:
         grown = pairs._Problem(values, h_x, h_t, 0.5, 1, kind, store)
         alone = pairs._Problem(values, h_x, h_t, 0.5, 1, kind)
-        reach = tuple(min(r, m) for m in grown.limits) + (min(r, grown.j_hi),)
+        reach = grown.reaches(tuple(min(r, m) for m in grown.limits), min(r, grown.j_hi))
         for prob in (alone, grown):
-            for axis, top in enumerate(reach):
-                prob.refine(axis, top)
-        for axis, top in enumerate(reach):
-            assert grown.store[axis][:top + 1].tobytes() == alone.store[axis][:top + 1].tobytes()
-        tops = [max(t, s) for t, s in zip(tops, reach)]
+            for direction, top in reach:
+                prob.refine(direction, top)
+        for direction, top in reach:
+            assert (grown.store[direction][:top + 1].tobytes()
+                    == alone.store[direction][:top + 1].tobytes())
+            tops[direction] = max(tops.get(direction, 0), top)
     # the store holds the exact moduli of the lags up to the largest reach
     # so far, and no other lag is finite
-    assert sorted(store) == list(range(values.ndim))
-    for axis, omega in store.items():
-        assert np.isfinite(omega).tolist() == [s <= tops[axis] for s in range(len(omega))]
-        lines = np.moveaxis(values, axis, 0)
-        for s in range(1, tops[axis] + 1):
-            assert omega[s] == np.abs(lines[s:] - lines[:-s]).max()
+    assert sorted(store) == sorted(tops)
+    assert {d for d in store if sum(map(abs, d)) == 1} == {
+        tuple(int(i == a) for i in range(values.ndim)) for a in range(values.ndim)}
+    for direction, omega in store.items():
+        assert np.isfinite(omega).tolist() == [s <= tops[direction] for s in range(len(omega))]
+        for s in range(1, tops[direction] + 1):
+            assert omega[s] == _modulus(values, direction, s)
+
+
+def _modulus(values, direction, s) -> float:
+    """max |w(y + s v) - w(y)| over the nodes y whose both ends are nodes,
+    node by node."""
+    out = 0.0
+    for y in itertools.product(*map(range, values.shape)):
+        z = tuple(i + s * c for i, c in zip(y, direction))
+        if all(0 <= i < n for i, n in zip(z, values.shape)):
+            out = max(out, abs(float(values[z]) - float(values[y])))
+    return out
 
 
 def _box_offsets(j_lo, box, flat) -> np.ndarray:
@@ -222,8 +236,8 @@ def test_box_bounds_of_a_slab_equal_those_of_its_rows(n, kind, k, exponent, scal
     prob = pairs._Problem(values, h_x, 1 / (shape[-1] - 1), exponent, k, kind)
     if prob.j_hi < prob.j_lo:
         return
-    for axis, top in enumerate(prob.limits + (prob.j_hi,)):
-        prob.refine(axis, top)
+    for direction, top in prob.reaches(prob.limits, prob.j_hi):
+        prob.refine(direction, top)
     box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
     for lead in range(1, len(box)):
         rows = math.prod(box[:lead])
@@ -237,6 +251,42 @@ def test_box_bounds_of_a_slab_equal_those_of_its_rows(n, kind, k, exponent, scal
         row = prob.box_bounds(box, len(box), flat[nonzero])
         assert row.shape == (int(nonzero.sum()),)
         assert bound.reshape(-1)[nonzero].tobytes() == row.tobytes()
+
+
+@given(n=st.integers(2, 3), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 3),
+       exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5, 2.0]),
+       scale=st.sampled_from([1e-10, 1e-5, 1.0, 1e5, 1e10]), smooth=st.booleans(),
+       seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_box_bounds_hold_every_slab(n, kind, k, exponent, scale, smooth, seed):
+    # on 2-D and 3-D grids, where the diagonal paths take part, every
+    # canonical offset's largest quotient, its whole slab evaluated over the
+    # scalar sep^e, is at most its bound, whether a slab or a row bounds it.
+    # A smooth wave along a random direction makes the diagonal paths the
+    # smaller of the sums for many offsets
+    rng = np.random.default_rng(seed)
+    shape = tuple(int(s) for s in rng.integers(2, 8 if n == 2 else 5, n + 1))
+    if smooth:
+        grids = np.meshgrid(*(np.linspace(0.0, 1.0, s) for s in shape), indexing="ij")
+        values = np.sin(sum(c * g for c, g in zip(rng.uniform(-4.0, 4.0, n + 1), grids)) + seed)
+    else:
+        values = rng.uniform(-1.0, 1.0, shape)
+    values = values * scale
+    h_x = tuple(float(rng.choice([0.1, 1 / 3, 0.7])) / (s - 1) for s in shape[:-1])
+    prob = pairs._Problem(values, h_x, 1 / (shape[-1] - 1), exponent, k, kind)
+    if not prob.nearest_offsets():
+        return
+    for direction, top in prob.reaches(prob.limits, prob.j_hi):
+        prob.refine(direction, top)
+    box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
+    first = (math.prod(box[1:]) + 1) // 2 if prob.j_lo == 0 else 0
+    index = np.arange(first, math.prod(box))  # the canonical offsets, in enumeration order
+    quotients = np.array([prob.evaluate(tuple(off))[0]
+                          for off in _box_offsets(prob.j_lo, box, index).tolist()])
+    assert np.all(quotients <= prob.box_bounds(box, len(box), index))
+    for lead in range(1, len(box)):
+        slab = prob.box_bounds(box, lead, np.arange(math.prod(box[:lead])))
+        assert np.all(quotients <= slab.reshape(-1)[first:])
 
 
 @given(grid=grids(), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 3),
@@ -260,8 +310,8 @@ def test_lazy_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table
     first = (math.prod(box[1:]) + 1) // 2 if prob.j_lo == 0 else 0
     index = np.arange(first, math.prod(box))  # the canonical offsets, in enumeration order
     exact = pairs._Problem(values, h_x, h_t, exponent, k, kind)
-    for axis, top in enumerate(prob.limits + (prob.j_hi,)):
-        exact.refine(axis, top)
+    for direction, top in exact.reaches(prob.limits, prob.j_hi):
+        exact.refine(direction, top)
     bounds = exact.box_bounds(box, len(box), index)
     levels = np.sort(bounds)
     floor = float(levels[int(floor * (len(levels) - 1))])
@@ -324,22 +374,25 @@ def test_windows_are_sound(profile, kind, k):
 # block bounds refined before the walk read a row; the 2-D cusp and the 1-D
 # smooth joint terms of
 # order 1 also before the table was sorted lazily: value, witness, the pairs
-# decided, the mode and the upper end all stay as they were
+# decided, the mode and the upper end all stay as they were.  The 2-D terms
+# decide fewer pairs since the table's bounds take diagonal paths; the
+# staircase alone decided, in order: 202266, 4913, 206890, 145435, 11817036,
+# 35937, 45456548 and 164703
 _SMOOTH = "sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)"
 _CUSP = "((x1-0.5)^2+(x2-0.5)^2)^0.3*exp(-t)"
 _SMOOTH_1D = "sin(2*pi*x1)*exp(-t)"
 _CUSP_1D = "abs(x1-0.5)^0.6*exp(-t)"
 _PINNED = [
-    (_SMOOTH, 16, "space", 0.5, 1, 3.017377917938286, ([4, 5, 0], [0, 6], 0, 0.375), 202266),
+    (_SMOOTH, 16, "space", 0.5, 1, 3.017377917938286, ([4, 5, 0], [0, 6], 0, 0.375), 74562),
     (_SMOOTH, 16, "time", 0.5, 1, 0.6321205588285577, ([4, 4, 0], [0, 0], 16, 1.0), 4913),
-    (_SMOOTH, 16, "joint", 0.5, 1, 3.017377917938286, ([4, 5, 0], [0, 6], 0, 0.375), 206890),
-    (_SMOOTH, 16, "joint", 1.5, 2, 16.0, ([4, 8, 0], [0, 4], 0, 0.25), 145435),
+    (_SMOOTH, 16, "joint", 0.5, 1, 3.017377917938286, ([4, 5, 0], [0, 6], 0, 0.375), 79186),
+    (_SMOOTH, 16, "joint", 1.5, 2, 16.0, ([4, 8, 0], [0, 4], 0, 0.25), 126599),
     (_CUSP, 32, "space", 0.5, 1, 0.9659363289248454,
-     ([0, 32, 0], [16, -16], 0, 0.7071067811865476), 11817036),
+     ([0, 32, 0], [16, -16], 0, 0.7071067811865476), 11179806),
     (_CUSP, 32, "time", 0.5, 1, 0.5134414386945387, ([0, 0, 0], [0, 0], 32, 1.0), 35937),
     (_CUSP, 32, "joint", 0.5, 1, 0.9659363289248454,
-     ([0, 32, 0], [16, -16], 0, 0.7071067811865476), 45456548),
-    (_CUSP, 32, "joint", 1.5, 2, 45.25483399593904, ([16, 15, 0], [0, 1], 0, 0.03125), 164703),
+     ([0, 32, 0], [16, -16], 0, 0.7071067811865476), 27375014),
+    (_CUSP, 32, "joint", 1.5, 2, 45.25483399593904, ([16, 15, 0], [0, 1], 0, 0.03125), 101277),
     (_SMOOTH_1D, 256, "time", 0.25, 1, 0.6321205588285577, ([64, 0], [0], 256, 1.0), 66049),
     (_CUSP_1D, 256, "space", 0.35, 1, 0.8408964152537145, ([0, 0], [128], 0, 0.5), 98945),
     (_SMOOTH_1D, 256, "joint", 1.5, 2, 16.01100256519838, ([0, 0], [65], 0, 0.25390625),
@@ -370,10 +423,11 @@ def test_outcomes_are_pinned(source, res, kind, e, k, value, witness, examined):
 
 
 def test_interval_outcome_is_pinned(monkeypatch):
+    # 1038437 pairs decided before the diagonal paths, with the same upper end
     monkeypatch.setattr(pairs, "PAIR_LIMIT", 1_000_000)
     assert _pinned_outcome(_CUSP, 32, "joint", 0.5, 1) == pairs.SupOutcome(
         0.9659363289248454, _witness([0, 32, 0], [16, -16], 0, 0.7071067811865476, 1),
-        1038437, "interval", 4.594793419988157)
+        718171, "interval", 4.594793419988157)
 
 
 # lags whose exact modulus each 1-D res-256 term of _PINNED computes on a
@@ -505,6 +559,27 @@ def test_cusp_res32_joint_term_peak_memory():
         tracemalloc.stop()
     assert out.mode == "exhaustive"
     assert peak < 8_000_000
+
+
+def test_a_slab_of_the_table_holds_two_arrays_of_its_size():
+    # a 2-D space box of 511 x 511 offsets is one slab, all of it the plane
+    # of the one pair of axes; building its diagonal part beside the two
+    # arrays, with an index array as large, traced 5.0 slabs here
+    x = np.linspace(0.0, 1.0, 256)
+    values = (np.sin(3 * x)[:, None] * np.sin(2 * x)[None, :])[:, :, None]
+    prob = pairs._Problem(values, (1 / 255,) * 2, 0.0, 0.5, 1, "space")
+    for direction, top in prob.reaches(prob.limits, prob.j_hi):
+        prob.refine(direction, top)
+    box = (1,) + tuple(2 * m + 1 for m in prob.limits)
+    prob.scratch = None
+    tracemalloc.start()
+    try:
+        bound = prob.box_bounds(box, 1, np.arange(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound.shape == (1, 511, 511)
+    assert peak < 2.5 * bound.nbytes
 
 
 def test_walk_past_the_budget_reports_an_interval(monkeypatch):
