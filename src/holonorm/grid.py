@@ -465,6 +465,8 @@ def grid_from_csv(path) -> GridFunction:
     lattice, indices = [], []
     for label, vals in zip(labels, data[:-1]):
         uniq = np.unique(vals)
+        # a coordinate written two ways, a rounding apart, is one node
+        uniq = uniq[np.r_[True, np.diff(uniq) > LATTICE_RTOL * (uniq[-1] - uniq[0])]]
         if len(uniq) < 2:
             raise CsvFormatError(f"column {label} needs at least two distinct values")
         h = (uniq[-1] - uniq[0]) / (len(uniq) - 1)

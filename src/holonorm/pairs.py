@@ -33,16 +33,26 @@ serves them all:
    bound takes the smallest sum.  On ``sin(2 pi x1) sin(2 pi x2)`` an offset
    on a diagonal gets half its staircase bound.  Both sums have ``N + 1``
    terms, ``N`` additions, so one rounding margin covers them (see
-   ``box_bounds``).  One routine, ``refine``, computes each modulus out to
-   the radius exactly, one pass over the values per lag and direction.  The
-   moduli depend on the values alone, so the dispatchers take a
-   caller-owned ``store`` of them that the suprema of one field share and
-   extend: no lag of any direction is computed twice.
-4. The offsets whose bound reaches the seed are walked best bound first, and
-   the walk stops at the first bound below the running best: every offset
-   skipped is certified to lie below it, so the value is exact (mode
-   ``"exhaustive"``).  The table keeps each offset whose bound reaches the
-   seed as that bound and the offset's flat index in the box of offsets,
+   ``box_bounds``).  One routine, ``refine``, computes the moduli exactly,
+   one pass over the values per lag and direction; ``certified`` grows them
+   by rising lag, in batches of ``_BATCH`` lags from lag 1.  At k = 1 the
+   modulus at lag ``s`` along ``v`` is, bit for bit, the largest difference
+   of the slab of the admissible offset ``s v``, so its quotient is one the
+   walk will find: each batch that leaves lags within the radius raises the
+   floor to its largest quotient, and the radius of this direction and of
+   the ones after it shrinks to that floor's.  The moduli depend on the values alone, so
+   the dispatchers take a caller-owned ``store`` of them that the suprema
+   of one field share and extend: no lag of any direction is computed
+   twice.  The batches start at lag 1 whatever the store holds, so the
+   raised floor, and with it the radius and the table, are the same
+   whatever it holds.
+4. The offsets whose bound reaches the floor are walked best bound first,
+   and the walk stops at the first bound below the running best: every
+   offset skipped is certified to lie below it, so the value is exact (mode
+   ``"exhaustive"``).  An offset below a raised floor lies below a quotient
+   that the walk, in its total order, visits before it, so dropping it
+   changes no visit.  The table keeps each offset whose bound reaches the
+   floor as that bound and the offset's flat index in the box of offsets,
    16 bytes; the bounds are broadcast over slabs of the box from one vector
    of moduli and one of offset components per axis, the offsets themselves
    never built.  One vectorised ``sep^e`` (``denominators``) serves these
@@ -58,19 +68,19 @@ serves them all:
    evaluated in place into one scratch buffer, and only a maximum that can
    reach the best pays for the scalar ``sep^e`` and the tie scan.
 5. The dispatchers give the walk a budget of ``PAIR_LIMIT`` decided pairs.
-   Past it, or when the moduli along the axes alone would cost more than the
-   budget (see ``certified``) or more than ``_TABLE_ROWS`` offsets reach the
-   seed, the value is a floor and the outcome a certified interval (mode
-   ``"interval"``): the floor comes from the same problem on the grid
-   coarsened by two along each axis that carries offsets, whose quotients
-   are full-grid quotients at twice the offset; its witness offset, doubled,
-   and that offset's neighbours along each such axis are evaluated on the
-   full grid.  ``upper`` is the bound at the cut, or with no table
-   ``amp / (nearest separation)^e``.  A walk that has seen every admissible
-   offset is exact, whichever way it got there.  ``examined`` counts the
-   pairs decided, coarse levels included, store or not: every pair of each
-   visited offset's slab, whether evaluated or certified below the running
-   best by its window.
+   Past it, or when the moduli along the axes out to the seed's radius
+   would cost more than the budget (see ``certified``) or more than
+   ``_TABLE_ROWS`` offsets reach the floor, the value is a lower bound and
+   the outcome a certified interval (mode ``"interval"``): the lower bound
+   comes from the same problem on the grid coarsened by two along each axis
+   that carries offsets, whose quotients are full-grid quotients at twice
+   the offset; its witness offset, doubled, and that offset's neighbours
+   along each such axis are evaluated on the full grid.  ``upper`` is the
+   bound at the cut, or with no table ``amp / (nearest separation)^e``.  A
+   walk that has seen every admissible offset is exact, whichever way it
+   got there.  ``examined`` counts the pairs decided, coarse levels
+   included, store or not: every pair of each visited offset's slab,
+   whether evaluated or certified below the running best by its window.
 
 Offsets range over the canonical half-space: positive time offset, or zero
 time offset with the first nonzero spatial component positive.  Reversing a
@@ -95,6 +105,7 @@ from .grid import difference_coefficients
 PAIR_LIMIT = 50_000_000  # pairs the exact walk of a dispatcher may decide
 DEFAULT_SEED = 1729  # nothing draws from it; kept only for perfbench/refs.py, which imports it
 _TABLE_ROWS = 262_144  # offsets per slab of the offset table; a dispatcher keeps no more
+_BATCH = 32  # lags of a direction's moduli between two raises of the floor
 _EPS = np.finfo(float).eps
 
 
@@ -174,6 +185,7 @@ class _Problem:
         self.margin = 1.0 + (2.0 * self.exponent * (n + 4) + n + 12) * _EPS  # see ``box_bounds``
         self.scratch = None  # see ``evaluate``
         self.profiles = None  # see ``windows``
+        self.flat = None  # see ``refine``
         if self.store is None:
             self.store = {}
 
@@ -231,10 +243,13 @@ class _Problem:
         place; its entry is made on first use with lag 0 at 0 and every
         other lag at ``inf``, the mark of a lag that no supremum has reached
         yet.  Each such lag is one pass into ``scratch``: along an axis over
-        a copy of the values with that axis first, along a diagonal from two
-        slices of the values.  The maximum and the minimum of the signed
-        differences give it with one pass fewer than their absolute values,
-        and bit for bit: negation is exact."""
+        a copy of the values with that axis first, kept in ``flat`` for the
+        next batch of the same axis, along a diagonal from two slices of the
+        values.  The maximum and the minimum of the signed differences give
+        it with one pass fewer than their absolute values, and bit for bit:
+        negation is exact.  So ``omega_v(s)`` is also the largest
+        ``|w(y) - w(y + s v)|`` that :meth:`evaluate` finds at k = 1 on the
+        slab of the offset ``s v``."""
         v = self.values
         if direction not in self.store:
             omega = np.full(min(n for n, c in zip(v.shape, direction) if c), np.inf)
@@ -248,7 +263,10 @@ class _Problem:
         if sum(map(abs, direction)) == 1:
             # a flat offset in the axis-first copy: no slices to build per
             # lag, and contiguous along time, where two slices are strided
-            flat = np.ascontiguousarray(np.moveaxis(v, direction.index(1), 0)).reshape(-1)
+            if self.flat is None or self.flat[0] != direction:
+                self.flat = direction, np.ascontiguousarray(
+                    np.moveaxis(v, direction.index(1), 0)).reshape(-1)
+            flat = self.flat[1]
             width = flat.size // len(omega)
 
             def differences(s):  # w(y + s e_a) - w(y) over every y
@@ -454,22 +472,51 @@ class _Problem:
     # -- the table ----------------------------------------------------------------
 
     def certified(self, floor: float, limit: int | None):
-        """The offsets whose quotient bound reaches ``floor``, as a
-        :class:`_Table` that sorts them by bound, descending, ties in
-        enumeration order.  With a ``limit``, ``None`` when the moduli along
-        the axes would cost more than ``limit`` pairs, one pass over the
-        values per lag, or when more than ``_TABLE_ROWS`` offsets are kept.
-        The diagonals' passes are not counted (at most as many as the axes'
-        in 2-D, twice as many in 3-D): counted, they would make some exact
-        2-D res-64 suprema of the acceptance suite intervals.
+        """The offsets whose quotient bound reaches ``floor``, or the floor
+        the moduli raise, as a :class:`_Table` that sorts them by bound,
+        descending, ties in enumeration order.  With a ``limit``, ``None``
+        when the moduli along the axes out to the radius of ``floor`` would
+        cost more than ``limit`` pairs, one pass over the values per lag, or
+        when more than ``_TABLE_ROWS`` offsets are kept.  The diagonals'
+        passes are not counted (at most as many as the axes' in 2-D, twice
+        as many in 3-D): counted, they would make some exact 2-D res-64
+        suprema of the acceptance suite intervals.
 
-        Only offsets within the separation ``r`` where the global bound,
-        raised by a relative 1e-12 that dwarfs its rounding, meets ``floor``
-        are bounded (an axis component alone is at most the separation), in
-        slabs of about ``_TABLE_ROWS`` offsets, time offset outermost; the
-        moduli reach as far, every one of them exact: :meth:`refine` computes
-        them, once per direction of :meth:`reaches`.
+        Each direction of :meth:`reaches` is refined by rising lag, in
+        batches of ``_BATCH`` lags from lag 1, out to the radius of the floor
+        (see :meth:`_box`).  At k = 1 each batch that leaves lags within it
+        raises the floor to the batch's largest quotient (``_batch_best``),
+        which is what :meth:`evaluate` returns at that offset, and the radius
+        shrinks with it.  Every offset within the final radius is bounded,
+        in slabs of about ``_TABLE_ROWS`` offsets, time offset outermost, and
+        the rows whose bound reaches the final floor are kept.  The batches
+        do not depend on the store, so neither do the floor, the box and the
+        table.
         """
+        limits, j_hi = self._box(floor)
+        if limit is not None and (sum(limits) + j_hi) * self.values.size > limit:
+            return None
+        box = None  # the box of the raised floor, once raised
+        for direction, top in self.reaches(limits, j_hi):
+            s = 0
+            while True:
+                if box:  # the raised floor cuts this direction and the later ones
+                    top = min(m for m, c in zip(box, direction) if c)
+                s = min(s + _BATCH, top)
+                self.refine(direction, s)
+                if s == top:
+                    break
+                if self.k == 1:
+                    floor = max(floor, self._batch_best(direction, s)[0])
+                    limits, j_hi = self._box(floor)
+                    box = limits + (j_hi,)
+        return self._table(floor, limit, limits, j_hi)
+
+    def _box(self, floor: float) -> tuple[tuple[int, ...], int]:
+        """``(limits, j_hi)`` of the offsets within the separation ``r`` where
+        the global bound, raised by a relative 1e-12 that dwarfs its
+        rounding, meets ``floor``: an axis component alone is at most the
+        separation."""
         limits, j_hi = self.limits, self.j_hi
         if floor > 0.0 and self.exponent > 0.0:
             with np.errstate(over="ignore"):
@@ -478,11 +525,20 @@ class _Problem:
             if j_hi > 0:
                 reach = r * r if self.kind == "joint" else r
                 j_hi = int(min(j_hi, reach / self.h_t + 1.0))
-        if limit is not None and (sum(limits) + j_hi) * self.values.size > limit:
-            return None
-        for direction, top in self.reaches(limits, j_hi):
-            self.refine(direction, top)
-        return self._table(floor, limit, limits, j_hi)
+        return limits, j_hi
+
+    def _batch_best(self, direction: tuple[int, ...], s: int):
+        """(quotient, offset) at the largest quotient of the ``_BATCH`` lags up
+        to ``s`` along ``direction``, k = 1: the lag is the argmax of
+        ``omega_v / sep^e`` with the vectorised ``sep^e``, and the quotient
+        the scalar one at that lag, which is what :meth:`evaluate` returns
+        for the offset ``lag v``."""
+        lags = np.arange(s - _BATCH + 1, s + 1)
+        denom = self.denominators([lags * c for c in direction[:-1]], lags * direction[-1])
+        lag = int(lags[np.argmax(self.store[direction][lags] / denom)])
+        off = tuple(lag * c for c in direction)
+        sep = separation(self.kind, off[:-1], off[-1], self.h_x, self.h_t)
+        return float(self.store[direction][lag]) / sep ** self.exponent, off
 
     def _table(self, floor: float, limit: int | None, limits: tuple[int, ...], j_hi: int):
         """The table of :meth:`certified` over the box ``limits``, ``j_hi``
@@ -494,7 +550,7 @@ class _Problem:
         most ``_TABLE_ROWS`` offsets, by every index along the others.  A
         kept row is its bound and its flat index, 16 bytes."""
         # not held while the table is built and first sorted, the peak of memory
-        self.scratch = None
+        self.scratch = self.flat = None
         box = (j_hi - self.j_lo + 1,) + tuple(2 * m + 1 for m in limits)
         lead = next(a for a in range(1, len(box)) if math.prod(box[a:]) <= _TABLE_ROWS
                     or a == len(box) - 1)

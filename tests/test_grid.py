@@ -459,6 +459,33 @@ class TestCsv:
         assert v.domain == Domain((0.0,), (1.0,))
         assert list(v.values[:, 0]) == [1.0, 2.0, 3.0]
 
+    @staticmethod
+    def _lattice_4x4(last_x1):
+        # x1 = 0, 0.1, 0.2, 0.3 by x2 = 0..3; the last row writes its x1 as given
+        rows = [f"{x!r},{y!r},{4 * i + j}" for i, x in enumerate((0.0, 0.1, 0.2, 0.3))
+                for j, y in enumerate((0.0, 1.0, 2.0, 3.0))]
+        rows[-1] = f"{last_x1!r},3.0,15"
+        return rows
+
+    def test_node_written_two_ways_is_one_node(self, tmp_path):
+        # 0.1 + 0.2 is 0.30000000000000004, one ulp from 0.3: the same node
+        # within the lattice tolerance, not a fifth x1 coordinate
+        assert 0.1 + 0.2 != 0.3
+        text = "x1,x2,u\n" + "\n".join(self._lattice_4x4(0.1 + 0.2)) + "\n"
+        u = grid_from_csv(self._write(tmp_path, text))
+        assert u.values.shape == (4, 4, 1)
+        assert u.values[:, :, 0].tolist() == np.arange(16.0).reshape(4, 4).tolist()
+
+    def test_node_written_two_ways_twice_is_a_duplicate(self, tmp_path):
+        # the same node once as 0.3 and once as 0.30000000000000004, in place
+        # of the row (0.3, 2.0): a duplicate, named at its second row
+        rows = self._lattice_4x4(0.3)
+        rows[-2] = f"{0.1 + 0.2!r},3.0,14"
+        text = "x1,x2,u\n" + "\n".join(rows) + "\n"
+        with pytest.raises(CsvFormatError) as info:
+            grid_from_csv(self._write(tmp_path, text))
+        assert str(info.value) == "row 17: duplicate lattice node"
+
     def test_duplicate_node_named(self, tmp_path):
         # duplicate (0,1) hides the missing (1,1); the row count still matches
         text = "x1,x2,u\n0.0,0.0,1\n0.0,1.0,2\n1.0,0.0,3\n0.0,1.0,2\n"

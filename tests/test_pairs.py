@@ -11,12 +11,14 @@ import oracles
 from holonorm import (
     DiffSeminormSpec,
     Domain,
+    check,
     diff_quotient_seminorm,
     holder_seminorm_space,
     make_grid_function,
     pairs,
 )
 from holonorm.expr import as_grid_callable, parse
+from test_acceptance import PARABOLIC_VARIANTS, _spec_for, expr_grid
 from test_memo import _spy_refinements
 
 
@@ -431,19 +433,172 @@ def test_interval_outcome_is_pinned(monkeypatch):
 
 
 # lags whose exact modulus each 1-D res-256 term of _PINNED computes on a
-# fresh store, every lag out to the table's radius: the work no outcome
-# shows.  While the moduli past lag 16 started from block bounds that the
-# table refined for the rows it sorted: 66, 114, 117 and 128.
+# fresh store: the work no outcome shows.  Every lag out to the seed's radius
+# took 256, 256, 256 and 512; the floor raised by the moduli's own quotients
+# cuts the space and the order-1 joint terms.  The time term keeps 256: its
+# supremum lies at the last lag.  While the moduli past lag 16 started from
+# block bounds that the table refined for the rows it sorted: 66, 114, 117
+# and 128.
 @pytest.mark.parametrize("source, kind, e, k, lags", [
     (_SMOOTH_1D, "time", 0.25, 1, 256),
-    (_CUSP_1D, "space", 0.35, 1, 256),
+    (_CUSP_1D, "space", 0.35, 1, 129),
     (_SMOOTH_1D, "joint", 1.5, 2, 256),
-    (_SMOOTH_1D, "joint", 0.5, 1, 512),
+    (_SMOOTH_1D, "joint", 0.5, 1, 163),
 ])
 def test_modulus_work_is_pinned(monkeypatch, source, kind, e, k, lags):
     fresh, again = _spy_refinements(monkeypatch)
     _pinned_outcome(source, 256, kind, e, k)
     assert (len(fresh), again) == (lags, [])
+
+
+def test_modulus_work_of_the_1d_smooth_grid_is_pinned(monkeypatch):
+    # the five parabolic variants of the benchmark's 1-D smooth grid at res
+    # 256, sharing the grid's stores as a check of all five does: every lag
+    # out to the seed's radius took 1,024 lags; a change that widens the
+    # moduli's reach shows here
+    fresh, again = _spy_refinements(monkeypatch)
+    u = expr_grid("sin(2*pi*x1)*exp(-t)", 1, 256, 256, 1.0)
+    for variant in PARABOLIC_VARIANTS:
+        check(_spec_for(variant, 1, 0.5, 0.75, 1.5), u)
+    assert (len(fresh), again) == (753, [])
+
+
+def _certify(prob, floor, limit=None):
+    """``prob.certified(floor, limit)``, the floor at which its table kept
+    rows (``None`` without a table), and the (quotient, offset) of the
+    largest quotient of each batch of moduli read for a raise."""
+    kept, raises = [], []
+    table_of, best_of = pairs._Problem._table, pairs._Problem._batch_best
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pairs._Problem, "_table",
+                   lambda self, f, *a: kept.append(f) or table_of(self, f, *a))
+        mp.setattr(pairs._Problem, "_batch_best",
+                   lambda self, *a: raises.append(best_of(self, *a)) or raises[-1])
+        table = prob.certified(floor, limit)
+    return table, (kept or [None])[0], raises
+
+
+def _assert_raises_are_quotients(prob, seed, floor, raises):
+    # each batch's quotient is, bit for bit, the one the walk gets at its
+    # offset, an admissible one; the floor is the largest of them and the seed
+    box = prob.limits + (prob.j_hi,)
+    for q, off in raises:
+        assert all(abs(c) <= m for c, m in zip(off, box)) and off[-1] >= prob.j_lo
+        assert q == prob.evaluate(off)[0]
+    assert floor == max([seed] + [q for q, _ in raises])
+    if prob.k >= 2:
+        assert raises == [] and floor == seed
+
+
+@given(n=st.integers(1, 3), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 3),
+       exponent=st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9, 1.5]),
+       scale=st.sampled_from([1e-10, 1e-5, 1.0, 1e5, 1e10]), smooth=st.booleans(),
+       extra=st.integers(1, 6), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_raised_floor_is_sound(n, kind, k, exponent, scale, smooth, extra, seed):
+    # one axis that the kind moves along is long enough for more than one
+    # batch of moduli; the floor certified ends with is a quotient of the
+    # problem, at most its supremum, and the walk from it is exact
+    rng = np.random.default_rng(seed)
+    axis = n if kind == "time" else int(rng.integers(0, n + (kind == "joint")))
+    shape = [2] * n + [2 if kind == "time" or n < 3 else 1]
+    shape[axis] = k * (pairs._BATCH + extra) + 1
+    if smooth:
+        grids = np.meshgrid(*(np.linspace(0.0, 1.0, s) for s in shape), indexing="ij")
+        values = np.sin(sum(c * g for c, g in zip(rng.uniform(-6.0, 6.0, n + 1), grids)) + seed)
+    else:
+        values = rng.uniform(-1.0, 1.0, shape)
+    values = values * scale
+    h_x = tuple(float(rng.choice([0.1, 1 / 3, 0.7])) / (s - 1) for s in shape[:-1])
+    h_t = 1.0 / (shape[-1] - 1) if shape[-1] > 1 else 0.0
+    prob = pairs._Problem(values, h_x, h_t, exponent, k, kind)
+    start = max(prob.evaluate(off)[0] for off in prob.nearest_offsets())
+    _, floor, raises = _certify(prob, start)
+    _assert_raises_are_quotients(prob, start, floor, raises)
+    value, first = oracles.kdiff_argsup_loops(values, h_x, h_t, exponent, k, kind)
+    assert floor <= value
+    out = pairs._sup(pairs._Problem(values, h_x, h_t, exponent, k, kind), pairs.PAIR_LIMIT)
+    assert (out.mode, out.value, list(_offset_of(out.witness))) == ("exhaustive", value,
+                                                                    list(first))
+
+
+@pytest.mark.parametrize("kind", ["space", "joint"])
+@pytest.mark.parametrize("source", ["sin(x1-2*x2)*exp(-t)", "(x1-x2)^3+0.3*x2"])
+def test_diagonal_raises_are_quotients(kind, source):
+    # on a 2-D grid whose values change slowly along the axes, the floor the
+    # axes raise leaves both spatial axes longer than a batch, and the
+    # diagonals' moduli raise it too; their quotients are the walk's as well
+    u = make_grid_function(Domain((0.0, 0.0), (1.0, 1.0), 1.0), 64, 2,
+                           as_grid_callable(parse(source, 2)))
+    prob = pairs._Problem(u.values, u.h_x, u.h_t, 0.5, 1, kind)
+    start = max(prob.evaluate(off)[0] for off in prob.nearest_offsets())
+    _, floor, raises = _certify(prob, start)
+    _assert_raises_are_quotients(prob, start, floor, raises)
+    assert any(0 not in off[:2] for _, off in raises)
+    exact = pairs.kdiff_quotient_sup_exhaustive(u.values, u.h_x, u.h_t, 0.5, 1, kind == "joint")
+    assert start < floor <= exact.value
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("space", (513, 2)), ("time", (2, 513)), ("joint", (513, 2)), ("joint", (2, 513))])
+def test_batch_best_is_the_walks_quotient(kind, shape):
+    # every batch of 32 lags along the long axis: the quotient that raises
+    # the floor is the scalar one that evaluate returns at its offset, not
+    # the vectorised one (np.power and ** differ in about 5% of these
+    # separations at these exponents), and the largest of the batch's
+    # quotients up to that rounding
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, shape)
+    direction = (1, 0) if shape[0] > 2 else (0, 1)
+    for e in (0.1, 0.35, 0.75, 1.5):
+        prob = pairs._Problem(values, (0.7 / (shape[0] - 1),), 1.0 / (shape[1] - 1), e, 1, kind)
+        prob.refine(direction, 512)
+        quotients = [None] + [prob.evaluate((s * direction[0], s * direction[1]))[0]
+                              for s in range(1, 513)]
+        for s in range(pairs._BATCH, 513):
+            q, off = prob._batch_best(direction, s)
+            assert q == quotients[sum(off)]
+            assert q >= max(quotients[s - pairs._BATCH + 1:s + 1]) * (1.0 - 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("source, n, res, target, other", [
+    # an order-1 joint term after a time term, a space term after a joint
+    # one, a time term after a joint one, and a 2-D space term after a joint
+    # one, with the diagonals; each other term reaches lags the first does not
+    (_SMOOTH_1D, 1, 128, ("joint", 0.5), ("time", 0.1)),
+    (_CUSP_1D, 1, 128, ("space", 0.35), ("joint", 0.9)),
+    (_SMOOTH_1D, 1, 128, ("time", 0.25), ("joint", 0.75)),
+    (_SMOOTH, 2, 40, ("space", 0.5), ("joint", 0.25)),
+])
+def test_floor_does_not_depend_on_the_store(source, n, res, target, other):
+    # certified on a fresh store, and on one that another supremum of the
+    # same field grew first, keeps the same rows at the same floor; so does
+    # the row guard, set to the rows kept and to one fewer
+    u = make_grid_function(Domain((0.0,) * n, (1.0,) * n, 1.0), res, res,
+                           as_grid_callable(parse(source, n)))
+
+    def table(store, kind, e, limit=None):
+        prob = pairs._Problem(u.values, u.h_x, u.h_t, e, 1, kind, store)
+        start = max(prob.evaluate(off)[0] for off in prob.nearest_offsets())
+        return _certify(prob, start, limit) + (start,)
+
+    store, fresh = {}, {}
+    table(store, *other)
+    grown = table(store, *target)
+    alone = table(fresh, *target)
+    assert grown[1:] == alone[1:]
+    assert alone[1] > alone[3]  # the floor was raised
+    # the other supremum computed lags that the target alone does not read
+    assert any(np.isfinite(store[v]).sum() > np.isfinite(fresh[v]).sum() for v in fresh)
+    for out in (grown[0], alone[0]):
+        assert out.box == alone[0].box
+        for got, want in zip(out.waiting, alone[0].waiting):
+            assert got.tobytes() == want.tobytes()
+    rows = len(alone[0].waiting[0])
+    for guard in (rows, rows - 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pairs, "_TABLE_ROWS", guard)
+            decided = [table(s, *target, pairs.PAIR_LIMIT)[0] is None for s in (store, {})]
+        assert decided == [guard < rows] * 2
 
 
 def test_ties_go_to_first_offset_in_enumeration_order():
@@ -497,9 +652,9 @@ def _global_bound_pairs(u, l, k) -> int:
     per-offset bounds."""
     prob = pairs._Problem(u.values, u.h_x, u.h_t, l, k, "joint")
     seed = max(prob.evaluate(off)[0] for off in prob.nearest_offsets())
-    table = prob.certified(0.0, None)
-    table.upto(prob.count, 0.0)
-    off = table.offs
+    box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
+    first = (math.prod(box[1:]) + 1) // 2 if prob.j_lo == 0 else 0
+    off = _box_offsets(prob.j_lo, box, np.arange(first, math.prod(box)))
     off = off[prob.amp / prob.denominators(off[:, :-1].T, off[:, -1]) >= seed]
     return int(np.prod(np.asarray(u.values.shape) - k * np.abs(off), axis=1).sum())
 
