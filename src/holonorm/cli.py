@@ -22,7 +22,7 @@ import time
 from . import __version__
 from . import expr as expr_mod
 from .grid import Domain, GridFunction, grid_from_csv, make_grid_function
-from .interp import InterpSpec, Variant, check
+from .interp import InterpSpec, Variant, _resolution_of, check
 from .norms import (
     DiffSeminormSpec,
     diff_quotient_seminorm,
@@ -233,7 +233,9 @@ def cmd_norm(cfg: dict) -> int:
         spec = DiffSeminormSpec(cfg.get("k", default.k), cfg.get("lt", default.l_t))
         report = diff_quotient_seminorm(u, l_val, spec, cfg.get("form", "joint"))
 
-    _emit(_envelope(cfg, {"report": report.to_json_dict()}), cfg.get("out"))
+    # the lattice, defaults and CSV included, as a check report records it
+    _emit(_envelope(cfg, {"report": report.to_json_dict(), "resolution": _resolution_of(u)}),
+          cfg.get("out"))
     return 0
 
 

@@ -8,7 +8,8 @@ reads.  Variables are ``x1 .. xN`` and ``t``; ``pi`` and ``e`` are named
 constants.  Evaluation is plain IEEE-754 double arithmetic and refuses to
 produce non-finite numbers: ``log``/``sqrt`` of a negative argument, division
 by zero, a negative base with a fractional exponent, and overflow all raise a
-domain error naming the offending sub-expression.
+domain error naming the offending sub-expression.  A numeric literal that
+overflows, such as ``1e400``, is already a syntax error naming its offset.
 """
 
 from __future__ import annotations
@@ -102,9 +103,11 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
                         i += 1
             text = source[start:i]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ExprSyntaxError(f"bad number {text!r} at offset {start}") from None
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} at offset {start} overflows")
             tokens.append(("num", text, start))
             continue
         if c.isalpha() or c == "_":

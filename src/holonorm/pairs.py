@@ -57,10 +57,9 @@ serves them all:
    of moduli and one of offset components per axis, the offsets themselves
    never built.  One vectorised ``sep^e`` (``denominators``) serves these
    bounds and the windows below; the scalar :func:`separation` is the
-   denominator of every reported quotient.  The table is sorted lazily:
-   when the walk needs more rows, the largest bounds left, with their ties,
-   are partitioned out, sorted and unravelled into offsets, and the rows
-   below the running best are dropped.
+   denominator of every reported quotient.  The table is sorted once, when
+   it is built, by bound, descending, ties in enumeration order; the walk
+   unravels into offsets only the rows it reads that reach the running best.
    Past the first 8 offsets a walk reads, each is evaluated only on a window
    of its slab: the base rows of axis 0 and the base time levels whose pairs
    can still reach the running best, by the max and the min of the values
@@ -473,7 +472,8 @@ class _Problem:
 
     def certified(self, floor: float, limit: int | None):
         """The offsets whose quotient bound reaches ``floor``, or the floor
-        the moduli raise, as a :class:`_Table` that sorts them by bound,
+        the moduli raise, as ``(box, bounds, index)``: each offset's bound
+        and flat index into ``box`` (see :meth:`_table`), sorted by bound,
         descending, ties in enumeration order.  With a ``limit``, ``None``
         when the moduli along the axes out to the radius of ``floor`` would
         cost more than ``limit`` pairs, one pass over the values per lag, or
@@ -548,8 +548,9 @@ class _Problem:
         flat index is the enumeration order.  Each slab is a run of flat
         indices over its leading axes, the fewest whose other axes hold at
         most ``_TABLE_ROWS`` offsets, by every index along the others.  A
-        kept row is its bound and its flat index, 16 bytes."""
-        # not held while the table is built and first sorted, the peak of memory
+        kept row is its bound and its flat index, 16 bytes; the rows are
+        sorted once, here, by bound, descending."""
+        # not held while the table is built and sorted, the peak of memory
         self.scratch = self.flat = None
         box = (j_hi - self.j_lo + 1,) + tuple(2 * m + 1 for m in limits)
         lead = next(a for a in range(1, len(box)) if math.prod(box[a:]) <= _TABLE_ROWS
@@ -571,7 +572,12 @@ class _Problem:
             at += start * inner + skip
             index.append(at)
         bounds, index = (np.concatenate(p) if len(p) > 1 else p[0] for p in (bounds, index))
-        return _Table(box, self.j_lo, bounds, index)
+        # the kept flat indices ascend, so a stable sort keeps ties in
+        # enumeration order; the unsorted bounds go before the indices are
+        # sorted, which holds one array of the table fewer
+        order = np.argsort(-bounds, kind="stable")
+        bounds = bounds[order]
+        return box, bounds, index[order]
 
     def box_bounds(self, box: tuple[int, ...], lead: int, rows: np.ndarray) -> np.ndarray:
         """Upper bounds on every computed quotient over a slab of the box of
@@ -670,41 +676,6 @@ class _Problem:
             return np.divide(stair, denom, out=stair)
 
 
-class _Table:
-    """The rows of a certified table, sorted lazily by bound, descending,
-    ties in enumeration order: ``offs`` and ``bounds`` hold the sorted
-    prefix, and the other rows wait as (bound, flat index into ``box``)."""
-
-    def __init__(self, box: tuple[int, ...], j_lo: int, bounds: np.ndarray, index: np.ndarray):
-        self.box = box
-        self.shift = np.array([m // 2 for m in box[1:]] + [-j_lo])  # box index - (d, j)
-        self.waiting = bounds, index
-        self.offs = np.empty((0, len(box)), dtype=np.intp)
-        self.bounds = np.empty(0)
-
-    def upto(self, stop: int, floor: float) -> int:
-        """The number of rows sorted, once at least ``stop`` are or no row
-        at or above ``floor`` waits; the rows below ``floor``, the running
-        best, are dropped, as the walk stops before them.
-
-        An extension at least doubles the prefix: the largest waiting bounds
-        are partitioned out, every row tied with the smallest of them, the
-        cut, included, sorted by bound, descending, then by flat index, and
-        unravelled into offsets ``(d, j)``."""
-        if len(self.bounds) < stop and len(self.waiting[0]):
-            bounds, index = self.waiting
-            rest = len(bounds) - max(stop - len(self.bounds), len(self.bounds))
-            cut = max(np.partition(bounds, rest)[rest] if rest > 0 else -math.inf, floor)
-            wait, batch = (bounds < cut) & (bounds >= floor), bounds >= cut
-            self.waiting = bounds[wait], index[wait]
-            bounds, index = bounds[batch], index[batch]
-            perm = np.lexsort((index, -bounds))
-            idx = np.unravel_index(index[perm], self.box)
-            self.offs = np.concatenate([self.offs, np.array(idx[1:] + idx[:1]).T - self.shift])
-            self.bounds = np.concatenate([self.bounds, bounds[perm]])
-        return len(self.bounds)
-
-
 class _Best:
     """Running maximum; ties go to the earliest offset in enumeration order."""
 
@@ -789,23 +760,27 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
     return best, examined, max(best.q, cut)
 
 
-def _walk(prob: _Problem, table: _Table, best: _Best):
-    """The table's rows as (offset, bound, window) in the order of their
-    bounds, descending, ties in enumeration order.  The table sorts a row
-    only once the walk reads up to it (:meth:`_Table.upto`); it drops the
-    rows below the running best, where the walk ends.
+def _walk(prob: _Problem, table, best: _Best):
+    """The rows of the sorted ``table`` of :meth:`_Problem.certified` as
+    (offset, bound, window), up to the first bound below the running best.
 
-    The rows come in chunks of 8 up to 128, each with its windows
-    (:meth:`_Problem.windows`) at the running best of the chunk's start;
-    the best only rises, so they hold for the whole chunk.  The first chunk
-    evaluates whole slabs: most walks end within 8 rows (those of
-    ``matrix-1d`` read about 5), and there the windows cost more than they
-    save."""
+    The rows come in chunks of 8 up to 128, each cut at the first bound
+    below the running best of its start, where the walk ends, and only then
+    unravelled into offsets ``(d, j)``, with their windows
+    (:meth:`_Problem.windows`) at that best; the best only rises, so they
+    hold for the whole chunk.  The first chunk evaluates whole slabs: most
+    walks end within 8 rows (those of ``matrix-1d`` read about 5), and there
+    the windows cost more than they save."""
+    box, bounds, index = table
+    shift = np.array([m // 2 for m in box[1:]] + [-prob.j_lo])  # box index - (d, j)
     start, size = 0, 8
-    while table.upto(start + size, best.q) > start and table.bounds[start] >= best.q:
-        rows = table.offs[start:start + size]
+    while start < len(bounds) and bounds[start] >= best.q:
+        chunk = bounds[start:start + size]
+        chunk = chunk[:np.count_nonzero(chunk >= best.q)]
+        idx = np.unravel_index(index[start:start + len(chunk)], box)
+        rows = np.array(idx[1:] + idx[:1]).T - shift
         windows = prob.windows(rows, best.q) if size > 8 else [None] * len(rows)
-        yield from zip(map(tuple, rows.tolist()), table.bounds[start:start + size], windows)
+        yield from zip(map(tuple, rows.tolist()), chunk, windows)
         start, size = start + len(rows), min(2 * size, 128)
 
 

@@ -139,6 +139,35 @@ class TestNormCommand:
         assert (report["kind"], report["value"]) == ("elliptic", 2.0)
         assert sorted(report["breakdown"].values()) == [1.0, 1.0]
 
+    def test_norm_records_its_default_lattice(self, capsys):
+        # the box [0, 1] and T = 0 are defaults that no flag names
+        code, out, _ = run_cli(["norm", "--expr", "x1", "--kind", "sup", "--res", "8"], capsys)
+        assert code == 0
+        assert json.loads(out)["resolution"] == {
+            "N": 1, "spatial_steps": [8], "time_steps": 0, "box": [[0.0, 1.0]], "T": 0.0}
+
+    def test_norm_records_the_lattice_of_a_csv(self, capsys, tmp_path):
+        grid = tmp_path / "grid.csv"
+        grid.write_text("x1,t,u\n" + "".join(f"{x},{t},{x * t}\n" for t in (0.0, 0.25)
+                                              for x in (1.0, 1.5, 2.0)))
+        code, out, _ = run_cli(["norm", "--csv", str(grid), "--kind", "sup"], capsys)
+        assert code == 0
+        assert json.loads(out)["resolution"] == {
+            "N": 1, "spatial_steps": [2], "time_steps": 1, "box": [[1.0, 2.0]], "T": 0.25}
+
+    def test_overflowing_literal_exit_2(self, capsys):
+        code, out, err = run_cli(["norm", "--expr", "max(1e400, x1)", "--res", "4",
+                                  "--kind", "sup"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: number '1e400' at offset 4 overflows\n"
+
+    @pytest.mark.parametrize("kind, flag", [("holder", "alpha"), ("holder-time", "exponent")])
+    def test_holder_without_its_exponent_exit_2(self, capsys, kind, flag):
+        code, out, err = run_cli(["norm", "--expr", "x1*t", "--T", "1", "--res", "4",
+                                  "--kind", kind], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --{flag} (or --l) is required for --kind {kind}\n"
+
 
 class TestCheckCommand:
     def test_trivial_zero_function(self, capsys):

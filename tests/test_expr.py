@@ -68,11 +68,19 @@ class TestParse:
         ("x1 $ 2", "unexpected character '$' at offset 3"),
         ("sin(x1 x1)", "expected ')' at offset 7, got 'x1'"),
         ("x1 x1", "trailing input 'x1' at offset 3"),
-    ], ids=["bad-number", "unexpected-character", "unclosed-call", "trailing-input"])
+        ("1e400", "number '1e400' at offset 0 overflows"),
+        ("x1+1e999", "number '1e999' at offset 3 overflows"),
+    ], ids=["bad-number", "unexpected-character", "unclosed-call", "trailing-input",
+            "overflowing-number", "overflowing-number-later"])
     def test_syntax_error_message(self, source, message):
         with pytest.raises(ExprSyntaxError) as info:
             parse(source, 1)
         assert str(info.value) == message
+
+    def test_underflowing_number_is_zero(self):
+        # only a literal that overflows is refused; one below the smallest
+        # subnormal rounds to 0, as float() gives it
+        assert parse("1e-400", 1) == Expr("num", value=0.0)
 
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValueError, match="^dimension must be >= 1, got 0$"):

@@ -204,6 +204,11 @@ class TestKthDifference:
         u = make_grid_function(unit_interval(), 4, 0, lambda x, t: x[0])
         assert kth_difference(u, (3,), ParabolicShift((0.25,)), 2) is None
 
+    def test_order_zero_rejected(self):
+        u = make_grid_function(unit_interval(), 4, 0, lambda x, t: x[0])
+        with pytest.raises(ValueError, match="^difference order must be >= 1, got 0$"):
+            kth_difference(u, (0,), ParabolicShift((0.25,)), 0)
+
     def test_last_translate_on_the_box_edge(self):
         u = make_grid_function(Domain((0.0,), (1.0,), 1.0), 4, 4, lambda x, t: x[0] ** 2 + t)
         H = ParabolicShift((0.25,), 0.25)
@@ -341,6 +346,11 @@ class TestCoarsen:
         u = make_grid_function(unit_interval(), 5, 0, lambda x, t: x[0])
         with pytest.raises(ValueError):
             coarsen(u, 2)
+
+    def test_factor_zero_rejected(self):
+        u = make_grid_function(unit_interval(), 4, 0, lambda x, t: x[0])
+        with pytest.raises(ValueError, match="^coarsening factor must be >= 1, got 0$"):
+            coarsen(u, 0)
 
 
 class TestCsv:
@@ -504,6 +514,30 @@ class TestImmutability:
         u = make_grid_function(unit_interval(), 4, 0, lambda x, t: x[0])
         with pytest.raises(ValueError):
             u.values[0, 0] = 5.0
+
+    def test_values_of_another_shape_rejected(self):
+        with pytest.raises(ValueError) as info:
+            GridFunction(unit_interval(), (4,), 0, np.zeros((4, 1)))
+        assert str(info.value) == "values shape (4, 1) does not match grid shape (5, 1)"
+
+
+class TestNodeIndex:
+    def test_wrong_length_rejected(self):
+        # a space-time grid needs the time index too
+        u = make_grid_function(unit_interval(1.0), 4, 4, lambda x, t: x[0])
+        with pytest.raises(ValueError) as info:
+            u.value_at((1,))
+        assert str(info.value) == "index (1,) has wrong length for a 1+time grid"
+
+    @pytest.mark.parametrize("index, message", [
+        ((5, 0), "index component 5 out of range [0, 4] on axis 0"),
+        ((0, -1), "index component -1 out of range [0, 2] on axis 1"),
+    ])
+    def test_component_out_of_range_rejected(self, index, message):
+        u = make_grid_function(unit_interval(1.0), 4, 2, lambda x, t: x[0])
+        with pytest.raises(IndexError) as info:
+            u.value_at(index)
+        assert str(info.value) == message
 
 
 class TestMultiIndex:

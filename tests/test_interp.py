@@ -111,6 +111,18 @@ class TestExponent:
         with pytest.raises(ValueError, match="intermediate"):
             InterpSpec(variant="2.2", l1=0.0, l2=1.5, N=1)
 
+    @pytest.mark.parametrize("variant, kwargs, message", [
+        ("2.3.1", dict(l2=0.0, p=2), "l2 must be positive, got 0.0"),
+        ("2.3.1", dict(l2=-0.5, p=2), "l2 must be positive, got -0.5"),
+        ("2.11", dict(l1=-0.5, l2=1.5, p=2), "l1 must be nonnegative, got -0.5"),
+        ("2.2", dict(l1=0.0, l=1.5, l2=1.5), "need l1 < l < l2, got 0.0, 1.5, 1.5"),
+        ("2.1", dict(l1=0.0, l=0.0, l2=1.5), "need l1 < l < l2, got 0.0, 0.0, 1.5"),
+    ], ids=["l2-zero", "l2-negative", "l1-negative", "l-at-l2", "l-at-l1"])
+    def test_index_out_of_range_is_rejected(self, variant, kwargs, message):
+        with pytest.raises(ValueError) as info:
+            InterpSpec(variant=variant, N=1, **kwargs)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("variant, kwargs, field", [
         ("2.3.1", dict(l2=1.5, p=2, l=0.7), "l"),
         ("2.11", dict(l1=0.5, l2=1.5, p=2, l=0.7), "l"),
@@ -186,6 +198,10 @@ class TestCheck:
             check(InterpSpec(variant="2.11", l2=1.5, p=2, N=1), u_parab)
         with pytest.raises(ValueError, match="space-time"):
             check(InterpSpec(variant="2.3.1", l2=1.5, p=2, N=1), u_ell)
+
+    def test_spec_and_grid_dimensions_must_agree(self):
+        with pytest.raises(ValueError, match="^spec has N=2 but the grid has N=1$"):
+            check(InterpSpec(variant="2.3.1", l2=1.5, p=2, N=2), sample_expr("x1*t", steps=8))
 
     def test_seminorm_zero_branch(self):
         # constant function: quotient seminorm 0 but sup > 0; the report takes
@@ -269,6 +285,16 @@ class TestTwoTermBound:
         # stationary point (q B / l A)^(1/(l+q)) = 3^(1/4)
         assert float(vals.min()) == pytest.approx(3 ** 0.25 + 3 ** -0.75, rel=1e-6)
         assert float(vals.min()) == pytest.approx(1.7547653506033232, rel=1e-6)
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1.0, 1.0, 1.0, 1.0), "coefficients must be nonnegative, got A=-1.0, B=1.0"),
+        ((1.0, 1.0, 0.0, 1.0), "exponents must be positive, got l=0.0, q=1.0"),
+        ((1.0, 1.0, -0.5, 1.0), "exponents must be positive, got l=-0.5, q=1.0"),
+    ], ids=["negative-A", "l-zero", "l-negative"])
+    def test_invalid_bound_rejected(self, args, message):
+        with pytest.raises(ValueError) as info:
+            TwoTermBound(*args)
+        assert str(info.value) == message
 
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(ValueError):
@@ -410,6 +436,12 @@ class TestReconstructionBound:
         with pytest.raises(ValueError, match="leave the box"):
             pointwise_reconstruction_bound(u, 0.5, 3, (3, 0), H, seminorm=1.0)
 
+    def test_order_zero_rejected(self):
+        u = sample_expr("x1*t", steps=4)
+        with pytest.raises(ValueError, match="^difference order must be >= 1, got 0$"):
+            pointwise_reconstruction_bound(u, 0.5, 0, (0, 0), ParabolicShift((0.25,), 0.25),
+                                           seminorm=1.0)
+
     def test_box_checked_before_the_seminorm(self, monkeypatch):
         # a node whose translates leave the box is rejected without computing
         # the order-k seminorm the bound would need
@@ -435,6 +467,11 @@ class TestTimeSeminormBound:
             ratios.append(out["ratio"])
         assert abs(ratios[1] / ratios[0] - 1) < 0.2
         assert abs(ratios[2] / ratios[1] - 1) < 0.2
+
+    def test_spatial_grid_rejected(self):
+        u = sample_expr("sin(2*x1)", steps=8, T=0.0)
+        with pytest.raises(ValueError, match="^parabolic seminorm needs a positive time horizon$"):
+            time_seminorm_bound(u, 1.5)
 
     def test_time_independent_lhs_zero(self):
         u = sample_expr("sin(2*x1)", steps=12)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from holonorm import (
     DiffSeminormSpec,
     Domain,
     GridFunction,
+    HoelderIndex,
     MultiIndex,
     SamplingInfo,
     StencilError,
@@ -188,6 +190,33 @@ class TestHolderSeminorms:
         u = sample(lambda x, t: x[0])
         with pytest.raises(ValueError, match=r"\(0,1\)"):
             holder_seminorm_space(u, 1.0)
+
+    @pytest.mark.parametrize("exponent", [0.0, 1.5])
+    def test_time_exponent_outside_its_range_rejected(self, exponent):
+        u = sample(lambda x, t: x[0] * t, T=1.0, steps=4)
+        with pytest.raises(ValueError) as info:
+            holder_seminorm_time(u, exponent)
+        assert str(info.value) == f"temporal Hoelder exponent must lie in (0,1], got {exponent}"
+
+    def test_time_seminorm_on_a_spatial_grid_rejected(self):
+        with pytest.raises(ValueError, match="^time seminorm needs a positive time horizon$"):
+            holder_seminorm_time(sample(lambda x, t: x[0], steps=4), 0.5)
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError) as info:
+            HoelderIndex(-1)
+        assert str(info.value) == "regularity index must be finite and >= 0, got -1.0"
+
+    @pytest.mark.parametrize("beta, l_t", [((-1,), 0), ((0,), -1)])
+    def test_negative_derivative_order_rejected(self, beta, l_t):
+        u = sample(lambda x, t: x[0] * t, T=1.0, steps=4)
+        with pytest.raises(ValueError, match="^derivative orders must be nonnegative$"):
+            derivative_field(u, beta, l_t)
+
+    def test_time_derivative_on_a_spatial_grid_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^time derivative requested on a purely spatial grid$"):
+            derivative_field(sample(lambda x, t: x[0], steps=4), (0,), 1)
 
     def test_stencil_too_coarse(self):
         u = make_grid_function(interval(), 1, 0, lambda x, t: x[0])
@@ -425,6 +454,11 @@ class TestDiffQuotient:
         assert rep.pairs_examined == 2 * 256 * 257
         assert (rep.witness["base"], rep.witness["steps"], rep.witness["time_step"]) == (
             [0, 0], [1], 0)
+
+    def test_unknown_form_rejected(self):
+        u = sample(lambda x, t: x[0] * t, T=1.0, steps=4)
+        with pytest.raises(ValueError, match="^form must be 'joint' or 'split', got 'both'$"):
+            diff_quotient_seminorm(u, 0.5, form="both")
 
     def test_overflowing_differences_raise_a_named_error(self):
         # a constant 1e308 at k = 3: fl(3w) overflows, and every nearest
@@ -747,6 +781,17 @@ class TestWitnesses:
             assert rep.witness["order"] == rep.params.get("k", 1)
         for grid, rep in reports + quotients:
             assert witness_value(grid, rep) == rep.value, rep.kind
+
+    def test_report_without_a_witness_rejected(self):
+        u = sample(lambda x, t: x[0], steps=4)
+        with pytest.raises(ValueError, match="^report of kind 'lp' carries no witness$"):
+            witness_value(u, lp_norm(u, 2))
+
+    def test_report_of_unknown_kind_rejected(self):
+        u = sample(lambda x, t: x[0], steps=4)
+        report = dataclasses.replace(sup_norm(u), kind="mystery")
+        with pytest.raises(ValueError, match="^no witness re-evaluation for kind 'mystery'$"):
+            witness_value(u, report)
 
     def test_report_serialization(self):
         import json

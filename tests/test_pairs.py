@@ -84,9 +84,9 @@ def _assert_bounds_sound(values, h_x, h_t, e, k, kind):
     prob = pairs._Problem(values, h_x, h_t, e, k, kind)
     if not prob.nearest_offsets():
         return
-    table = prob.certified(0.0, None)
-    assert table.upto(prob.count + 1, 0.0) == prob.count
-    table, bounds = table.offs, table.bounds
+    box, bounds, index = prob.certified(0.0, None)
+    assert len(bounds) == prob.count
+    table = _box_offsets(prob.j_lo, box, index)
     offsets = [tuple(int(v) for v in row) for row in table]
     slabs = [_slab_quotients(prob, off) for off in offsets]
     for off, (_, q), bound in zip(offsets, slabs, bounds):
@@ -293,17 +293,14 @@ def test_box_bounds_hold_every_slab(n, kind, k, exponent, scale, smooth, seed):
 
 @given(grid=grids(), kind=st.sampled_from(["space", "time", "joint"]), k=st.integers(1, 3),
        exponent=st.sampled_from([0.1, 0.5, 0.9, 1.5]),
-       table_rows=st.sampled_from([4, 32, pairs._TABLE_ROWS]), floor=st.floats(0.0, 1.0),
-       steps=st.lists(st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+       table_rows=st.sampled_from([4, 32, pairs._TABLE_ROWS]), floor=st.floats(0.0, 1.0))
 @settings(max_examples=150, deadline=None)
-def test_lazy_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table_rows, floor,
-                                                  steps):
-    # at a floor and a running best drawn from the bounds themselves (exact
-    # ties), the lazily sorted rows are a prefix of every canonical offset
-    # with a bound at the floor, stably sorted by that bound, descending, the
-    # bounds computed one row at a time; each extension sorts at least as
-    # many rows as asked for, or every row at the best, and none below the
-    # best.  The best is never below the floor, as in the walk
+def test_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table_rows, floor):
+    # at a floor drawn from the bounds themselves (exact ties), the table
+    # holds every canonical offset whose bound, computed one row at a time,
+    # reaches the floor, sorted by that bound, descending, ties in
+    # enumeration order.  The ties profile and the mirrored offsets (d, j)
+    # and (-d, j) of joint boxes tie many bounds exactly
     values, h_x, h_t = grid
     prob = pairs._Problem(values, h_x, h_t, exponent, k, kind)
     if not prob.nearest_offsets():
@@ -315,52 +312,16 @@ def test_lazy_table_sorts_like_a_full_stable_sort(grid, kind, k, exponent, table
     for direction, top in exact.reaches(prob.limits, prob.j_hi):
         exact.refine(direction, top)
     bounds = exact.box_bounds(box, len(box), index)
-    levels = np.sort(bounds)
-    floor = float(levels[int(floor * (len(levels) - 1))])
-    order = np.argsort(-bounds, kind="stable")
+    floor = float(np.sort(bounds)[int(floor * (len(bounds) - 1))])
+    order = np.lexsort((index, -bounds))
     order = order[bounds[order] >= floor]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pairs, "_TABLE_ROWS", table_rows)
-        table = prob.certified(floor, None)
-    _assert_sorts_lazily(table, _box_offsets(prob.j_lo, box, index[order]), bounds[order],
-                         levels[levels >= floor], steps)
-
-
-def _assert_sorts_lazily(table, offs, bounds, levels, steps):
-    # offs and bounds: the rows of a full stable sort; the best rises to
-    # the levels drawn by the steps
-    best, have = -math.inf, 0
-    for stop, rise in steps:
-        best = max(best, float(levels[int(rise * (len(levels) - 1))]))
-        n = table.upto(have + stop, best)
-        assert table.offs.tolist() == offs[:n].tolist()
-        assert table.bounds.tobytes() == bounds[:n].tobytes()
-        assert np.all(table.bounds[have:] >= best)
-        assert n >= min(have + stop, int(np.sum(bounds >= best)))
-        have = n
-
-
-@given(box=st.lists(st.integers(1, 12), min_size=2, max_size=3),
-       kind=st.sampled_from(["joint", "time"]), levels=st.integers(1, 4),
-       seed=st.integers(0, 2**16),
-       steps=st.lists(st.tuples(st.integers(0, 300), st.floats(0.0, 1.0)), min_size=1, max_size=8))
-@settings(max_examples=150, deadline=None)
-def test_lazy_table_keeps_ties_in_enumeration_order(box, kind, levels, seed, steps):
-    # kept rows with a few distinct bounds, hundreds tied with each: every
-    # extension takes all the rows tied with its smallest bound, and the
-    # ties come in enumeration order
-    rng = np.random.default_rng(seed)
-    # box[0] time offsets from j_lo, and box[a] spatial steps either way on
-    # axis a unless the kind keeps the place
-    values = np.zeros(tuple(m + 1 for m in box[1:]) + (box[0] + (kind == "time"),))
-    prob = pairs._Problem(values, (1.0,) * (len(box) - 1), 1.0, 0.5, 1, kind)
-    box = (prob.j_hi - prob.j_lo + 1,) + tuple(2 * m + 1 for m in prob.limits)
-    index = np.flatnonzero(rng.random(math.prod(box)) < 0.7)
-    bounds = rng.integers(0, levels, len(index)).astype(float)
-    table = pairs._Table(box, prob.j_lo, bounds, index)
-    offs = _box_offsets(prob.j_lo, box, index)
-    order = np.argsort(-bounds, kind="stable")
-    _assert_sorts_lazily(table, offs[order], bounds[order], np.arange(levels), steps)
+        kept, got, at = prob.certified(floor, None)
+    # the floor's radius may shrink the box; the offsets are the same
+    assert got.tobytes() == bounds[order].tobytes()
+    assert (_box_offsets(prob.j_lo, kept, at).tobytes()
+            == _box_offsets(prob.j_lo, box, index[order]).tobytes())
 
 
 @pytest.mark.parametrize("profile", ["random", "smooth", "cusp", "ties", "constant"])
@@ -589,11 +550,12 @@ def test_floor_does_not_depend_on_the_store(source, n, res, target, other):
     assert alone[1] > alone[3]  # the floor was raised
     # the other supremum computed lags that the target alone does not read
     assert any(np.isfinite(store[v]).sum() > np.isfinite(fresh[v]).sum() for v in fresh)
+    box = alone[0][0]
     for out in (grown[0], alone[0]):
-        assert out.box == alone[0].box
-        for got, want in zip(out.waiting, alone[0].waiting):
+        assert out[0] == box
+        for got, want in zip(out[1:], alone[0][1:]):
             assert got.tobytes() == want.tobytes()
-    rows = len(alone[0].waiting[0])
+    rows = len(alone[0][1])
     for guard in (rows, rows - 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pairs, "_TABLE_ROWS", guard)
@@ -702,9 +664,9 @@ def test_cusp_res32_joint_term_is_exact():
 
 
 def test_cusp_res32_joint_term_peak_memory():
-    # the table keeps a bound and a flat index per row and sorts only the rows
-    # the walk reads; enumerating, filtering and sorting the offsets of the
-    # whole box traced 11.0 MB here
+    # the table keeps a bound and a flat index per row, 16 bytes, and
+    # unravels only the rows the walk reads into offsets; enumerating,
+    # filtering and sorting the offsets of the whole box traced 11.0 MB here
     args = _cusp_res32_joint_args()
     tracemalloc.start()
     try:

@@ -1,6 +1,6 @@
 import pytest
 
-from holonorm import Domain, InterpSpec, check
+from holonorm import Domain, InterpSpec, check, search
 from holonorm.search import Family, build_candidate, random_search, refine_search
 
 
@@ -12,6 +12,10 @@ class TestFamilies:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             Family(kind="fourier")
+
+    def test_no_terms_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one term$"):
+            Family(kind="trig", n_terms=0)
 
     def test_rough_gamma_respects_high_index(self):
         fam = Family(kind="rough", gamma_range=(0.1, 1.0))
@@ -100,6 +104,24 @@ class TestRandomSearch:
         with pytest.raises(ValueError, match="degenerate"):
             random_search(SPEC_231, fam, budget=5, seed=0, resolution=8)
 
+    def test_members_without_a_ratio_are_degenerate(self, monkeypatch):
+        # zero frequencies and decays draw only nonzero constants, whose
+        # seminorm vanishes: every check forms no ratio
+        statuses = []
+
+        def spied(spec, u):
+            report = check(spec, u)
+            statuses.append(report.status)
+            return report
+
+        monkeypatch.setattr(search, "check", spied)
+        fam = Family(kind="trig", freq_range=(0.0, 0.0), decay_range=(0.0, 0.0))
+        with pytest.raises(ValueError) as info:
+            random_search(SPEC_231, fam, budget=5, seed=0, resolution=8)
+        assert str(info.value) == ("family 'trig' is degenerate: 50 consecutive members below "
+                                   "amplitude tolerance or without a ratio")
+        assert statuses == ["seminorm_zero"] * 50
+
     def test_budget_validation(self):
         with pytest.raises(ValueError, match="budget"):
             random_search(SPEC_231, Family(kind="trig"), budget=0, seed=0)
@@ -149,3 +171,15 @@ class TestRefineSearch:
         u = build_candidate(out.best_expression, SPEC_231, domain, 16, 16)
         rep = check(SPEC_231, u)
         assert rep.ratio == pytest.approx(out.best_ratio, rel=1e-10)
+
+    def test_negative_steps_rejected(self):
+        start = random_search(SPEC_231, Family(kind="trig"), budget=1, seed=0, resolution=8)
+        with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
+            refine_search(start, Family(kind="trig"), steps=-1)
+
+    def test_mismatched_family_rejected(self):
+        start = random_search(SPEC_231, Family(kind="trig"), budget=1, seed=0, resolution=8)
+        with pytest.raises(ValueError) as info:
+            refine_search(start, Family(kind="bump"), steps=1)
+        assert str(info.value) == ("refinement family 'bump' does not match the start "
+                                   "result's family 'trig'")
