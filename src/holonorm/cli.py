@@ -34,7 +34,8 @@ from .norms import (
     sup_norm,
     sup_t_lp_norm,
 )
-from .search import Family, SearchResult, build_candidate, random_search, refine_search
+from .search import (FAMILIES, Family, SearchResult, build_candidate, random_search,
+                     refine_search)
 
 VARIANTS = [v.value for v in Variant]
 
@@ -284,7 +285,7 @@ def cmd_check(cfg: dict) -> int:
 def cmd_search(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
     seed = cfg.get("seed", 0)
-    family = Family(kind=cfg.get("family", "trig"))
+    family = Family(kind=cfg.get("family", FAMILIES[0]))
     res = cfg.get("res", "64")
     if "," in res:
         raise InputError(f"--res of search takes one number of steps for every axis, "
@@ -355,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_norm = sub.add_parser("norm", help="compute a norm or seminorm")
     _add_input_flags(p_norm)
-    p_norm.add_argument("--kind", choices=["sup", "lp", "sup-t-lp", "holder",
-                                           "holder-time", "parabolic", "elliptic", "dq"])
+    p_norm.add_argument("--kind", choices=list(_NORM_READS))
     p_norm.add_argument("--l", type=float, help="regularity index (or Hoelder exponent)")
     p_norm.add_argument("--p", type=float, help="Lebesgue exponent")
     p_norm.add_argument("--alpha", type=float, help="spatial Hoelder exponent")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="maximize a ratio over a family")
     _add_spec_flags(p_search)
     p_search.add_argument("--dim", type=int)
-    p_search.add_argument("--family", choices=["trig", "bump", "rough"])
+    p_search.add_argument("--family", choices=FAMILIES)
     p_search.add_argument("--budget", type=int)
     p_search.add_argument("--seed", type=int, help="seed of the search's random draws")
     p_search.add_argument("--res", help="steps per spatial axis")

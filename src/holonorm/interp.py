@@ -289,6 +289,9 @@ class TwoTermBound:
     q: float
 
     def __post_init__(self):
+        for name in ("A", "B", "l", "q"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.A < 0 or self.B < 0:
             raise ValueError(f"coefficients must be nonnegative, got A={self.A}, B={self.B}")
         if self.l <= 0 or self.q <= 0:

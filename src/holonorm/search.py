@@ -29,7 +29,7 @@ history.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,13 +40,18 @@ from .pairs import DEFAULT_SEED
 
 AMPLITUDE_TOL = 1e-12
 _MAX_RESAMPLES = 50
+FAMILIES = ("trig", "bump", "rough")
 
 
 @dataclass(frozen=True)
 class Family:
-    """A parametric candidate family with samplable bounds."""
+    """A parametric candidate family with samplable bounds.
 
-    kind: str  # "trig" | "bump" | "rough"
+    Each family is written once, in ``_render``: ``param_spec`` and
+    ``expression`` both read that one walk over its parameters.
+    """
+
+    kind: str  # one of FAMILIES
     n_terms: int = 3
     freq_range: tuple[float, float] = (1.0, 16.0)
     amp_range: tuple[float, float] = (-1.0, 1.0)
@@ -55,83 +60,75 @@ class Family:
     gamma_range: tuple[float, float] = (0.5, 1.5)
 
     def __post_init__(self):
-        if self.kind not in ("trig", "bump", "rough"):
+        if self.kind not in FAMILIES:
             raise ValueError(f"unknown family kind {self.kind!r}")
+        object.__setattr__(self, "n_terms", as_int(self.n_terms, "n_terms"))
         if self.n_terms < 1:
             raise ValueError("need at least one term")
-
-    # -- sampling ---------------------------------------------------------
+        for name in [f.name for f in fields(self) if f.name.endswith("_range")]:
+            bounds = getattr(self, name)
+            try:
+                lo, hi = (float(v) for v in bounds)
+            except (TypeError, ValueError):
+                lo = hi = math.nan
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+                raise ValueError(f"{name} must be two finite numbers lo <= hi, got {bounds!r}")
+            object.__setattr__(self, name, (lo, hi))
 
     def param_spec(self, spec: InterpSpec, domain: Domain) -> list[tuple[str, float, float]]:
-        """Name and bounds of every scalar parameter of one candidate."""
-        n = spec.N
+        """Name and bounds of every scalar parameter of one candidate, in the
+        order the searches draw them."""
         out: list[tuple[str, float, float]] = []
-        if self.kind == "trig":
-            for j in range(self.n_terms):
-                out.append((f"a{j}", *self.amp_range))
-                for a in range(n):
-                    out.append((f"w{j}_{a}", *self.freq_range))
-                out.append((f"phi{j}", 0.0, 2.0 * math.pi))
-                out.append((f"mu{j}", *self.decay_range))
-            return out
-        if self.kind == "bump":
-            out.append(("a", *self.amp_range))
-            for a in range(n):
-                lo, hi = domain.space_lower[a], domain.space_upper[a]
-                out.append((f"c{a}", lo, hi))
-                ext = hi - lo
-                out.append((f"w{a}", self.width_range[0] * ext, self.width_range[1] * ext))
-            if domain.time_horizon > 0:
-                out.append(("v", -1.0, 1.0))
-            return out
-        # rough
-        gamma_lo = max(self.gamma_range[0], _fractional_part(spec.l2))
-        out.append(("a", *self.amp_range))
-        out.append(("gamma", gamma_lo, max(self.gamma_range[1], gamma_lo + 0.5)))
-        for a in range(n):
-            out.append((f"c{a}", domain.space_lower[a], domain.space_upper[a]))
-        out.append(("mu", *self.decay_range))
+
+        def record(name: str, lo: float, hi: float) -> float:
+            out.append((name, lo, hi))
+            return lo
+
+        self._render(record, spec, domain)
         return out
 
     def expression(self, params: dict[str, float], spec: InterpSpec, domain: Domain) -> str:
         """Render a candidate's parameters as expression source."""
-        n = spec.N
+        return self._render(lambda name, lo, hi: params[name], spec, domain)
+
+    def _render(self, p, spec: InterpSpec, domain: Domain) -> str:
+        """The one walk over a candidate's parameters: ``p(name, lo, hi)``
+        gives each parameter's value, called in draw order, and the values
+        are rendered as expression source.  ``trig`` and ``rough`` draw their
+        decay rates ``mu`` on a T = 0 box too, where the source has no time
+        factor."""
+        n, lower, upper = spec.N, domain.space_lower, domain.space_upper
         parabolic = domain.time_horizon > 0
         if self.kind == "trig":
             terms = []
             for j in range(self.n_terms):
-                phase = "+".join(
-                    [f"{params[f'w{j}_{a}']!r}*x{a + 1}" for a in range(n)]
-                    + [repr(params[f"phi{j}"])]
-                )
-                term = f"{params[f'a{j}']!r}*sin({phase})"
-                if parabolic:
-                    term += f"*exp(-{params[f'mu{j}']!r}*t)"
-                terms.append(term)
+                a = p(f"a{j}", *self.amp_range)
+                phase = "+".join([f"{p(f'w{j}_{i}', *self.freq_range)!r}*x{i + 1}"
+                                  for i in range(n)]
+                                 + [repr(p(f"phi{j}", 0.0, 2.0 * math.pi))])
+                mu = p(f"mu{j}", *self.decay_range)
+                terms.append(f"{a!r}*sin({phase})" + (f"*exp(-{mu!r}*t)" if parabolic else ""))
             return "+".join(terms)
         if self.kind == "bump":
-            factors = [repr(params["a"])]
-            for a in range(n):
-                c, w = params[f"c{a}"], params[f"w{a}"]
-                if parabolic and a == 0:
-                    center = f"({c!r}+{params['v']!r}*t)"
-                else:
-                    center = repr(c)
-                s = f"((x{a + 1}-{center})/{w!r})"
+            factors = [repr(p("a", *self.amp_range))]
+            axes = []
+            for i in range(n):
+                w_lo, w_hi = (frac * (upper[i] - lower[i]) for frac in self.width_range)
+                axes.append([repr(p(f"c{i}", lower[i], upper[i])), repr(p(f"w{i}", w_lo, w_hi))])
+            if parabolic:  # the first axis's centre drifts with t
+                axes[0][0] = f"({axes[0][0]}+{p('v', -1.0, 1.0)!r}*t)"
+            for i, (center, width) in enumerate(axes):
+                s = f"((x{i + 1}-{center})/{width})"
                 factors.append(f"exp(1-1/(1-min({s}*{s},0.999999)))")
             return "*".join(factors)
         # rough
-        r2 = "+".join(
-            f"(x{a + 1}-{params[f'c{a}']!r})*(x{a + 1}-{params[f'c{a}']!r})" for a in range(n)
-        )
-        body = f"{params['a']!r}*sqrt({r2})^{params['gamma']!r}"
-        if parabolic:
-            body += f"*exp(-{params['mu']!r}*t)"
-        return body
-
-
-def _fractional_part(l: float) -> float:
-    return l - math.floor(l)
+        gamma_lo = max(self.gamma_range[0], spec.l2 - math.floor(spec.l2))
+        a = p("a", *self.amp_range)
+        gamma = p("gamma", gamma_lo, max(self.gamma_range[1], gamma_lo + 0.5))
+        centers = [repr(p(f"c{i}", lower[i], upper[i])) for i in range(n)]
+        mu = p("mu", *self.decay_range)
+        r2 = "+".join(f"(x{i + 1}-{c})*(x{i + 1}-{c})" for i, c in enumerate(centers))
+        return f"{a!r}*sqrt({r2})^{gamma!r}" + (f"*exp(-{mu!r}*t)" if parabolic else "")
 
 
 @dataclass
@@ -277,6 +274,8 @@ def refine_search(
     steps = as_int(steps, "steps")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if not (math.isfinite(step_scale) and step_scale >= 0):
+        raise ValueError(f"step_scale must be finite and >= 0, got {step_scale}")
     if family.kind != start.family_kind:
         raise ValueError(
             f"refinement family {family.kind!r} does not match the start "

@@ -413,6 +413,15 @@ class TestSearchCommand:
         assert len(payload["result"]["history"]) == 1
         assert payload["result"]["history"][0] == payload["result"]["best_ratio"]
 
+    @pytest.mark.parametrize("step_scale", ["nan", "-0.5"])
+    def test_bad_step_scale_exit_2(self, step_scale, capsys, tmp_path):
+        code, out, err = run_cli(self._args(tmp_path, "bad") + [
+            "--refine-steps", "3", "--step-scale", step_scale], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: step_scale must be finite and >= 0, got {float(step_scale)}" in err
+        assert not (tmp_path / "bad.json").exists()
+
 
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):

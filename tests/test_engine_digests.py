@@ -1,21 +1,28 @@
-"""Every output of the benchmark's fixed checks and of criterion 7, pinned.
+"""Every output of the benchmark's fixed checks, of criterion 7 and of the
+benchmark's searches, pinned.
 
 Each check's report, serialised as JSON with sorted keys, is hashed with
-SHA-256 and compared with the table below: values, witnesses, modes,
-``upper`` and ``pairs_examined`` included.  A change that moves an output on
-purpose re-pins the table (``python tests/test_engine_digests.py`` prints it)
-and says which outputs moved and why.  The floats, and so the digests, are
+SHA-256 and compared with the tables below: values, witnesses, modes,
+``upper`` and ``pairs_examined`` included.  Each of ``sweep-2d``'s three
+``holonorm search`` runs is pinned the same way at two fixed seeds: its JSON
+report (without ``generated_at`` and the output paths) and its history CSV.
+A change that moves an output on purpose re-pins the tables
+(``python tests/test_engine_digests.py`` prints them) and says which outputs
+moved and why.  The floats, and so the digests, are
 those of Python 3.11 and numpy 2.4.6, as in ``test_pairs.test_outcomes_are_pinned``.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import sys
+import tempfile
 from unittest import mock
 
-from holonorm import check
+from holonorm import check, cli
 from test_acceptance import ELLIPTIC_VARIANTS, FIXTURES, PARABOLIC_VARIANTS, _spec_for, expr_grid
 from test_bench_contract import PERFBENCH, checks
 
@@ -28,8 +35,8 @@ with mock.patch.dict(sys.modules, {"checks": checks, _spec.name: workloads}):
     _spec.loader.exec_module(workloads)
 
 
-def _digest(report) -> str:
-    return hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode()).hexdigest()
+def _digest(payload: dict) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def _fixed_checks():
@@ -52,18 +59,54 @@ def _criterion_7_checks():
                     yield f"criterion-7/{n}d/{name}/{variant}/res{steps}", check(spec, u)
 
 
-def _assert_pinned(reports, pinned):
-    got = {key: _digest(rep) for key, rep in reports}
+SEARCH_SEEDS = (1234, 20240921)
+
+
+def _search_outputs(workdir):
+    """(key, digest) of the JSON report and the history CSV of each of
+    ``sweep-2d``'s searches at each of ``SEARCH_SEEDS``."""
+    budget, steps, res = workloads.SEARCH_SIZE[False]
+    spec = workloads.SEARCH_SPEC
+    out, history = os.path.join(workdir, "search.json"), os.path.join(workdir, "history.csv")
+    for seed in SEARCH_SEEDS:
+        for family in workloads.SEARCH_FAMILIES:
+            argv = ["search", "--variant", spec["variant"], "--dim", str(spec["N"]),
+                    "--family", family, "--budget", str(budget), "--refine-steps", str(steps),
+                    "--res", str(res), "--seed", str(seed), "--out", out,
+                    "--history-csv", history]
+            for name in ("l1", "l2", "p"):
+                argv += [f"--{name}", repr(spec[name])]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            with open(out) as fh:
+                payload = json.load(fh)
+            del payload["generated_at"], payload["config"]["out"], payload["config"]["history-csv"]
+            key = f"search/{family}/seed{seed}"
+            yield f"{key}/json", _digest(payload)
+            with open(history, "rb") as fh:
+                yield f"{key}/csv", hashlib.sha256(fh.read()).hexdigest()
+
+
+def _assert_pinned(digests, pinned):
+    got = dict(digests)
     moved = sorted(key for key in got.keys() | pinned.keys() if got.get(key) != pinned.get(key))
-    assert not moved, f"{len(moved)} of {len(pinned)} checks moved: {moved}"
+    assert not moved, f"{len(moved)} of {len(pinned)} outputs moved: {moved}"
+
+
+def _digests(reports):
+    return ((key, _digest(rep.to_json_dict())) for key, rep in reports)
 
 
 def test_fixed_checks_are_pinned():
-    _assert_pinned(_fixed_checks(), FIXED)
+    _assert_pinned(_digests(_fixed_checks()), FIXED)
 
 
 def test_criterion_7_checks_are_pinned():
-    _assert_pinned(_criterion_7_checks(), CRITERION_7)
+    _assert_pinned(_digests(_criterion_7_checks()), CRITERION_7)
+
+
+def test_searches_are_pinned(tmp_path):
+    _assert_pinned(_search_outputs(tmp_path), SEARCHES)
 
 
 FIXED = {
@@ -268,9 +311,27 @@ CRITERION_7 = {
     "criterion-7/2d/bump/2.11/res64": "c67b3662e15a349abf10e39b15cbe2529ebfdca92022a609e2157c2485777d31",
 }
 
+SEARCHES = {
+    "search/trig/seed1234/json": "7226687a7e1b64214d4f3f067f89ad02b606227eed470429d5a77cb9823f7b19",
+    "search/trig/seed1234/csv": "c67e5a0753ed53549b844c7d963ace1b1786ceecd792f6a574a624a036b83dba",
+    "search/bump/seed1234/json": "730aafdab88c924d262243572505a1e4c4eef5d7c4aeb101e7bc2a49ddbad6c2",
+    "search/bump/seed1234/csv": "7b46eb376efce958d337029ef0585863270a3c7c757cd4dc51940422eb4e2fe7",
+    "search/rough/seed1234/json": "1b8d206cfd8499bc18aeb0982bee8130fb334846b4ade829f262d3c1ca33b21f",
+    "search/rough/seed1234/csv": "656d3e0c41cba9b1dffadae0a2a849f2b175eedff55f73e8d60aeaa2479677e7",
+    "search/trig/seed20240921/json": "d813225eef1a2dbe933ffa527c382f71722c10ba556b3281bf1f3e556a911c2f",
+    "search/trig/seed20240921/csv": "38ea20d84505e5357874dbc4ec2b5903b2d2175f9a7bcd088b85cb5e1f3fd4e1",
+    "search/bump/seed20240921/json": "a2c27b8bbae4cee0259c8f71cf25e7184792450072779ac3d4744425e9ef259d",
+    "search/bump/seed20240921/csv": "75562fffa908c2726517ee6f1abaf31a4318aff70bbe45fa56dc7aac267a9e88",
+    "search/rough/seed20240921/json": "e9b1f58c82ae023f45dcd884f5dd86e90237c67522fef0fcf8fef7c498419aa1",
+    "search/rough/seed20240921/csv": "3e70af531d788f0f9a153ee9672cf42c9ec8d96ef06b4ccf62c61ca7529a3e87",
+}
+
 if __name__ == "__main__":
-    for table, reports in (("FIXED", _fixed_checks()), ("CRITERION_7", _criterion_7_checks())):
-        print(f"{table} = {{")
-        for key, rep in reports:
-            print(f'    "{key}": "{_digest(rep)}",')
-        print("}\n")
+    with tempfile.TemporaryDirectory() as workdir:
+        for table, digests in (("FIXED", _digests(_fixed_checks())),
+                               ("CRITERION_7", _digests(_criterion_7_checks())),
+                               ("SEARCHES", _search_outputs(workdir))):
+            print(f"{table} = {{")
+            for key, digest in digests:
+                print(f'    "{key}": "{digest}",')
+            print("}\n")

@@ -124,6 +124,12 @@ class TestEvaluate:
             ev("1/x1", (0.0,))
         with pytest.raises(ExprDomainError, match="fractional exponent"):
             ev("(-2)^0.5")
+        with pytest.raises(ExprDomainError) as info:
+            ev("0^-1")
+        assert str(info.value) == ("domain error in '0.0^-1.0': zero base with a negative "
+                                   "exponent")
+        with pytest.raises(ExprDomainError, match="zero base with a negative exponent"):
+            ev("pow(x1, -2)", (0.0,))
         with pytest.raises(ExprDomainError, match="not finite"):
             ev("exp(1000000)")
 

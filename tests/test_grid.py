@@ -41,6 +41,13 @@ class TestDomain:
         with pytest.raises(ValueError, match="lower < upper"):
             Domain((1.0,), (0.0,))
 
+    @pytest.mark.parametrize("lower, upper", [((), ()), ((0.0,), (1.0, 2.0))])
+    def test_rejects_unmatched_or_empty_bounds(self, lower, upper):
+        with pytest.raises(ValueError) as info:
+            Domain(lower, upper)
+        assert str(info.value) == (f"need matching nonempty bounds, got {len(lower)} lower / "
+                                   f"{len(upper)} upper")
+
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             Domain((0.0,), (1.0,), -1.0)

@@ -290,7 +290,11 @@ class TestTwoTermBound:
         ((-1.0, 1.0, 1.0, 1.0), "coefficients must be nonnegative, got A=-1.0, B=1.0"),
         ((1.0, 1.0, 0.0, 1.0), "exponents must be positive, got l=0.0, q=1.0"),
         ((1.0, 1.0, -0.5, 1.0), "exponents must be positive, got l=-0.5, q=1.0"),
-    ], ids=["negative-A", "l-zero", "l-negative"])
+        ((math.nan, 1.0, 1.0, 1.0), "A must be finite, got nan"),
+        ((1.0, math.inf, 1.0, 1.0), "B must be finite, got inf"),
+        ((1.0, 1.0, math.nan, 1.0), "l must be finite, got nan"),
+        ((1.0, 1.0, 1.0, math.inf), "q must be finite, got inf"),
+    ], ids=["negative-A", "l-zero", "l-negative", "A-nan", "B-inf", "l-nan", "q-inf"])
     def test_invalid_bound_rejected(self, args, message):
         with pytest.raises(ValueError) as info:
             TwoTermBound(*args)

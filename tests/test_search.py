@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from holonorm import Domain, InterpSpec, check, search
@@ -16,6 +18,30 @@ class TestFamilies:
     def test_no_terms_rejected(self):
         with pytest.raises(ValueError, match="^need at least one term$"):
             Family(kind="trig", n_terms=0)
+
+    @pytest.mark.parametrize("n_terms", [2.5, "3"])
+    def test_non_integer_terms_rejected(self, n_terms):
+        with pytest.raises(ValueError) as info:
+            Family(kind="trig", n_terms=n_terms)
+        assert str(info.value) == f"n_terms must be an integer, got {n_terms!r}"
+
+    def test_integral_fields_normalised(self):
+        # an integral float is a term count, and equal range ends are allowed
+        fam = Family(kind="trig", n_terms=2.0, amp_range=(0, 0))
+        assert (fam.n_terms, fam.amp_range) == (2, (0.0, 0.0))
+        assert type(fam.n_terms) is int
+
+    @pytest.mark.parametrize("name, bounds", [
+        ("freq_range", (16.0, 1.0)),
+        ("amp_range", (math.nan, 1.0)),
+        ("decay_range", (0.0, math.inf)),
+        ("width_range", (0.05,)),
+        ("gamma_range", None),
+    ], ids=["inverted", "nan", "inf", "one-end", "none"])
+    def test_bad_range_rejected(self, name, bounds):
+        with pytest.raises(ValueError) as info:
+            Family(kind="trig", **{name: bounds})
+        assert str(info.value) == f"{name} must be two finite numbers lo <= hi, got {bounds!r}"
 
     def test_rough_gamma_respects_high_index(self):
         fam = Family(kind="rough", gamma_range=(0.1, 1.0))
@@ -176,6 +202,13 @@ class TestRefineSearch:
         start = random_search(SPEC_231, Family(kind="trig"), budget=1, seed=0, resolution=8)
         with pytest.raises(ValueError, match="^steps must be >= 0, got -1$"):
             refine_search(start, Family(kind="trig"), steps=-1)
+
+    @pytest.mark.parametrize("step_scale", [math.nan, math.inf, -0.5])
+    def test_bad_step_scale_rejected(self, step_scale):
+        start = random_search(SPEC_231, Family(kind="trig"), budget=1, seed=0, resolution=8)
+        with pytest.raises(ValueError) as info:
+            refine_search(start, Family(kind="trig"), steps=1, step_scale=step_scale)
+        assert str(info.value) == f"step_scale must be finite and >= 0, got {step_scale}"
 
     def test_mismatched_family_rejected(self):
         start = random_search(SPEC_231, Family(kind="trig"), budget=1, seed=0, resolution=8)
