@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import stat
 import sys
@@ -27,6 +28,7 @@ from .norms import (
     DiffSeminormSpec,
     diff_quotient_seminorm,
     elliptic_norm,
+    hint_from_coarser,
     holder_seminorm_space,
     holder_seminorm_time,
     lp_norm,
@@ -116,13 +118,25 @@ def _parse_box(text: str, n_dim: int) -> tuple[tuple[float, ...], tuple[float, .
     return tuple(lows), tuple(highs)
 
 
+def _counts(text: str, flag: str) -> list[int]:
+    """The positive integers of ``flag``'s comma-separated value, all of them
+    read before any grid is built."""
+    try:
+        counts = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        counts = []
+    if not counts or min(counts) < 1:
+        raise InputError(f"{flag} takes positive integers separated by ',', got {text!r}")
+    return counts
+
+
 def _parse_res(text: str, n_dim: int) -> tuple[int, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) == 1:
-        return (int(parts[0]),) * n_dim
-    if len(parts) != n_dim:
+    counts = _counts(text, "--res")
+    if len(counts) == 1:
+        return (counts[0],) * n_dim
+    if len(counts) != n_dim:
         raise InputError(f"--res needs 1 or {n_dim} integers, got {text!r}")
-    return tuple(int(p) for p in parts)
+    return tuple(counts)
 
 
 def _reject(cfg: dict, keys, why: str) -> None:
@@ -263,8 +277,14 @@ def cmd_check(cfg: dict) -> int:
         reports = [check(spec, _build_input(cfg))]
     else:
         _reject(cfg, ["res", "tres"], "with --sweep, which sets the steps of each grid")
-        sweep = [int(r) for r in sweep.split(",")]
-        reports = [check(spec, _build_input({**cfg, "res": str(res)})) for res in sweep]
+        sweep = _counts(sweep, "--sweep")
+        reports, coarse = [], None
+        for res in sweep:
+            u = _build_input({**cfg, "res": str(res)})
+            if coarse is not None:  # the witnesses of the previous resolution
+                hint_from_coarser(u, coarse)
+            reports.append(check(spec, u))
+            coarse = u
 
     body = {"reports": [r.to_json_dict() for r in reports]}
     if sweep:
@@ -284,23 +304,30 @@ def cmd_check(cfg: dict) -> int:
 
 def cmd_search(cfg: dict) -> int:
     spec = _spec_from_cfg(cfg)
-    seed = cfg.get("seed", 0)
     family = Family(kind=cfg.get("family", FAMILIES[0]))
     res = cfg.get("res", "64")
     if "," in res:
         raise InputError(f"--res of search takes one number of steps for every axis, "
                          f"got {res!r}")
+    res = _counts(res, "--res")[0]
     if spec.is_elliptic:
         _reject(cfg, ["tres"], f"with variant {spec.variant.value}, whose search grids "
                                "have T = 0")
-    refine_steps = cfg.get("refine-steps", 0)
+    # every flag is checked before the random search, which takes the time
+    seed, refine_steps = cfg.get("seed", 0), cfg.get("refine-steps", 0)
+    step_scale = cfg.get("step-scale", 0.1)
+    for flag, value in (("seed", seed), ("refine-steps", refine_steps)):
+        if value < 0:
+            raise InputError(f"--{flag} must be >= 0, got {value}")
+    if not (math.isfinite(step_scale) and step_scale >= 0):
+        raise InputError(f"--step-scale must be finite and >= 0, got {step_scale}")
     if not refine_steps:
         _reject(cfg, ["step-scale"], "without a nonzero --refine-steps")
 
-    result = random_search(spec, family, cfg.get("budget", 100), seed, resolution=int(res),
+    result = random_search(spec, family, cfg.get("budget", 100), seed, resolution=res,
                            time_resolution=cfg.get("tres"))
     if refine_steps:
-        result = refine_search(result, family, refine_steps, cfg.get("step-scale", 0.1), seed)
+        result = refine_search(result, family, refine_steps, step_scale, seed)
 
     probe = _constant_probe(spec, result)
     body = {

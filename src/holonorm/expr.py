@@ -5,7 +5,9 @@ with ``+ - * /`` left associative and ``^`` right associative, so ``-x^2``
 means ``-(x^2)`` and ``2^3^2`` means ``2^(3^2)``.  The table ``_PREC`` fixes
 this precedence for the parser and for ``Expr.precedence``, which ``unparse``
 reads.  Variables are ``x1 .. xN`` and ``t``; ``pi`` and ``e`` are named
-constants.  Evaluation is plain IEEE-754 double arithmetic and refuses to
+constants.  ``parse`` can also read named parameters, leaves that ``bind``
+replaces by numbers: one parse then serves every member of a family of
+expressions.  Evaluation is plain IEEE-754 double arithmetic and refuses to
 produce non-finite numbers: ``log``/``sqrt`` of a negative argument, division
 by zero, a negative base with a fractional exponent, and overflow all raise a
 domain error naming the offending sub-expression.  A numeric literal that
@@ -58,7 +60,7 @@ _CHECKED = {**_UNARY_FUNCS, "+": np.add, "-": np.subtract, "*": np.multiply, "/"
 class Expr:
     """A node of the syntax tree; ``op`` distinguishes the node kind."""
 
-    op: str  # 'num', 'var', 'neg', 'call', or a binary operator symbol
+    op: str  # 'num', 'var', 'param', 'neg', 'call', or a binary operator symbol
     args: tuple = ()
     name: str = ""
     value: float = 0.0
@@ -124,11 +126,12 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, source: str, n_dim: int):
+    def __init__(self, source: str, n_dim: int, params):
         self.tokens = _tokenize(source)
         self.pos = 0
         self.n_dim = n_dim
         self.source = source
+        self.params = frozenset(params)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -208,6 +211,8 @@ class _Parser:
         return Expr("call", tuple(args), name=name)
 
     def variable(self, name: str, off: int) -> Expr:
+        if name in self.params:
+            return Expr("param", name=name)
         if name in _CONSTANTS:
             return Expr("num", value=_CONSTANTS[name])
         if name == "t":
@@ -225,11 +230,32 @@ class _Parser:
         raise ExprNameError(f"unknown identifier {name!r} at offset {off}")
 
 
-def parse(source: str, n_dim: int) -> Expr:
-    """Parse ``source`` against dimension ``n_dim`` (variables x1..xN, t)."""
+def parse(source: str, n_dim: int, params=()) -> Expr:
+    """Parse ``source`` against dimension ``n_dim`` (variables x1..xN, t).
+
+    Each identifier named in ``params`` is read as a parameter leaf, before
+    the variables and constants; :func:`bind` gives it a value.  A tree with
+    parameters left unbound does not evaluate."""
     if n_dim < 1:
         raise ValueError(f"dimension must be >= 1, got {n_dim}")
-    return _Parser(source, n_dim).parse()
+    return _Parser(source, n_dim, params).parse()
+
+
+def bind(e: Expr, values: dict) -> Expr:
+    """``e`` with each parameter leaf replaced by its value in ``values``, as
+    :func:`parse` reads the value's ``repr``: a negative value (``-0.0``
+    included) becomes the negation of its magnitude.  So where no parameter
+    is the base of a ``^``, the tree of ``parse(source, n, params)`` bound to
+    some values is the tree of the source with each parameter written as
+    its value's ``repr``, and evaluates bit for bit as it does."""
+    if e.op == "param":
+        v = values[e.name]
+        if math.copysign(1.0, v) < 0:
+            return Expr("neg", (Expr("num", value=-v),))
+        return Expr("num", value=v)
+    if not e.args:
+        return e
+    return Expr(e.op, tuple(bind(a, values) for a in e.args), e.name)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -251,6 +277,8 @@ def _eval(node: Expr, env: dict):
         return node.value
     if op == "var":
         return env[node.name]
+    if op == "param":
+        raise ExprNameError(f"parameter {node.name!r} has no value; bind it first")
     # map, not a comprehension, which would add a frame per level of nesting
     args = tuple(map(_eval, node.args, repeat(env)))
     if op == "call":
@@ -314,7 +342,7 @@ def unparse(e: Expr) -> str:
     """
     if e.op == "num":
         return repr(e.value)
-    if e.op == "var":
+    if e.op in ("var", "param"):
         return e.name
     if e.op == "call":
         return f"{e.name}({', '.join(unparse(a) for a in e.args)})"

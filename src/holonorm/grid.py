@@ -204,10 +204,21 @@ class GridFunction:
 
     def __init__(self, domain: Domain, spatial_steps: Sequence[int], time_steps: int, values):
         spatial_steps, time_steps, shape = _lattice_shape(domain, spatial_steps, time_steps)
+        self._fill(domain, spatial_steps, time_steps, shape,
+                   _lattice_coords(domain, spatial_steps, time_steps), values)
+
+    @classmethod
+    def _on_lattice(cls, domain, spatial_steps, time_steps, shape, coords, values):
+        """A grid on a lattice that ``_lattice_shape`` has validated, with
+        its ``coords``: the lattice is built once."""
+        u = cls.__new__(cls)
+        u._fill(domain, spatial_steps, time_steps, shape, coords, values)
+        return u
+
+    def _fill(self, domain, spatial_steps, time_steps, shape, coords, values):
         vals = np.ascontiguousarray(values, dtype=float)
         if vals.shape != shape:
             raise ValueError(f"values shape {vals.shape} does not match grid shape {shape}")
-        coords = _lattice_coords(domain, spatial_steps, time_steps)
         if not np.isfinite(vals).all():
             idx = tuple(int(i) for i in np.argwhere(~np.isfinite(vals))[0])
             x, t = _coords_at(coords, idx)
@@ -291,10 +302,11 @@ class GridFunction:
     # -- derived functions --------------------------------------------------
 
     def scaled(self, s: float) -> "GridFunction":
-        return GridFunction(self.domain, self.spatial_steps, self.time_steps, self.values * s)
+        return self.with_values(self.values * s)
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.domain, self.spatial_steps, self.time_steps, values)
+        return GridFunction._on_lattice(self.domain, self.spatial_steps, self.time_steps,
+                                        self.values.shape, self._coords, values)
 
 
 def make_grid_function(
@@ -328,7 +340,7 @@ def make_grid_function(
         vals = np.empty(shape)
         for idx in np.ndindex(shape):
             vals[idx] = float(f(*_coords_at(coords, idx)))
-    return GridFunction(domain, spatial_steps, time_steps, vals)
+    return GridFunction._on_lattice(domain, spatial_steps, time_steps, shape, coords, vals)
 
 
 def parabolic_dilate(u: GridFunction, lam: float) -> GridFunction:

@@ -14,7 +14,10 @@ Each pair supremum is computed once per grid and engine and kept in the
 grid's memo; every call gets its own copy, and ``pairs_examined`` counts the
 pairs decided to obtain the value (evaluated, or certified below the running
 best), repeated call or not.  The suprema of one derivative field share its
-moduli store, which changes no outcome.
+moduli store, which changes no outcome.  :func:`hint_from_coarser` hands a
+grid the witnesses of the same suprema on a grid of half its steps, which
+each supremum visits first: that changes ``pairs_examined``, not a value or
+a witness.
 """
 
 from __future__ import annotations
@@ -142,18 +145,39 @@ def _report_from_outcome(kind, out: SupOutcome, index, params) -> NormReport:
 def _field_sup(u: GridFunction, engine, beta: tuple[int, ...], l_t: int, *args) -> SupOutcome:
     """``engine(w, h_x, h_t, *args)`` on the field ``w = D_t^l_t D_x^beta u``,
     computed once per grid, engine and arguments and kept in the grid's memo
-    with the moduli store that every supremum of that field shares.  Keying
-    by the engine function lets an engine put in place of a ``pairs``
-    dispatcher compute afresh.  Each call gets its own copy of the witness
-    (numbers and flat lists of numbers), so no two reports share one."""
+    with the moduli store that every supremum of that field shares, and
+    with the hints of :func:`hint_from_coarser` when the grid has them.
+    Keying by the engine function lets an engine put in place of a
+    ``pairs`` dispatcher compute afresh.  Each call gets its own copy of the
+    witness (numbers and flat lists of numbers), so no two reports share
+    one."""
     key = (engine, beta, l_t) + args
     if key not in u._memo:
         store = u._memo.setdefault(("moduli", beta, l_t), {})
-        u._memo[key] = engine(derivative_field(u, beta, l_t), u.h_x, u.h_t, *args, store)
+        # hints only when there are some: an engine put in place of a
+        # dispatcher need not take them
+        hints = u._memo.get("hints", {}).get(key)
+        u._memo[key] = engine(derivative_field(u, beta, l_t), u.h_x, u.h_t, *args, store,
+                              **({"hints": hints} if hints else {}))
     out = u._memo[key]
     witness = None if out.witness is None else {
         name: list(v) if isinstance(v, list) else v for name, v in out.witness.items()}
     return replace(out, witness=witness)
+
+
+def hint_from_coarser(u: GridFunction, coarse: GridFunction) -> None:
+    """Give each supremum that ``u`` computes from now on, as its hint, the
+    witness offset of the same supremum on ``coarse``, doubled; see
+    :mod:`holonorm.pairs`.  A doubled offset spans the same box distance
+    only when ``u`` has twice the steps of ``coarse`` along every axis, time
+    included, over the same box; otherwise ``u`` gets no hints.  Hints are
+    extra visits: no value or witness changes, ``pairs_examined`` can."""
+    if (u.domain != coarse.domain or u.time_steps != 2 * coarse.time_steps
+            or u.spatial_steps != tuple(2 * s for s in coarse.spatial_steps)):
+        return
+    u._memo["hints"] = {
+        key: [tuple(2 * v for v in out.witness["steps"] + [out.witness["time_step"]])]
+        for key, out in coarse._memo.items() if isinstance(out, SupOutcome)}
 
 
 # -- discrete derivatives --------------------------------------------------------

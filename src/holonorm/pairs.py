@@ -10,7 +10,10 @@ serves them all:
 
 1. Every nearest-neighbour offset is swept; the best quotient seeds the search.
    On a field whose computed differences are all 0 (``all_zero``) the
-   sweep's best is already exact, and the engine stops there.
+   sweep's best is already exact, and the engine stops there.  Otherwise
+   the caller's ``hints``, offsets such as a coarser grid's witness doubled,
+   and their neighbours (:meth:`_Problem.around`) are visited next: they
+   only raise the running best early, so they change no exact outcome.
 2. No k-th difference exceeds ``amp = 2^(k-1) (max w - min w)``, so an offset
    at separation ``r`` bounds its quotients by ``amp / r^e``.  This global
    bound fixes the radius beyond which no offset can reach the seed.
@@ -455,17 +458,15 @@ class _Problem:
                         step[-1] * self.h_t, self.exponent, self.k, self.kind)
 
     def around(self, off: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """``off``, then its admissible neighbours ``off -+ e_a`` along each
-        axis, time last, in the canonical half-space.  ``off`` is twice an
-        offset of the coarsened problem, so no neighbour is zero."""
-        box, out = self.limits + (self.j_hi,), [off]
-        for a in range(len(off)):
-            for s in (-1, 1):
-                o = off[:a] + (off[a] + s,) + off[a + 1:]
-                if o[-1:] + o[:-1] < (0,) * len(o):
-                    o = tuple(-v for v in o)
-                if all(abs(v) <= m for v, m in zip(o, box)):
-                    out.append(o)
+        """``off``, then its neighbours ``off -+ e_a`` along each axis, time
+        last, each in the canonical half-space: those that are admissible."""
+        box, zero, out = self.limits + (self.j_hi,), (0,) * len(off), []
+        for o in [off] + [off[:a] + (off[a] + s,) + off[a + 1:]
+                          for a in range(len(off)) for s in (-1, 1)]:
+            if o[-1:] + o[:-1] < zero:
+                o = tuple(-v for v in o)
+            if o != zero and all(abs(v) <= m for v, m in zip(o, box)):
+                out.append(o)
         return out
 
     # -- the table ----------------------------------------------------------------
@@ -688,7 +689,7 @@ class _Best:
             self.q, self.key, self.off, self.where = q, key, off, where
 
 
-def _sup(prob: _Problem, limit: int | None) -> SupOutcome:
+def _sup(prob: _Problem, limit: int | None, hints=()) -> SupOutcome:
     """The outcome of :func:`_solve`, or a ``ValueError`` when no offset is
     admissible or a difference overflows.  :meth:`_Problem.evaluate` names
     an overflow, so numpy's overflow warnings are silenced: elsewhere an
@@ -698,16 +699,20 @@ def _sup(prob: _Problem, limit: int | None) -> SupOutcome:
                          f"every axis they use has fewer than {prob.k} steps (grid has "
                          f"{tuple(n - 1 for n in prob.values.shape)})")
     with np.errstate(over="ignore", invalid="ignore"):
-        best, examined, upper = _solve(prob, limit)
+        best, examined, upper = _solve(prob, limit, hints)
     return SupOutcome(best.q, prob.witness(best.off, best.where), examined,
                       "exhaustive" if upper is None else "interval", upper)
 
 
-def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]:
+def _solve(prob: _Problem, limit: int | None, hints=()) -> tuple[_Best, int, float | None]:
     """(best, pairs decided, upper bound or ``None`` when exact).
 
-    The nearest-neighbour sweep, then one walk over the certified table best
+    The nearest-neighbour sweep, each of ``hints`` with its neighbours
+    (:meth:`_Problem.around`), then one walk over the certified table best
     bound first, stopping at the first bound below the running best (exact).
+    The hints' pairs are not charged to the budget: a higher running best
+    only shortens the table, which is the same rows best first, so a walk
+    cut by the budget visits every row it would visit without them.
     Past the walk's first chunk, each offset it visits is evaluated on its
     window at the running best (:func:`_walk`).  Once the walk has decided ``limit`` pairs
     (``None``: never), or when there is no table, the coarsened problem is
@@ -733,13 +738,19 @@ def _solve(prob: _Problem, limit: int | None) -> tuple[_Best, int, float | None]
     # that reads 0 scans the values for it
     if best.q == 0.0 and prob.all_zero():
         return best, examined, None
+    before = examined
+    for hint in hints:
+        for off in prob.around(tuple(hint)):
+            if off not in seen:
+                visit(off)
+    hinted = examined - before
     prob.scratch = None  # not held while the table is built or the coarse levels solved
     table = prob.certified(best.q, limit)
     if table is None:
         off = np.asarray(nearest)
         cut = float(np.max(prob.amp / prob.denominators(off[:, :-1].T, off[:, -1])))
     else:
-        cut, budget = None, math.inf if limit is None else limit
+        cut, budget = None, math.inf if limit is None else limit + hinted
         for off, bound, window in _walk(prob, table, best):
             if bound < best.q or len(seen) == prob.count:
                 break
@@ -826,9 +837,16 @@ def pair_quotient_sup(
     exponent: float,
     axes: str,
     store: dict | None = None,
+    hints=(),
 ) -> SupOutcome:
-    """First-difference quotient supremum over space or time pairs."""
-    return _sup(_Problem(w, h_x, h_t, exponent, 1, axes, store), PAIR_LIMIT)
+    """First-difference quotient supremum over space or time pairs.
+
+    ``store`` holds the moduli of ``w`` that the suprema of one field share;
+    ``hints`` are offsets ``(d, j)``, time last, visited with their
+    neighbours right after the nearest-neighbour sweep (see the module
+    docstring): they can change ``examined``, not an exact value or witness.
+    The other dispatchers take both alike."""
+    return _sup(_Problem(w, h_x, h_t, exponent, 1, axes, store), PAIR_LIMIT, hints)
 
 
 def kdiff_quotient_sup(
@@ -839,11 +857,12 @@ def kdiff_quotient_sup(
     k: int,
     allow_time: bool,
     store: dict | None = None,
+    hints=(),
 ) -> SupOutcome:
     """Joint space-time k-th difference quotient supremum (space shifts only
     unless ``allow_time``)."""
     kind = "joint" if allow_time else "space"
-    return _sup(_Problem(values, h_x, h_t, exponent, k, kind, store), PAIR_LIMIT)
+    return _sup(_Problem(values, h_x, h_t, exponent, k, kind, store), PAIR_LIMIT, hints)
 
 
 def kdiff_time_quotient_sup(
@@ -853,6 +872,7 @@ def kdiff_time_quotient_sup(
     exponent: float,
     k: int,
     store: dict | None = None,
+    hints=(),
 ) -> SupOutcome:
     """Pure-time k-th difference quotient supremum (split-form time part)."""
-    return _sup(_Problem(values, h_x, h_t, exponent, k, "time", store), PAIR_LIMIT)
+    return _sup(_Problem(values, h_x, h_t, exponent, k, "time", store), PAIR_LIMIT, hints)

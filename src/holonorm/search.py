@@ -20,10 +20,16 @@ of one coordinate in ``refine_search``.  The same arguments give the same
 result.
 
 Both searches evaluate candidates through one step, ``_offer``: it
-renders and checks the candidate, counts the evaluation, and keeps a
-strictly larger ratio in the ``SearchResult`` being built.  The searches
-differ only in how they propose parameters and when they append to the
-history.
+renders the candidate, counts the evaluation, and keeps a strictly larger
+ratio in the ``SearchResult`` being built.  Each search call parses its
+family's expression once, with every parameter a named leaf
+(:meth:`Family.template`), and binds each candidate's values into that tree
+(``expr.bind``), which evaluates as the parse of the rendered source does.
+It checks each distinct rendered source once: a repeat (a step that leaves
+the source unchanged, such as one of a decay rate on a T = 0 box) counts as
+an evaluation and in the history, and reuses the outcome it had.  The
+searches differ only in how they propose parameters and when they append to
+the history.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ FAMILIES = ("trig", "bump", "rough")
 class Family:
     """A parametric candidate family with samplable bounds.
 
-    Each family is written once, in ``_render``: ``param_spec`` and
-    ``expression`` both read that one walk over its parameters.
+    Each family is written once, in ``_render``: ``template``,
+    ``param_spec`` and ``expression`` all read that one walk over its
+    parameters.
     """
 
     kind: str  # one of FAMILIES
@@ -75,26 +82,34 @@ class Family:
                 raise ValueError(f"{name} must be two finite numbers lo <= hi, got {bounds!r}")
             object.__setattr__(self, name, (lo, hi))
 
+    def template(self, spec: InterpSpec,
+                 domain: Domain) -> tuple[list[tuple[str, float, float]], str]:
+        """``param_spec``, and the expression source with each parameter
+        written as its name: ``expr.parse`` with those names as ``params``
+        reads it once for every candidate.  No parameter is the base of a
+        ``^``, so binding values into that tree gives the tree of
+        :meth:`expression` (see ``expr.bind``)."""
+        out: list[tuple[str, float, float]] = []
+
+        def record(name: str, lo: float, hi: float) -> str:
+            out.append((name, lo, hi))
+            return name
+
+        return out, self._render(record, spec, domain)
+
     def param_spec(self, spec: InterpSpec, domain: Domain) -> list[tuple[str, float, float]]:
         """Name and bounds of every scalar parameter of one candidate, in the
         order the searches draw them."""
-        out: list[tuple[str, float, float]] = []
-
-        def record(name: str, lo: float, hi: float) -> float:
-            out.append((name, lo, hi))
-            return lo
-
-        self._render(record, spec, domain)
-        return out
+        return self.template(spec, domain)[0]
 
     def expression(self, params: dict[str, float], spec: InterpSpec, domain: Domain) -> str:
         """Render a candidate's parameters as expression source."""
-        return self._render(lambda name, lo, hi: params[name], spec, domain)
+        return self._render(lambda name, lo, hi: repr(params[name]), spec, domain)
 
     def _render(self, p, spec: InterpSpec, domain: Domain) -> str:
         """The one walk over a candidate's parameters: ``p(name, lo, hi)``
-        gives each parameter's value, called in draw order, and the values
-        are rendered as expression source.  ``trig`` and ``rough`` draw their
+        gives each parameter's text, called in draw order, and the texts are
+        joined into expression source.  ``trig`` and ``rough`` draw their
         decay rates ``mu`` on a T = 0 box too, where the source has no time
         factor."""
         n, lower, upper = spec.N, domain.space_lower, domain.space_upper
@@ -103,20 +118,19 @@ class Family:
             terms = []
             for j in range(self.n_terms):
                 a = p(f"a{j}", *self.amp_range)
-                phase = "+".join([f"{p(f'w{j}_{i}', *self.freq_range)!r}*x{i + 1}"
-                                  for i in range(n)]
-                                 + [repr(p(f"phi{j}", 0.0, 2.0 * math.pi))])
+                phase = "+".join([f"{p(f'w{j}_{i}', *self.freq_range)}*x{i + 1}"
+                                  for i in range(n)] + [p(f"phi{j}", 0.0, 2.0 * math.pi)])
                 mu = p(f"mu{j}", *self.decay_range)
-                terms.append(f"{a!r}*sin({phase})" + (f"*exp(-{mu!r}*t)" if parabolic else ""))
+                terms.append(f"{a}*sin({phase})" + (f"*exp(-{mu}*t)" if parabolic else ""))
             return "+".join(terms)
         if self.kind == "bump":
-            factors = [repr(p("a", *self.amp_range))]
+            factors = [p("a", *self.amp_range)]
             axes = []
             for i in range(n):
                 w_lo, w_hi = (frac * (upper[i] - lower[i]) for frac in self.width_range)
-                axes.append([repr(p(f"c{i}", lower[i], upper[i])), repr(p(f"w{i}", w_lo, w_hi))])
+                axes.append([p(f"c{i}", lower[i], upper[i]), p(f"w{i}", w_lo, w_hi)])
             if parabolic:  # the first axis's centre drifts with t
-                axes[0][0] = f"({axes[0][0]}+{p('v', -1.0, 1.0)!r}*t)"
+                axes[0][0] = f"({axes[0][0]}+{p('v', -1.0, 1.0)}*t)"
             for i, (center, width) in enumerate(axes):
                 s = f"((x{i + 1}-{center})/{width})"
                 factors.append(f"exp(1-1/(1-min({s}*{s},0.999999)))")
@@ -125,10 +139,10 @@ class Family:
         gamma_lo = max(self.gamma_range[0], spec.l2 - math.floor(spec.l2))
         a = p("a", *self.amp_range)
         gamma = p("gamma", gamma_lo, max(self.gamma_range[1], gamma_lo + 0.5))
-        centers = [repr(p(f"c{i}", lower[i], upper[i])) for i in range(n)]
+        centers = [p(f"c{i}", lower[i], upper[i]) for i in range(n)]
         mu = p("mu", *self.decay_range)
         r2 = "+".join(f"(x{i + 1}-{c})*(x{i + 1}-{c})" for i, c in enumerate(centers))
-        return f"{a!r}*sqrt({r2})^{gamma!r}" + (f"*exp(-{mu!r}*t)" if parabolic else "")
+        return f"{a}*sqrt({r2})^{gamma}" + (f"*exp(-{mu}*t)" if parabolic else "")
 
 
 @dataclass
@@ -182,26 +196,49 @@ def build_candidate(
                               expr_mod.as_grid_callable(tree))
 
 
-def _offer(result: SearchResult, family: Family, params: dict[str, float]) -> float | None:
+@dataclass
+class _Candidates:
+    """One search call's family on its box: the parameters, the expression
+    parsed once with each parameter a named leaf, and the outcome (ratio or
+    ``None``) of each rendered source checked so far."""
+
+    family: Family
+    spec: InterpSpec
+    domain: Domain
+    outcomes: dict[str, float | None]
+
+    def __post_init__(self):
+        self.pspec, source = self.family.template(self.spec, self.domain)
+        self.tree = expr_mod.parse(source, self.spec.N, [name for name, _, _ in self.pspec])
+
+    def ratio(self, params: dict[str, float], res: dict) -> float | None:
+        """The ratio of the candidate ``params``, or ``None`` when it is
+        effectively the zero function or its check forms no ratio."""
+        tree = expr_mod.bind(self.tree, params)
+        u = make_grid_function(self.domain, res["resolution"], res["time_resolution"],
+                               expr_mod.as_grid_callable(tree))
+        if float(np.max(np.abs(u.values))) <= AMPLITUDE_TOL:
+            return None  # degenerate: effectively the zero function
+        report = check(self.spec, u)
+        return report.ratio if report.status == "ok" else None
+
+
+def _offer(result: SearchResult, cands: _Candidates, params: dict[str, float]) -> float | None:
     """Evaluate one candidate and keep it in ``result`` if its ratio is
-    strictly the best so far.
+    strictly the best so far.  A source already checked in this search call
+    is not checked again.
 
     Returns the ratio, or ``None`` when the candidate is effectively the zero
     function or its check forms no ratio.
     """
-    spec, domain, res = result.spec, result.domain, result.resolution
-    source = family.expression(params, spec, domain)
-    u = build_candidate(source, spec, domain, res["resolution"], res["time_resolution"])
+    source = cands.family.expression(params, cands.spec, cands.domain)
+    if source not in cands.outcomes:
+        cands.outcomes[source] = cands.ratio(params, result.resolution)
     result.evaluations += 1
-    if float(np.max(np.abs(u.values))) <= AMPLITUDE_TOL:
-        return None  # degenerate: effectively the zero function
-    report = check(spec, u)
-    if report.status != "ok":
-        return None
-    if report.ratio > result.best_ratio:
-        result.best_ratio, result.best_params, result.best_expression = (
-            report.ratio, params, source)
-    return report.ratio
+    ratio = cands.outcomes[source]
+    if ratio is not None and ratio > result.best_ratio:
+        result.best_ratio, result.best_params, result.best_expression = ratio, params, source
+    return ratio
 
 
 def random_search(
@@ -242,11 +279,11 @@ def random_search(
         },
     )
     rng = np.random.default_rng(seed)
-    pspec = family.param_spec(spec, domain)
+    cands = _Candidates(family, spec, domain, {})
     failures = 0
     while len(result.history) < budget:
-        params = {name: float(rng.uniform(lo, hi)) for name, lo, hi in pspec}
-        if _offer(result, family, params) is None:
+        params = {name: float(rng.uniform(lo, hi)) for name, lo, hi in cands.pspec}
+        if _offer(result, cands, params) is None:
             failures += 1
             if failures >= _MAX_RESAMPLES and not result.history:
                 raise ValueError(
@@ -283,14 +320,15 @@ def refine_search(
         )
     result = replace(start, best_params=dict(start.best_params), history=list(start.history),
                      resolution=dict(start.resolution))
-    pspec = family.param_spec(start.spec, start.domain)
+    cands = _Candidates(family, start.spec, start.domain,
+                        {start.best_expression: start.best_ratio})
     rng = np.random.default_rng([seed, start.seed])
     for step in range(steps):
-        name, lo, hi = pspec[step % len(pspec)]
+        name, lo, hi = cands.pspec[step % len(cands.pspec)]
         proposal = dict(result.best_params)
         proposal[name] = float(
             np.clip(proposal[name] + rng.normal(0.0, step_scale * (hi - lo)), lo, hi)
         )
-        _offer(result, family, proposal)
+        _offer(result, cands, proposal)
         result.history.append(result.best_ratio)
     return result

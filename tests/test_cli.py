@@ -7,13 +7,22 @@ import pytest
 
 import holonorm
 from holonorm import __version__
+from holonorm import cli as cli_mod
 from holonorm.cli import main
+from test_acceptance import ELLIPTIC_VARIANTS, FIXTURES, PARABOLIC_VARIANTS, _spec_for
 
 
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _without_pairs(report):
+    """A report without its norms' ``pairs_examined``."""
+    if isinstance(report, dict):
+        return {k: _without_pairs(v) for k, v in report.items() if k != "pairs_examined"}
+    return report
 
 
 class TestNormCommand:
@@ -207,6 +216,46 @@ class TestCheckCommand:
         assert lines[0] == "resolution,ratio"
         assert len(lines) == 4
         assert csv_path.read_bytes().startswith(b"resolution,ratio\r\n16,")
+
+    @pytest.mark.parametrize("sweep", ["64,-4", "16,abc", "16,0", ","])
+    def test_sweep_entries_are_read_before_any_grid(self, sweep, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(cli_mod, "make_grid_function", never)
+        code, out, err = run_cli(
+            ["check", "--variant", "2.2", "--dim", "2", "--l", "0.75", "--l2", "1.5",
+             "--expr", "sin(x1)*x2*exp(-t)", "--T", "1", "--sweep", sweep], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: --sweep takes positive integers separated by ',', got {sweep!r}\n" in err
+
+    def test_later_sweep_resolution_reports_as_a_standalone_check(self, capsys, tmp_path):
+        # each resolution of a sweep is hinted with the witnesses of the one
+        # before it; that may change pairs_examined and nothing else
+        def reports(name, spec_flags, grid_flags):
+            path = tmp_path / f"{name}.json"
+            code, _, _ = run_cli(["check", "--expr", source, "--dim", "2", "--variant", variant]
+                                 + spec_flags + grid_flags + ["--out", str(path)], capsys)
+            assert code in (0, 1)
+            return json.loads(path.read_text())["reports"]
+
+        moved = 0
+        for name, psrc, esrc, l1, l_mid, l2 in FIXTURES[2][:2]:
+            for variant in PARABOLIC_VARIANTS + ELLIPTIC_VARIANTS:
+                elliptic = variant in ELLIPTIC_VARIANTS
+                source = esrc if elliptic else psrc
+                spec = _spec_for(variant, 2, l1, l_mid, l2)
+                spec_flags = [flag for field in ("l1", "l", "l2", "p")
+                              if getattr(spec, field) is not None
+                              for flag in (f"--{field}", repr(getattr(spec, field)))]
+                time_flags = [] if elliptic else ["--T", "1"]
+                swept = reports("sweep", spec_flags, time_flags + ["--sweep", "16,32"])[1]
+                alone = reports("alone", spec_flags, time_flags + ["--res", "32"])[0]
+                assert _without_pairs(swept) == _without_pairs(alone)
+                moved += swept != alone
+        assert moved > 0
+
 
     def test_failed_csv_write_leaves_no_temp_file(self, capsys, tmp_path):
         # an existing directory cannot be replaced by the CSV file
@@ -419,8 +468,27 @@ class TestSearchCommand:
             "--refine-steps", "3", "--step-scale", step_scale], capsys)
         assert code == 2
         assert out == ""
-        assert f"error: step_scale must be finite and >= 0, got {float(step_scale)}" in err
+        assert f"error: --step-scale must be finite and >= 0, got {float(step_scale)}" in err
         assert not (tmp_path / "bad.json").exists()
+
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--refine-steps", "-1"], "--refine-steps must be >= 0, got -1"),
+        (["--refine-steps", "3", "--step-scale", "nan"],
+         "--step-scale must be finite and >= 0, got nan"),
+        (["--seed", "-5"], "--seed must be >= 0, got -5"),
+        (["--res", "8x"], "--res takes positive integers separated by ',', got '8x'"),
+    ], ids=["refine-steps", "step-scale", "seed", "res"])
+    def test_flags_are_checked_before_the_search(self, flags, message, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the random search ran")
+
+        monkeypatch.setattr(cli_mod, "random_search", never)
+        code, out, err = run_cli(["search", "--variant", "2.11", "--dim", "1", "--l2", "1.5",
+                                  "--p", "2", "--budget", "200", "--res", "32"] + flags, capsys)
+        assert code == 2
+        assert out == ""
+        assert f"error: {message}\n" in err
 
 
 class TestConfigFile:

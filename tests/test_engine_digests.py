@@ -5,7 +5,9 @@ Each check's report, serialised as JSON with sorted keys, is hashed with
 SHA-256 and compared with the tables below: values, witnesses, modes,
 ``upper`` and ``pairs_examined`` included.  Each of ``sweep-2d``'s three
 ``holonorm search`` runs is pinned the same way at two fixed seeds: its JSON
-report (without ``generated_at`` and the output paths) and its history CSV.
+report (without ``generated_at`` and the output paths) and its history CSV,
+and so are small searches of each family on what those never render: a
+T = 1 box (variant 2.10.1) and a second axis (variant 2.11 at N = 2).
 A change that moves an output on purpose re-pins the tables
 (``python tests/test_engine_digests.py`` prints them) and says which outputs
 moved and why.  The floats, and so the digests, are
@@ -62,29 +64,49 @@ def _criterion_7_checks():
 SEARCH_SEEDS = (1234, 20240921)
 
 
+def _search_digests(workdir, key, spec, budget, steps, res, seed, family):
+    """(key, digest) of the JSON report and of the history CSV of one
+    ``holonorm search``; ``spec`` holds the variant, N and the indices."""
+    out, history = os.path.join(workdir, "search.json"), os.path.join(workdir, "history.csv")
+    argv = ["search", "--variant", spec["variant"], "--dim", str(spec["N"]),
+            "--family", family, "--budget", str(budget), "--refine-steps", str(steps),
+            "--res", str(res), "--seed", str(seed), "--out", out, "--history-csv", history]
+    for name in ("l1", "l2", "p"):
+        argv += [f"--{name}", repr(spec[name])]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    with open(out) as fh:
+        payload = json.load(fh)
+    del payload["generated_at"], payload["config"]["out"], payload["config"]["history-csv"]
+    yield f"{key}/json", _digest(payload)
+    with open(history, "rb") as fh:
+        yield f"{key}/csv", hashlib.sha256(fh.read()).hexdigest()
+
+
 def _search_outputs(workdir):
     """(key, digest) of the JSON report and the history CSV of each of
     ``sweep-2d``'s searches at each of ``SEARCH_SEEDS``."""
     budget, steps, res = workloads.SEARCH_SIZE[False]
-    spec = workloads.SEARCH_SPEC
-    out, history = os.path.join(workdir, "search.json"), os.path.join(workdir, "history.csv")
     for seed in SEARCH_SEEDS:
         for family in workloads.SEARCH_FAMILIES:
-            argv = ["search", "--variant", spec["variant"], "--dim", str(spec["N"]),
-                    "--family", family, "--budget", str(budget), "--refine-steps", str(steps),
-                    "--res", str(res), "--seed", str(seed), "--out", out,
-                    "--history-csv", history]
-            for name in ("l1", "l2", "p"):
-                argv += [f"--{name}", repr(spec[name])]
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) == 0
-            with open(out) as fh:
-                payload = json.load(fh)
-            del payload["generated_at"], payload["config"]["out"], payload["config"]["history-csv"]
-            key = f"search/{family}/seed{seed}"
-            yield f"{key}/json", _digest(payload)
-            with open(history, "rb") as fh:
-                yield f"{key}/csv", hashlib.sha256(fh.read()).hexdigest()
+            yield from _search_digests(workdir, f"search/{family}/seed{seed}",
+                                       workloads.SEARCH_SPEC, budget, steps, res, seed, family)
+
+
+# what sweep-2d's searches (N = 1, T = 0) never render: the time factors
+# exp(-mu t) and (c + v t) of a T = 1 box, and a second axis
+OTHER_SEARCH_SPECS = {
+    "2.10.1-1d": {"variant": "2.10.1", "N": 1, "l1": 0.5, "l2": 1.5, "p": 2.0},
+    "2.11-2d": {"variant": "2.11", "N": 2, "l1": 0.0, "l2": 1.5, "p": 2.0},
+}
+
+
+def _other_search_outputs(workdir):
+    """(key, digest) of small searches of each family on ``OTHER_SEARCH_SPECS``."""
+    for name, spec in OTHER_SEARCH_SPECS.items():
+        for family in workloads.SEARCH_FAMILIES:
+            yield from _search_digests(workdir, f"search/{name}/{family}", spec,
+                                       12, 12, 8, 7, family)
 
 
 def _assert_pinned(digests, pinned):
@@ -107,6 +129,10 @@ def test_criterion_7_checks_are_pinned():
 
 def test_searches_are_pinned(tmp_path):
     _assert_pinned(_search_outputs(tmp_path), SEARCHES)
+
+
+def test_other_searches_are_pinned(tmp_path):
+    _assert_pinned(_other_search_outputs(tmp_path), OTHER_SEARCHES)
 
 
 FIXED = {
@@ -326,11 +352,27 @@ SEARCHES = {
     "search/rough/seed20240921/csv": "3e70af531d788f0f9a153ee9672cf42c9ec8d96ef06b4ccf62c61ca7529a3e87",
 }
 
+OTHER_SEARCHES = {
+    "search/2.10.1-1d/trig/json": "ad6a5f35ccdddb8db444a2d9f411f6108b9ff944d822c772c8efedaa6df8b3b6",
+    "search/2.10.1-1d/trig/csv": "46241a9089e42350f190ef5d048839f2749f6cf082e6cc5c97a6653677f461a5",
+    "search/2.10.1-1d/bump/json": "bcf19387455e9960472b576d7d056b49356a93a9edb5d1e620ba3d7b9ee96473",
+    "search/2.10.1-1d/bump/csv": "5a91a946981fac249a0ff3593a6fed99480924e165a6621ae01bd5c30698b91c",
+    "search/2.10.1-1d/rough/json": "4d2f9dc921e8cfcc0996eeb60514afda46f2630abf084c00d8a0550905092cd7",
+    "search/2.10.1-1d/rough/csv": "83ff62f9aff2b29063ddad3e0e279c72f1eb41cf42363c6bfe5df8864d1bf27a",
+    "search/2.11-2d/trig/json": "81a308880a8a6bbe40fed9c07ac0d9676cc745e84f3216e65705bdbe0eff3765",
+    "search/2.11-2d/trig/csv": "4b736ba40e6fb479f337aecd1b5d338dcd614b054ace2c58fac4738737175cb2",
+    "search/2.11-2d/bump/json": "de745253172f7415f4bdee777941de5d5bb58fcb189d9e55c1c0fdc3906b4244",
+    "search/2.11-2d/bump/csv": "8b4148f31777943b587705d33db678ad4290c4578b48443f3646cd1a316e0ead",
+    "search/2.11-2d/rough/json": "05f007ce5cfb127ab804cbfadd217724dcbb8a3723a86ee9fd9164ee3f4b4083",
+    "search/2.11-2d/rough/csv": "60d07f3e6e54c8b8d404c6f5e39fef18b3df652d33ef120f839d1a2407fefc91",
+}
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         for table, digests in (("FIXED", _digests(_fixed_checks())),
                                ("CRITERION_7", _digests(_criterion_7_checks())),
-                               ("SEARCHES", _search_outputs(workdir))):
+                               ("SEARCHES", _search_outputs(workdir)),
+                               ("OTHER_SEARCHES", _other_search_outputs(workdir))):
             print(f"{table} = {{")
             for key, digest in digests:
                 print(f'    "{key}": "{digest}",')

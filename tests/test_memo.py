@@ -3,7 +3,8 @@
 Every norm computed on a grid is kept in that grid's memo, and the suprema of
 one derivative field share its moduli store.  None of this may show in a
 report: the same check gives the same report on a shared grid as on a fresh
-one, reports never alias each other, and derived grids start empty.
+one, reports never alias each other, and derived grids start empty.  Hints
+from a coarser grid's memo may change ``pairs_examined`` only.
 """
 
 import math
@@ -24,6 +25,7 @@ from holonorm import (
     parabolic_dilate,
     sup_t_lp_norm,
 )
+from holonorm.norms import hint_from_coarser
 from test_acceptance import ELLIPTIC_VARIANTS, FIXTURES, PARABOLIC_VARIANTS, _spec_for, expr_grid
 
 
@@ -217,6 +219,17 @@ def test_a_swapped_in_engine_computes_afresh_on_a_memoised_grid(monkeypatch):
     assert [r["ratio"] for r in exact] == [r["ratio"] for r in walked]
 
 
+TERMS = [
+    lambda g: holder_seminorm_space(g, 0.25),
+    lambda g: holder_seminorm_time(g, 0.125),
+    lambda g: diff_quotient_seminorm(g, 0.25, DiffSeminormSpec(1, 1)),
+    lambda g: diff_quotient_seminorm(g, 0.5, DiffSeminormSpec(1, 1), form="split"),
+    lambda g: holder_seminorm_space(g, 0.9),
+    lambda g: diff_quotient_seminorm(g, 1.5),
+    lambda g: holder_seminorm_time(g, 0.75),
+]
+
+
 @pytest.mark.parametrize("source, n, steps, budget", [
     ("abs(x1-0.5)^0.6*exp(-t)+0.3*sin(7*x1)", 1, 48, None),
     ("sin(2*pi*x1)*exp(-t)+0.3*sin(9*x1+1)", 1, 64, None),
@@ -230,19 +243,60 @@ def test_engine_decisions_do_not_depend_on_the_memo(source, n, steps, budget, mo
     if budget is not None:
         monkeypatch.setattr(pairs, "PAIR_LIMIT", budget)
     u = grid(source, n, steps, False)
-    terms = [
-        lambda g: holder_seminorm_space(g, 0.25),
-        lambda g: holder_seminorm_time(g, 0.125),
-        lambda g: diff_quotient_seminorm(g, 0.25, DiffSeminormSpec(1, 1)),
-        lambda g: diff_quotient_seminorm(g, 0.5, DiffSeminormSpec(1, 1), form="split"),
-        lambda g: holder_seminorm_space(g, 0.9),
-        lambda g: diff_quotient_seminorm(g, 1.5),
-        lambda g: holder_seminorm_time(g, 0.75),
-    ]
     # each term after the others' moduli are in u's store, and alone
-    after = [t(u).to_json_dict() for t in terms]
-    alone = [t(fresh(u)).to_json_dict() for t in terms]
+    after = [t(u).to_json_dict() for t in TERMS]
+    alone = [t(fresh(u)).to_json_dict() for t in TERMS]
     assert after == alone
     if budget is not None:
         assert any(r["sampling"]["mode"] == "interval" for r in after)
         assert any(r["sampling"]["mode"] == "exhaustive" for r in after)
+
+
+def _without_pairs(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "pairs_examined"}
+
+
+@pytest.mark.parametrize("source, n, steps, budget", [
+    ("sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)", 2, 16, None),
+    ("sqrt((x1-0.5)*(x1-0.5)+(x2-0.5)*(x2-0.5))^0.6*exp(-t)", 2, 16, None),
+    ("sin(2*pi*x1)*exp(-t)+0.3*sin(9*x1+1)", 1, 64, None),
+    # budgets that cut some walks: a hinted walk is charged nothing for the
+    # hints, so it gets at least as far
+    ("sin(2*pi*x1)*sin(2*pi*x2)*exp(-t)", 2, 16, 100_000),
+    ("sqrt((x1-0.5)*(x1-0.5)+(x2-0.5)*(x2-0.5))^0.6*exp(-t)", 2, 16, 200_000),
+    ("sin(2*pi*x1)*exp(-t)+0.3*sin(9*x1+1)", 1, 64, 200_000),
+])
+def test_hints_from_a_coarser_grid_lower_no_value(source, n, steps, budget, monkeypatch):
+    # a hinted supremum visits the coarser grid's witness, doubled, first: an
+    # exact one keeps its value and witness, an interval's floor never drops
+    coarse = grid(source, n, steps // 2, False)
+    for t in TERMS:
+        t(coarse)
+    if budget is not None:
+        monkeypatch.setattr(pairs, "PAIR_LIMIT", budget)
+    u = grid(source, n, steps, False)
+    hint_from_coarser(u, coarse)
+    hinted = [t(u).to_json_dict() for t in TERMS]
+    plain = [t(fresh(u)).to_json_dict() for t in TERMS]
+    for h, p in zip(hinted, plain):
+        if p["sampling"]["mode"] == "exhaustive":
+            assert _without_pairs(h) == _without_pairs(p)
+        else:
+            assert h["value"] >= p["value"]
+    assert hinted != plain  # the hints were visited
+    if budget is not None:
+        assert any(p["sampling"]["mode"] == "interval" for p in plain)
+
+
+def test_hints_need_twice_the_steps_on_the_same_box():
+    coarse = grid("sin(2*pi*x1)*exp(-t)", 1, 8, False)
+    holder_seminorm_space(coarse, 0.5)
+    for u in (grid("sin(2*pi*x1)*exp(-t)", 1, 12, False),
+              expr_grid("sin(2*pi*x1)*exp(-t)", 1, 16, 8, 1.0),
+              expr_grid("sin(2*pi*x1)*exp(-t)", 1, 16, 16, 2.0)):
+        hint_from_coarser(u, coarse)
+        assert "hints" not in u._memo
+    u = grid("sin(2*pi*x1)*exp(-t)", 1, 16, False)
+    hint_from_coarser(u, coarse)
+    assert [list(offs) for offs in u._memo["hints"].values()] == [
+        [tuple(2 * v for v in holder_seminorm_space(coarse, 0.5).witness["steps"] + [0])]]

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from holonorm import Domain, InterpSpec, check, search
-from holonorm.search import Family, build_candidate, random_search, refine_search
+from holonorm import Domain, InterpSpec, check, expr, make_grid_function, search
+from holonorm.search import FAMILIES, Family, build_candidate, random_search, refine_search
 
 
 SPEC_231 = InterpSpec(variant="2.3.1", l2=1.5, p=2, N=1)
@@ -216,3 +217,98 @@ class TestRefineSearch:
             refine_search(start, Family(kind="bump"), steps=1)
         assert str(info.value) == ("refinement family 'bump' does not match the start "
                                    "result's family 'trig'")
+
+
+# -- one parse per search, one check per distinct source ----------------------------
+
+
+def _both_paths(family, spec, domain, params):
+    """The tree of the family's template bound to ``params``, and the parse of
+    the rendered source."""
+    pspec, source = family.template(spec, domain)
+    tree = expr.parse(source, spec.N, [name for name, _, _ in pspec])
+    return expr.bind(tree, params), expr.parse(family.expression(params, spec, domain), spec.N)
+
+
+def _sampled(tree, domain):
+    steps = 3
+    return make_grid_function(domain, steps, steps if domain.time_horizon else 0,
+                              expr.as_grid_callable(tree)).values
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+@pytest.mark.parametrize("horizon", [0.0, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_bound_tree_samples_as_the_rendered_source(kind, n, horizon, n_terms):
+    # signed frequencies and decay rates, and a box with negative centres,
+    # beside the amplitudes and the bump's drift speed that are signed anyway
+    family = Family(kind, n_terms=n_terms, freq_range=(-16.0, 16.0), decay_range=(-2.0, 4.0))
+    spec = InterpSpec(variant="2.11", l1=0.0, l2=1.5, p=2, N=n)
+    domain = Domain((-1.0,) * n, (1.0,) * n, horizon)
+    rng = np.random.default_rng([n, int(horizon), n_terms])
+    negative = 0
+    for _ in range(50):
+        params = {name: float(rng.uniform(lo, hi)) for name, lo, hi in
+                  family.param_spec(spec, domain)}
+        negative += any(v < 0 for v in params.values())
+        bound, parsed = _both_paths(family, spec, domain, params)
+        assert bound == parsed
+        assert _sampled(bound, domain).tobytes() == _sampled(parsed, domain).tobytes()
+    assert negative > 0
+
+
+def test_an_overflowing_member_fails_alike_on_both_paths():
+    family = Family("trig", n_terms=3, amp_range=(1e308, 1e308))
+    domain = Domain((0.0,), (1.0,), 0.0)
+    rng = np.random.default_rng(0)
+    failures = 0
+    for _ in range(20):
+        params = {name: float(rng.uniform(lo, hi)) for name, lo, hi in
+                  family.param_spec(SPEC_211, domain)}
+        messages = []
+        for tree in _both_paths(family, SPEC_211, domain, params):
+            try:
+                _sampled(tree, domain)
+                messages.append(None)
+            except expr.ExprDomainError as exc:
+                messages.append(str(exc))
+        assert messages[0] == messages[1]
+        failures += messages[0] is not None
+    assert failures > 0
+
+
+class _Forgetful(dict):
+    """An outcome map that never holds a source: every candidate is checked."""
+
+    def __contains__(self, source):
+        return False
+
+
+def test_each_distinct_candidate_is_checked_once(monkeypatch):
+    # on a T = 0 box a step of a decay rate renders the same source again
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    def searched():
+        calls.clear()
+        family = Family(kind="trig")
+        start = random_search(SPEC_211, family, budget=20, seed=5, resolution=16)
+        return refine_search(start, family, steps=40, seed=5), len(calls)
+
+    monkeypatch.setattr(search, "check", counted)
+    once, checked = searched()
+    assert checked < once.evaluations
+
+    class CheckEvery(search._Candidates):
+        def __post_init__(self):
+            super().__post_init__()
+            self.outcomes = _Forgetful()
+
+    monkeypatch.setattr(search, "_Candidates", CheckEvery)
+    every, checked = searched()
+    assert checked == every.evaluations == once.evaluations
+    assert every.to_json_dict() == once.to_json_dict()
